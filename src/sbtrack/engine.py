@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from functools import lru_cache
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,29 +231,23 @@ class PadMode:
             raise ValueError("pad amount must be >= 0")
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def zeros(p: int) -> "PadMode":
         return PadMode("zeros", p)
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def circular(p: int) -> "PadMode":
         return PadMode("circular", p)
 
     @staticmethod
     def valid() -> "PadMode":
-        return _PAD_VALID
+        return PadMode("valid")
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def same(kind: str, kernel: int) -> "PadMode":
         """Padding that preserves spatial extent at stride 1 (odd kernel)."""
         if kind == "valid":
-            return _PAD_VALID
+            return PadMode.valid()
         return PadMode(kind, (kernel - 1) // 2)
-
-
-_PAD_VALID = PadMode("valid", 0)
 
 
 def _pad_spatial(x: np.ndarray, pad: PadMode) -> np.ndarray:
@@ -712,55 +705,66 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     return Tensor._from_op(out_data, parents, grad_fn)
 
 
-def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-                     pad: PadMode = PadMode.zeros(1)) -> Tensor:
-    """Per-channel 3x3 convolution at stride 1 (shape preserved for p=1)."""
-    x = _as_tensor(x)
-    weight = _as_tensor(weight, x)
-    if weight.ndim == 4:
-        if weight.shape[1] != 1:
-            raise ShapeError("depthwise weight must be [c, 1, k, k]")
-        wk = weight.data[:, 0]
-    elif weight.ndim == 3:
-        wk = weight.data
-    else:
-        raise ShapeError(f"depthwise weight rank {weight.ndim}")
-    c, k, k2 = wk.shape
-    if k != k2 or k % 2 == 0:
-        raise ShapeError("depthwise kernels must be square and odd")
-    if x.ndim != 3 or x.shape[0] != c:
-        raise ShapeError(f"depthwise channel mismatch: {x.shape} vs {wk.shape}")
+def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
+    """The loops behind both depthwise ops: channel c of x [c, h, w], padded
+    by `pad`, cross-correlated with kernel[c] of kernel [c, kh, kw].
+
+    Returns the [c, h + 2p - kh + 1, w + 2p - kw + 1] output and the function
+    that accumulates an output gradient into `x` and `kernel`.
+    """
+    c, kh, kw = kernel.shape
     h, w = x.shape[1:]
-    p = pad.amount
+    wk = kernel.data
     xp = _pad_spatial(x.data, pad)
-    ho = h + 2 * p - k + 1
-    wo = w + 2 * p - k + 1
+    ho = xp.shape[1] - kh + 1
+    wo = xp.shape[2] - kw + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError("kernel larger than padded input")
     out_data = np.zeros((c, ho, wo), dtype=xp.dtype)
-    for ki in range(k):
-        for kj in range(k):
+    for ki in range(kh):
+        for kj in range(kw):
             out_data += xp[:, ki : ki + ho, kj : kj + wo] * wk[:, ki, kj][:, None, None]
+
+    def grad_fn(g):
+        if kernel.requires_grad:
+            gw = np.empty((c, kh, kw), dtype=xp.dtype)
+            for ki in range(kh):
+                for kj in range(kw):
+                    gw[:, ki, kj] = (xp[:, ki : ki + ho, kj : kj + wo] * g).sum(axis=(1, 2))
+            kernel._accumulate(gw)
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for ki in range(kh):
+                for kj in range(kw):
+                    gxp[:, ki : ki + ho, kj : kj + wo] += g * wk[:, ki, kj][:, None, None]
+            x._accumulate(_unpad_adjoint(gxp, pad, h, w))
+
+    return out_data, grad_fn
+
+
+def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+                     pad: PadMode = PadMode.zeros(1)) -> Tensor:
+    """Per-channel odd square convolution at stride 1; weight is [c, k, k]
+    (shape preserved for p = (k - 1) / 2)."""
+    x = _as_tensor(x)
+    weight = _as_tensor(weight, x)
+    if weight.ndim != 3:
+        raise ShapeError(f"depthwise weight must be [c, k, k], got {weight.shape}")
+    c, k, k2 = weight.shape
+    if k != k2 or k % 2 == 0:
+        raise ShapeError("depthwise kernels must be square and odd")
+    if x.ndim != 3 or x.shape[0] != c:
+        raise ShapeError(f"depthwise channel mismatch: {x.shape} vs {weight.shape}")
+    out_data, xcorr_grad = _per_channel_xcorr(x, weight, pad)
     if bias is not None:
         bias = _as_tensor(bias, x)
         out_data = out_data + bias.data[:, None, None]
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def grad_fn(g):
-        if weight.requires_grad:
-            gw = np.empty((c, k, k), dtype=xp.dtype)
-            for ki in range(k):
-                for kj in range(k):
-                    gw[:, ki, kj] = (xp[:, ki : ki + ho, kj : kj + wo] * g).sum(axis=(1, 2))
-            weight._accumulate(gw.reshape(weight.shape))
+        xcorr_grad(g)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 2)))
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for ki in range(k):
-                for kj in range(k):
-                    gxp[:, ki : ki + ho, kj : kj + wo] += g * wk[:, ki, kj][:, None, None]
-            x._accumulate(_unpad_adjoint(gxp, pad, h, w))
 
     return Tensor._from_op(out_data, parents, grad_fn)
 
@@ -775,25 +779,7 @@ def depthwise_xcorr(template: Tensor, search: Tensor, pad: PadMode = PadMode.val
     search = _as_tensor(search, template)
     if template.ndim != 3 or search.ndim != 3 or template.shape[0] != search.shape[0]:
         raise ShapeError(f"xcorr operands disagree: {template.shape} vs {search.shape}")
-    c, hz, wz = template.shape
-    xp = _pad_spatial(search.data, pad)
-    if xp.shape[1] < hz or xp.shape[2] < wz:
-        raise ShapeError("template larger than padded search region")
-    ho = xp.shape[1] - hz + 1
-    wo = xp.shape[2] - wz + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (hz, wz), axis=(1, 2))
-    out_data = np.einsum("chwab,cab->chw", win, template.data, optimize=True)
-
-    def grad_fn(g):
-        if template.requires_grad:
-            template._accumulate(np.einsum("chwab,chw->cab", win, g, optimize=True))
-        if search.requires_grad:
-            gxp = np.zeros_like(xp)
-            for a in range(hz):
-                for b in range(wz):
-                    gxp[:, a : a + ho, b : b + wo] += g * template.data[:, a, b][:, None, None]
-            search._accumulate(_unpad_adjoint(gxp, pad, search.shape[1], search.shape[2]))
-
+    out_data, grad_fn = _per_channel_xcorr(search, template, pad)
     return Tensor._from_op(out_data, (template, search), grad_fn)
 
 

@@ -302,57 +302,51 @@ def _check_image(img, size: int, what: str) -> None:
         raise ShapeError(f"{what} image must be (3, {size}, {size}), got {tuple(img.shape)}")
 
 
-def _as_input(img, dtype) -> Tensor:
-    if isinstance(img, Tensor):
-        return img
-    return eg.tensor(np.asarray(img), dtype=dtype)
+def _as_input(f, dtype) -> Tensor:
+    """A patch embedding's input as a tensor: an image, or the previous stage's features."""
+    if isinstance(f, FeatureMap):
+        return f.tensor
+    if isinstance(f, Tensor):
+        return f
+    return eg.tensor(np.asarray(f), dtype=dtype)
+
+
+def _schedule(model: Model):
+    """The backbone's steps in forward order as (stage, block, stage config,
+    weights), both indices 1-based except that block 0 is the stage's patch
+    embedding."""
+    for si, (st, sw) in enumerate(zip(model.config.stages, model.stages), 1):
+        yield si, 0, st, sw.patch
+        for bi, bw in enumerate(sw.blocks, 1):
+            yield si, bi, st, bw
 
 
 def run_backbone(model: Model, z, x, pad_kind: str | None = None, trace: dict | None = None,
-                 ) -> tuple[FeatureMap, FeatureMap]:
-    """Run both branches through all stages; optionally record per-block
-    feature snapshots keyed by ('embed', stage, branch) and
-    ('block', stage, block, branch)."""
-    cfg = model.config
-    pad_kind = pad_kind or cfg.pad_mode
-    z = _as_input(z, model.dtype)
-    x = _as_input(x, model.dtype)
-    fz: FeatureMap | Tensor = z
-    fx: FeatureMap | Tensor = x
-    for si, (st, sw) in enumerate(zip(cfg.stages, model.stages), 1):
-        zin = fz.tensor if isinstance(fz, FeatureMap) else fz
-        xin = fx.tensor if isinstance(fx, FeatureMap) else fx
-        fz = bl.patch_embed(zin, sw.patch, st.stride, pad_kind)
-        fx = bl.patch_embed(xin, sw.patch, st.stride, pad_kind)
-        if trace is not None:
-            trace[("embed", si, "z")] = fz.tensor.data.copy()
-            trace[("embed", si, "x")] = fx.tensor.data.copy()
-        for bi, bw in enumerate(sw.blocks, 1):
-            mode = CA if bi in st.ca_positions else SA
-            fz, fx = bl.eoc_block(fz, fx, mode, st.attn, bw, pad_kind)
-            if trace is not None:
-                trace[("block", si, bi, "z")] = fz.tensor.data.copy()
-                trace[("block", si, bi, "x")] = fx.tensor.data.copy()
-    return fz, fx
+                 after: tuple[int, int] = (0, 0)) -> tuple[FeatureMap, FeatureMap]:
+    """Run both branches through the stage/block schedule.
 
-
-def resume_backbone(model: Model, fz: FeatureMap, fx: FeatureMap, stage: int, block: int,
-                    pad_kind: str | None = None) -> tuple[FeatureMap, FeatureMap]:
-    """Continue the stage loop from the snapshot taken right after
-    (stage, block), both 1-based."""
-    cfg = model.config
-    pad_kind = pad_kind or cfg.pad_mode
-    for si, (st, sw) in enumerate(zip(cfg.stages, model.stages), 1):
-        if si < stage:
+    By default `z` and `x` are the template and search images.  With
+    `after=(stage, block)` they are the FeatureMaps snapshot right after that
+    step (block 0 being the stage's patch embedding) and the pass resumes
+    from the next step.  `trace`, when given, receives a copy of every step's
+    output keyed by ('embed', stage, branch) or ('block', stage, block, branch).
+    """
+    pad_kind = pad_kind or model.config.pad_mode
+    fz, fx = z, x
+    for si, bi, st, w in _schedule(model):
+        if (si, bi) <= after:
             continue
-        if si > stage:
-            fz = bl.patch_embed(fz.tensor, sw.patch, st.stride, pad_kind)
-            fx = bl.patch_embed(fx.tensor, sw.patch, st.stride, pad_kind)
-        for bi, bw in enumerate(sw.blocks, 1):
-            if si == stage and bi <= block:
-                continue
+        if bi == 0:
+            fz = bl.patch_embed(_as_input(fz, model.dtype), w, st.stride, pad_kind)
+            fx = bl.patch_embed(_as_input(fx, model.dtype), w, st.stride, pad_kind)
+            key = ("embed", si)
+        else:
             mode = CA if bi in st.ca_positions else SA
-            fz, fx = bl.eoc_block(fz, fx, mode, st.attn, bw, pad_kind)
+            fz, fx = bl.eoc_block(fz, fx, mode, st.attn, w, pad_kind)
+            key = ("block", si, bi)
+        if trace is not None:
+            trace[(*key, "z")] = fz.tensor.data.copy()
+            trace[(*key, "x")] = fx.tensor.data.copy()
     return fz, fx
 
 
@@ -404,10 +398,11 @@ def forward_classification(model: Model, img, pad_kind: str | None = None) -> Te
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected a (3, H, W) image, got {tuple(img.shape)}")
     f: FeatureMap | Tensor = img
-    for st, sw in zip(cfg.stages, model.stages):
-        f = bl.patch_embed(f.tensor if isinstance(f, FeatureMap) else f, sw.patch, st.stride, pad_kind)
-        for bw in sw.blocks:
-            f = bl.eoc_block_single(f, st.attn, bw, pad_kind)
+    for _, bi, st, w in _schedule(model):
+        if bi == 0:
+            f = bl.patch_embed(_as_input(f, model.dtype), w, st.stride, pad_kind)
+        else:
+            f = bl.eoc_block_single(f, st.attn, w, pad_kind)
     pooled = eg.mean_(eg.reshape(f.tensor, (f.channels, f.token_count)), axis=1)
     return eg.linear(eg.reshape(pooled, (1, f.channels)), model.classifier_weight,
                      model.classifier_bias)[0, :]

@@ -172,7 +172,7 @@ def serial_hierarchy_trace(model, z, x) -> SerialTrace:
         for si, bi in ca_blocks:
             snap_z = FeatureMap(eg.tensor(trace[("block", si, bi, "z")], dtype=model.dtype))
             snap_x = FeatureMap(eg.tensor(trace[("block", si, bi, "x")], dtype=model.dtype))
-            rz, rx = md.resume_backbone(model, snap_z, snap_x, stage=si, block=bi)
+            rz, rx = md.run_backbone(model, snap_z, snap_x, after=(si, bi))
             cls2, reg2 = md.run_heads(model, rz, rx)
             residual = max(residual,
                            float(np.abs(cls2.data - cls_ref.data).max()),

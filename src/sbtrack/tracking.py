@@ -23,7 +23,6 @@ __all__ = [
     "crop_region",
     "predict_box",
     "run_tracker",
-    "iou",
     "Metrics",
     "compute_metrics",
     "evaluate_sequences",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import engine as eg
 from . import model as md
-from .boxes import Box, giou, iou
+from .boxes import Box, iou
 from .engine import Tensor, no_grad
 from .tracking import CropMeta, crop_region, predict_box
 
@@ -29,7 +29,6 @@ __all__ = [
     "TargetMap",
     "assign_targets",
     "cls_loss",
-    "giou",
     "reg_loss",
     "reg_loss_terms",
     "total_loss",

@@ -2,28 +2,31 @@
 
 Layout (all integers little-endian u32):
 
-    magic "SBTW" | version | tensor count
-    per tensor: name length | UTF-8 name | rank | extent per axis | float32 payload
+    magic "SBTW" | version 2 | config length | UTF-8 YAML model config
+    | tensor count | per tensor: name length | UTF-8 name | rank
+    | extent per axis | float32 payload
 
-The model config travels inside the file as a reserved entry named
-``__config__`` whose payload is the YAML config text, one character code
-per float.  That keeps the container format uniform while letting
-``load_weights(path)`` rebuild the model without a side channel.
+The config lets ``load_weights(path)`` rebuild the model without a side
+channel.  A file is read into memory once and parsed from that buffer; every
+declared length (config, name, extents, payload) is checked against the
+bytes left before anything is taken or allocated, so a corrupt header
+raises `FormatError` instead of asking for memory it cannot fill.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import yaml
 
 from . import model as md
 from .model import Model
 
 MAGIC = b"SBTW"
-VERSION = 1
-CONFIG_ENTRY = "__config__"
+VERSION = 2
 
 
 class FormatError(ValueError):
@@ -68,54 +71,81 @@ def _write_entry(fh, name: str, arr: np.ndarray) -> None:
 
 
 def save_weights(model: Model, path) -> None:
-    """Write every named parameter plus the embedded config."""
+    """Write the model config and every named parameter."""
     params = model.named_parameters()
-    cfg_text = md.config_to_text(model.config)
-    cfg_payload = np.frombuffer(cfg_text.encode("utf-8"), dtype=np.uint8).astype(np.float32)
+    cfg = md.config_to_text(model.config).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(params) + 1))
-        _write_entry(fh, CONFIG_ENTRY, cfg_payload)
+        fh.write(struct.pack("<II", VERSION, len(cfg)))
+        fh.write(cfg)
+        fh.write(struct.pack("<I", len(params)))
         for name, t in params.items():
             _write_entry(fh, name, t.data)
 
 
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file: wanted {n} bytes, got {len(buf)}")
-    return buf
-
-
-def read_weight_file(path) -> dict[str, np.ndarray]:
-    """Raw named tensors, config entry included (as float char codes)."""
+def read_weight_file(path) -> tuple[md.ModelConfig, dict[str, np.ndarray]]:
+    """The model config and the named tensors of a file written by `save_weights`."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
-            raise FormatError("bad magic bytes")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != VERSION:
-            raise FormatError(f"unsupported version {version}")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank))
-            n = int(np.prod(shape)) if shape else 1
-            payload = _read_exact(fh, 4 * n)
-            out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-        if fh.read(1):
-            raise FormatError("trailing bytes after last tensor")
-    return out
+        buf = memoryview(fh.read())
+    pos = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise FormatError(f"truncated file: {what} needs {n} bytes, {len(buf) - pos} left")
+        pos += n
+        return buf[pos - n : pos]
+
+    def u32s(n: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{n}I", take(4 * n, what))
+
+    def u32(what: str) -> int:
+        return u32s(1, what)[0]
+
+    def text(what: str) -> str:
+        raw = take(u32(f"{what} length"), what)
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{what} is not UTF-8: {exc}") from exc
+
+    if take(4, "magic") != MAGIC:
+        raise FormatError("bad magic bytes")
+    version = u32("version")
+    if version != VERSION:
+        raise FormatError(f"unsupported version {version}")
+    cfg_text = text("config")
+    try:
+        config = md.config_from_text(cfg_text)
+    except (ValueError, yaml.YAMLError) as exc:
+        raise FormatError(f"invalid model config: {exc}") from exc
+    tensors: dict[str, np.ndarray] = {}
+    for i in range(u32("tensor count")):
+        name = text(f"tensor {i} name")
+        if name in tensors:
+            raise FormatError(f"duplicate tensor {name!r}")
+        shape = u32s(u32(f"{name} rank"), f"{name} extents")
+        payload = take(4 * math.prod(shape), f"{name} payload")
+        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    if pos != len(buf):
+        raise FormatError(f"{len(buf) - pos} trailing bytes after last tensor")
+    return config, tensors
 
 
-def embedded_config(entries: dict[str, np.ndarray]) -> md.ModelConfig:
-    if CONFIG_ENTRY not in entries:
-        raise FormatError("file carries no embedded config")
-    text = bytes(entries[CONFIG_ENTRY].astype(np.uint8)).decode("utf-8")
-    return md.config_from_text(text)
+def _assign(model: Model, tensors: dict[str, np.ndarray]) -> LoadReport:
+    params = model.named_parameters()
+    report = LoadReport()
+    for name, arr in tensors.items():
+        t = params.get(name)
+        if t is None:
+            report.skipped.append(name)
+            continue
+        if tuple(arr.shape) != tuple(t.shape):
+            raise LoadError(f"shape mismatch for {name}: file {arr.shape} vs model {t.shape}")
+        t.data[:] = arr.astype(model.dtype)
+        report.loaded.append(name)
+    report.missing = [n for n in params if n not in tensors]
+    return report
 
 
 def load_weights_into(model: Model, path) -> LoadReport:
@@ -125,32 +155,18 @@ def load_weights_into(model: Model, path) -> LoadReport:
     of a 4-stage classifier file); a shape clash on a matching name is an
     error.  Returns what was loaded / skipped / left at init.
     """
-    entries = read_weight_file(path)
-    entries.pop(CONFIG_ENTRY, None)
-    params = model.named_parameters()
-    report = LoadReport()
-    for name, arr in entries.items():
-        t = params.get(name)
-        if t is None:
-            report.skipped.append(name)
-            continue
-        if tuple(arr.shape) != tuple(t.shape):
-            raise LoadError(f"shape mismatch for {name}: file {arr.shape} vs model {t.shape}")
-        t.data[:] = arr.astype(model.dtype)
-        report.loaded.append(name)
-    report.missing = [n for n in params if n not in entries]
-    return report
+    _, tensors = read_weight_file(path)
+    return _assign(model, tensors)
 
 
 def load_weights(path) -> Model:
     """Rebuild the model from a file written by `save_weights`.
 
-    Uses the embedded config; every model tensor must be present.
+    Uses the file's config; every model tensor must be present.
     """
-    entries = read_weight_file(path)
-    cfg = embedded_config(entries)
-    model = md.build_model(cfg, seed=0)
-    report = load_weights_into(model, path)
+    config, tensors = read_weight_file(path)
+    model = md.build_model(config, seed=0)
+    report = _assign(model, tensors)
     if report.missing:
         raise LoadError(f"file incomplete for its own config: missing {report.missing[:5]}")
     return model

@@ -229,6 +229,16 @@ class TestEocBlock:
         np.testing.assert_array_equal(oz.tensor.data, sz.tensor.data)
         np.testing.assert_array_equal(ox.tensor.data, sx.tensor.data)
 
+    @pytest.mark.parametrize("pad_kind", ["zeros", "circular"])
+    def test_single_branch_matches_sa_template_output(self, rng, pad_kind):
+        """The classifier's block and the tracker's SA block compute the same thing."""
+        cfg = make_cfg()
+        w = make_weights(rng, cfg)
+        f, g = fmap(rng, 8, 4, 4), fmap(rng, 8, 8, 8)
+        oz, _ = bl.eoc_block(f, g, bl.SA, cfg, w, pad_kind)
+        single = bl.eoc_block_single(f, cfg, w, pad_kind)
+        np.testing.assert_array_equal(single.tensor.data, oz.tensor.data)
+
     def test_translation_equivariance_circular_r1(self, rng):
         cfg = make_cfg(c=8, heads=2, r=1)
         w = make_weights(rng, cfg)

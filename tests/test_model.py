@@ -1,5 +1,7 @@
 """Model assembly, config plumbing, and weight-file persistence tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -181,7 +183,7 @@ class TestForward:
         fz, fx = md.run_backbone(m, z, x, trace=trace)
         rz = bl.FeatureMap(eg.tensor(trace[("block", 3, 2, "z")]))
         rx = bl.FeatureMap(eg.tensor(trace[("block", 3, 2, "x")]))
-        fz2, fx2 = md.resume_backbone(m, rz, rx, stage=3, block=2)
+        fz2, fx2 = md.run_backbone(m, rz, rx, after=(3, 2))
         np.testing.assert_array_equal(fz.tensor.data, fz2.tensor.data)
         np.testing.assert_array_equal(fx.tensor.data, fx2.tensor.data)
 
@@ -289,3 +291,68 @@ class TestWeightFiles:
             template_size=64, search_size=128)
         with pytest.raises(wio.LoadError):
             wio.load_weights_into(md.build_model(wider, seed=0), path)
+
+    @pytest.mark.parametrize("case, match", [
+        ("huge_extent", "payload needs"),
+        ("huge_rank", "extents needs"),
+        ("huge_name_length", "name needs"),
+        ("huge_config_length", "config needs"),
+        ("huge_tensor_count", "name length needs"),
+        ("version_1", "unsupported version 1"),
+        ("non_utf8_config", "not UTF-8"),
+        ("config_not_mapping", "must hold a mapping"),
+        ("duplicate_name", "duplicate tensor"),
+        ("trailing_byte", "trailing bytes"),
+    ])
+    def test_corrupt_file_raises_format_error(self, tmp_path, case, match):
+        """Each case patches a few bytes of a saved tiny file."""
+        path = tmp_path / "m.sbtw"
+        wio.save_weights(md.build_model(md.tiny_config(), seed=0), path)
+        raw = bytearray(path.read_bytes())
+        # config length at 8, config text at 12, tensor count at e0 - 4, first entry at e0
+        (cfg_len,) = struct.unpack_from("<I", raw, 8)
+        e0 = 16 + cfg_len
+        (name_len,) = struct.unpack_from("<I", raw, e0)
+        huge = 0xFFFFFFFF
+        if case == "huge_extent":
+            struct.pack_into("<I", raw, e0 + 8 + name_len, huge)
+        elif case == "huge_rank":
+            struct.pack_into("<I", raw, e0 + 4 + name_len, huge)
+        elif case == "huge_name_length":
+            struct.pack_into("<I", raw, e0, huge)
+        elif case == "huge_config_length":
+            struct.pack_into("<I", raw, 8, huge)
+        elif case == "huge_tensor_count":
+            struct.pack_into("<I", raw, e0 - 4, huge)
+        elif case == "version_1":
+            struct.pack_into("<I", raw, 4, 1)
+        elif case == "non_utf8_config":
+            raw[12] = 0xFF
+        elif case == "config_not_mapping":
+            raw[12 : 12 + cfg_len] = b"[" + b" " * (cfg_len - 2) + b"]"
+        elif case == "duplicate_name":
+            at = raw.find(b"stage1.block1.k_weight")
+            raw[at : at + 22] = b"stage1.block1.q_weight"
+        elif case == "trailing_byte":
+            raw.append(0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(wio.FormatError, match=match):
+            wio.read_weight_file(path)
+        with pytest.raises(wio.FormatError, match=match):
+            wio.load_weights(path)
+
+    def test_other_search_size_raises_load_error(self, tmp_path):
+        path = tmp_path / "m.sbtw"
+        wio.save_weights(md.build_model(md.tiny_config(), seed=0), path)
+        other = md.build_model(md.tiny_config(search_size=96), seed=0)
+        with pytest.raises(wio.LoadError, match="spatial_weight"):
+            wio.load_weights_into(other, path)
+
+    def test_load_weights_parses_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.sbtw"
+        wio.save_weights(md.build_model(md.tiny_config(), seed=0), path)
+        calls = []
+        read = wio.read_weight_file
+        monkeypatch.setattr(wio, "read_weight_file", lambda p: calls.append(p) or read(p))
+        wio.load_weights(path)
+        assert len(calls) == 1
