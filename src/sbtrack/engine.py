@@ -1,10 +1,13 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-Tensors wrap row-major numpy float arrays (float32 for runtime, float64 for
-verification) and record the operations applied to them.  Calling
-``backward`` on a scalar walks the recorded graph once in reverse
-topological order and accumulates gradients into every reachable tensor
-that asked for them.
+Tensors wrap numpy float arrays (float32 for runtime, float64 for
+verification) and record the operations applied to them.  The arrays may
+have any strides: `transpose` and `reshape` return views of their input
+where numpy can, so a channels-first map and its token matrix can share one
+channels-last buffer.  An op therefore writes in place only into arrays it
+allocated itself, never into an input's data.  Calling ``backward`` on a
+scalar walks the recorded graph once in reverse topological order and
+accumulates gradients into every reachable tensor that asked for them.
 
 Thread-safety contract: a single forward/backward graph is owned by one
 thread; tensors that do not require grad are never mutated by the engine
@@ -250,10 +253,12 @@ class PadMode:
         return PadMode(kind, (kernel - 1) // 2)
 
 
-def _pad_spatial(x: np.ndarray, pad: PadMode) -> np.ndarray:
+def _pad_spatial(x: np.ndarray, pad: PadMode, axes=(-2, -1)) -> np.ndarray:
     if pad.amount == 0:
         return x
-    width = [(0, 0)] * (x.ndim - 2) + [(pad.amount, pad.amount)] * 2
+    width = [(0, 0)] * x.ndim
+    for a in axes:
+        width[a] = (pad.amount, pad.amount)
     mode = "wrap" if pad.kind == "circular" else "constant"
     return np.pad(x, width, mode=mode)
 
@@ -357,12 +362,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(t: Tensor, axes=None) -> Tensor:
     t = _as_tensor(t)
     axes = tuple(axes) if axes is not None else tuple(reversed(range(t.ndim)))
-    out_data = np.ascontiguousarray(t.data.transpose(axes))
-    inv = np.argsort(axes)
+    out_data = t.data.transpose(axes)
 
     def grad_fn(g):
         if t.requires_grad:
-            t._accumulate(g.transpose(inv))
+            t._accumulate(g.transpose(np.argsort(axes)))
 
     return Tensor._from_op(out_data, (t,), grad_fn)
 
@@ -537,8 +541,13 @@ def gelu(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     x = t.data
     x2 = x * x
-    th = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-    half_1p = 0.5 * (1.0 + th)
+    th = x2 * x
+    th *= 0.044715
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    half_1p = th + 1.0
+    half_1p *= 0.5
     out_data = x * half_1p
 
     def grad_fn(g):
@@ -565,9 +574,9 @@ def sigmoid(t: Tensor) -> Tensor:
 def softmax_last_dim(t: Tensor) -> Tensor:
     """Softmax over the trailing axis, stabilized by max subtraction."""
     t = _as_tensor(t)
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = t.data - t.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
         if t.requires_grad:
@@ -595,12 +604,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: 
     gb = gamma.data.reshape(bshape)
     bb = beta.data.reshape(bshape)
 
-    mu = x.data.mean(axis=ax, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=ax, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gb + bb
+    xhat = x.data - x.data.sum(axis=ax, keepdims=True) / c
+    out_data = xhat * xhat
+    inv = 1.0 / np.sqrt(out_data.sum(axis=ax, keepdims=True) / c + eps)
+    xhat *= inv
+    np.multiply(xhat, gb, out=out_data)
+    out_data += bb
 
     def grad_fn(g):
         if gamma.requires_grad:
@@ -629,7 +638,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     out = x2 @ weight.data
     if bias is not None:
         bias = _as_tensor(bias, x)
-        out = out + bias.data
+        out += bias.data
     out_data = out.reshape(*lead, weight.shape[1])
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -676,15 +685,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     xp = _pad_spatial(x.data, pad)
     ho = _conv_out_extent(h, k, stride, p)
     wo = _conv_out_extent(w, k, stride, p)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # [c_in, ho, wo, k, k]
+    if k == stride:  # non-overlapping windows tile the map: a reshape, not a window view
+        win = xp[:, : ho * k, : wo * k].reshape(c_in, ho, k, wo, k).transpose(0, 1, 3, 2, 4)
+    else:
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+        win = win[:, ::stride, ::stride]  # [c_in, ho, wo, k, k]
     cols = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(ho * wo, c_in * k * k)
     wmat = weight.data.reshape(c_out, c_in * k * k)
     out = cols @ wmat.T
     if bias is not None:
         bias = _as_tensor(bias, x)
-        out = out + bias.data
-    out_data = np.ascontiguousarray(out.T).reshape(c_out, ho, wo)
+        out += bias.data
+    out_data = out.T.reshape(c_out, ho, wo)  # channels-last view of the GEMM output
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def grad_fn(g):
@@ -706,37 +718,53 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
 
 
 def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
-    """The loops behind both depthwise ops: channel c of x [c, h, w], padded
+    """The kernel behind both depthwise ops: channel c of x [c, h, w], padded
     by `pad`, cross-correlated with kernel[c] of kernel [c, kh, kw].
 
     Returns the [c, h + 2p - kh + 1, w + 2p - kw + 1] output and the function
     that accumulates an output gradient into `x` and `kernel`.
+
+    The padded input is held channels-last as a flat [hp * wp, c] buffer, in
+    which tap (ki, kj) of every output position is the same row shifted by
+    ki * wp + kj, so each tap is one contiguous multiply-add over all
+    channels.  Output rows run over the padded width: the last wp - wo
+    columns of each row wrap into the next image row and are never read.
     """
     c, kh, kw = kernel.shape
     h, w = x.shape[1:]
-    wk = kernel.data
-    xp = _pad_spatial(x.data, pad)
-    ho = xp.shape[1] - kh + 1
-    wo = xp.shape[2] - kw + 1
+    hp, wp = h + 2 * pad.amount, w + 2 * pad.amount
+    ho, wo = hp - kh + 1, wp - kw + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError("kernel larger than padded input")
-    out_data = np.zeros((c, ho, wo), dtype=xp.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            out_data += xp[:, ki : ki + ho, kj : kj + wo] * wk[:, ki, kj][:, None, None]
+    xl = _pad_spatial(x.data.transpose(1, 2, 0), pad, axes=(0, 1))
+    xflat = np.ascontiguousarray(xl).reshape(hp * wp, c)
+    wk = kernel.data
+    n = (ho - 1) * wp + wo  # flat rows that hold some output position
+    shifts = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
+    acc = np.zeros((ho * wp, c), dtype=xflat.dtype)
+    scratch = np.empty((n, c), dtype=xflat.dtype)
+    for ki, kj, s in shifts:
+        np.multiply(xflat[s : s + n], wk[:, ki, kj], out=scratch)
+        acc[:n] += scratch
+    out_data = acc.reshape(ho, wp, c)[:, :wo].transpose(2, 0, 1)
 
     def grad_fn(g):
+        gl = np.zeros((ho, wp, c), dtype=xflat.dtype)
+        gl[:, :wo] = g.transpose(1, 2, 0)  # wrap columns stay zero
+        gflat = gl.reshape(ho * wp, c)[:n]
+        scratch = np.empty((n, c), dtype=xflat.dtype)
         if kernel.requires_grad:
-            gw = np.empty((c, kh, kw), dtype=xp.dtype)
-            for ki in range(kh):
-                for kj in range(kw):
-                    gw[:, ki, kj] = (xp[:, ki : ki + ho, kj : kj + wo] * g).sum(axis=(1, 2))
+            gw = np.empty((c, kh, kw), dtype=xflat.dtype)
+            for ki, kj, s in shifts:
+                np.multiply(xflat[s : s + n], gflat, out=scratch)
+                gw[:, ki, kj] = scratch.sum(axis=0)
             kernel._accumulate(gw)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for ki in range(kh):
-                for kj in range(kw):
-                    gxp[:, ki : ki + ho, kj : kj + wo] += g * wk[:, ki, kj][:, None, None]
+            gxflat = np.zeros((hp * wp, c), dtype=xflat.dtype)
+            for ki, kj, s in shifts:
+                np.multiply(gflat, wk[:, ki, kj], out=scratch)
+                gxflat[s : s + n] += scratch
+            gxp = gxflat.reshape(hp, wp, c).transpose(2, 0, 1)
             x._accumulate(_unpad_adjoint(gxp, pad, h, w))
 
     return out_data, grad_fn
@@ -758,6 +786,8 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_data, xcorr_grad = _per_channel_xcorr(x, weight, pad)
     if bias is not None:
         bias = _as_tensor(bias, x)
+        # a new array rather than in place: the kernel's output is a view
+        # with gaps, and the ops that read this one run faster on a compact one
         out_data = out_data + bias.data[:, None, None]
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -875,19 +905,19 @@ def grad_check(fn, params: dict, tol: float = 1e-4, step: float = 1e-5,
 
     report = GradCheckReport(tol=tol)
     for name, p in params.items():
-        flat = p.data.reshape(-1)
-        idxs = np.arange(flat.size)
-        if max_entries is not None and flat.size > max_entries:
-            idxs = rng.choice(flat.size, size=max_entries, replace=False)
+        idxs = np.arange(p.size)
+        if max_entries is not None and p.size > max_entries:
+            idxs = rng.choice(p.size, size=max_entries, replace=False)
         worst = 0.0
         for i in idxs:
-            orig = flat[i]
+            at = np.unravel_index(i, p.shape)  # indexes p.data in place whatever its strides
+            orig = p.data[at]
             with no_grad():
-                flat[i] = orig + step
+                p.data[at] = orig + step
                 f_plus = fn().item()
-                flat[i] = orig - step
+                p.data[at] = orig - step
                 f_minus = fn().item()
-            flat[i] = orig
+            p.data[at] = orig
             numeric = (f_plus - f_minus) / (2 * step)
             a = analytic[name].reshape(-1)[i]
             denom = max(abs(a), abs(numeric), 1e-6)

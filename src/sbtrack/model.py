@@ -95,7 +95,10 @@ class ModelConfig:
             bad = [p for p in st.ca_positions if not 1 <= p <= st.depth]
             if bad:
                 raise ConfigError(f"stage {i}: ca_positions {bad} outside 1..{st.depth}")
-            st.attn  # raises on dim/head inconsistency
+            try:
+                st.attn
+            except ValueError as exc:  # channels not divisible by heads, and the like
+                raise ConfigError(f"stage {i}: {exc}") from exc
         if self.is_classifier:
             if any(st.ca_positions for st in self.stages):
                 raise ConfigError("classification variant runs one branch; ca_positions must be empty")
@@ -345,8 +348,8 @@ def run_backbone(model: Model, z, x, pad_kind: str | None = None, trace: dict | 
             fz, fx = bl.eoc_block(fz, fx, mode, st.attn, w, pad_kind)
             key = ("block", si, bi)
         if trace is not None:
-            trace[(*key, "z")] = fz.tensor.data.copy()
-            trace[(*key, "x")] = fx.tensor.data.copy()
+            trace[(*key, "z")] = fz.tensor.data.copy(order="K")
+            trace[(*key, "x")] = fx.tensor.data.copy(order="K")
     return fz, fx
 
 
@@ -474,7 +477,10 @@ def config_to_text(cfg: ModelConfig) -> str:
 def config_from_text(text: str) -> ModelConfig:
     import yaml
 
-    d = yaml.safe_load(text)
+    try:
+        d = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config text is not valid YAML: {exc}") from exc
     if not isinstance(d, dict):
         raise ConfigError("config text must hold a mapping")
     return config_from_dict(d)

@@ -67,25 +67,29 @@ def _axis_samples(center: float, side: float, out_size: int) -> np.ndarray:
     return center - side / 2 + (np.arange(out_size) + 0.5) * (side / out_size) - 0.5
 
 
+def _interp_matrix(samples: np.ndarray, size: int, dtype) -> np.ndarray:
+    """[len(samples), size] linear-interpolation weights along one axis; a
+    tap that falls outside 0..size-1 gets no weight."""
+    i0 = np.floor(samples).astype(int)
+    frac = (samples - i0).astype(dtype)
+    m = np.zeros((samples.size, size), dtype=dtype)
+    rows = np.arange(samples.size)
+    for di, wt in ((0, 1 - frac), (1, frac)):
+        idx = i0 + di
+        inside = (idx >= 0) & (idx < size)
+        m[rows[inside], idx[inside]] = wt[inside]
+    return m
+
+
 def _bilinear(frame: np.ndarray, ys: np.ndarray, xs: np.ndarray, fill: np.ndarray) -> np.ndarray:
+    """Bilinear samples of `frame` [c, h, w] on the grid ys x xs, separably:
+    one interpolation matrix per axis.  The weight of the taps that fall
+    outside the frame goes to the per-channel `fill` value."""
     h, w = frame.shape[1:]
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    wy = (ys - y0).astype(frame.dtype)
-    wx = (xs - x0).astype(frame.dtype)
-    out = np.zeros((frame.shape[0], ys.size, xs.size), dtype=frame.dtype)
-    for dy, wys in ((0, 1 - wy), (1, wy)):
-        yi = y0 + dy
-        vy = (yi >= 0) & (yi < h)
-        yc = np.clip(yi, 0, h - 1)
-        for dx, wxs in ((0, 1 - wx), (1, wx)):
-            xi = x0 + dx
-            vx = (xi >= 0) & (xi < w)
-            xc = np.clip(xi, 0, w - 1)
-            patch = frame[:, yc[:, None], xc[None, :]]
-            patch = np.where((vy[:, None] & vx[None, :])[None], patch, fill[:, None, None])
-            out += wys[:, None] * wxs[None, :] * patch
-    return out
+    ay = _interp_matrix(ys, h, frame.dtype)
+    ax = _interp_matrix(xs, w, frame.dtype)
+    outside = 1 - np.outer(ay.sum(axis=1), ax.sum(axis=1))
+    return ay @ frame @ ax.T + fill[:, None, None] * outside
 
 
 def crop_region(frame: np.ndarray, box: Box, factor: float, out_size: int,
@@ -107,13 +111,17 @@ def crop_region(frame: np.ndarray, box: Box, factor: float, out_size: int,
     return _bilinear(frame, ys, xs, fill), meta
 
 
-def predict_box(cls_map, reg_map, meta: CropMeta) -> Box:
+def predict_box(cls_map, reg_map, meta: CropMeta, previous: Box | None = None) -> Box:
     """Decode the peak of the foreground map into a frame-coordinate box.
 
     Argmax is row-major (first cell wins ties); the four regression values
     at that cell are left/top/right/bottom distances in half-crop units
     (0.5 spans a quarter crop each way).  The result is clamped to the
     frame with at least 1 px extent.
+
+    A foreground map with any non-finite value, or non-finite regression
+    values at the peak, decode to nothing: the result is then `previous`,
+    and without one this raises ValueError.
     """
     cls = np.asarray(cls_map.data if hasattr(cls_map, "data") else cls_map)
     reg = np.asarray(reg_map.data if hasattr(reg_map, "data") else reg_map)
@@ -122,9 +130,14 @@ def predict_box(cls_map, reg_map, meta: CropMeta) -> Box:
     hs, ws = cls.shape
     flat_idx = int(np.argmax(cls))
     i, j = divmod(flat_idx, ws)
+    dists = reg[:, i, j]
+    if not (np.isfinite(cls).all() and np.isfinite(dists).all()):
+        if previous is None:
+            raise ValueError("non-finite network output")
+        return previous
     cx = (j + 0.5) / ws * meta.out_size
     cy = (i + 0.5) / hs * meta.out_size
-    left, top, right, bottom = (float(v) * meta.out_size / 2.0 for v in reg[:, i, j])
+    left, top, right, bottom = (float(v) * meta.out_size / 2.0 for v in dists)
     crop_box = Box(cx - left, cy - top, cx + right, cy + bottom)
     b = meta.to_frame(crop_box)
     x1 = float(np.clip(b.x1, 0.0, meta.frame_w - 1.0))
@@ -137,7 +150,8 @@ def predict_box(cls_map, reg_map, meta: CropMeta) -> Box:
 def run_tracker(model, seq: Sequence, collect_maps: bool = False):
     """Track a sequence: fixed template from frame 0, search re-centered on
     the previous prediction.  Returns one box per frame (frame 0 echoes the
-    given box); with collect_maps also the per-frame foreground maps."""
+    given box); with collect_maps also the per-frame foreground maps.  A
+    frame whose network output is not finite keeps the previous box."""
     cfg = model.config
     template, _ = crop_region(seq.frames[0], seq.gt[0], 2.0, cfg.template_size)
     boxes = [seq.gt[0]]
@@ -146,7 +160,7 @@ def run_tracker(model, seq: Sequence, collect_maps: bool = False):
         for frame in seq.frames[1:]:
             search, meta = crop_region(frame, boxes[-1], 4.0, cfg.search_size)
             cls, reg = md.forward(model, template, search)
-            boxes.append(predict_box(cls, reg, meta))
+            boxes.append(predict_box(cls, reg, meta, previous=boxes[-1]))
             if collect_maps:
                 maps.append(cls.data[0].copy())
     return (boxes, maps) if collect_maps else boxes

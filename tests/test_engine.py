@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sbtrack import engine as eg
 from sbtrack.engine import PadMode, Tensor
 
-from oracle_helpers import conv2d_loops, depthwise_loops, matmul_loops
+from oracle_helpers import conv2d_loops, depthwise_loops, matmul_loops, pad_spatial
 
 
 @pytest.fixture
@@ -369,3 +369,147 @@ class TestPadMode:
     def test_same_helper(self):
         assert PadMode.same("zeros", 7) == PadMode.zeros(3)
         assert PadMode.same("valid", 7) == PadMode.valid()
+
+
+# --------------------------------------------------------------------------
+# memory layout: ops accept any strides and never write into their inputs
+# --------------------------------------------------------------------------
+
+
+def _other_layout(a):
+    """The same values in a non-contiguous array: axes stored in reverse
+    order, or every other element of a wider buffer for 1-d arrays."""
+    if a.ndim >= 2:
+        return np.ascontiguousarray(a.T).T
+    buf = np.zeros(2 * a.size, dtype=a.dtype)
+    buf[::2] = a
+    return buf[::2]
+
+
+def _positive(shape):
+    return lambda r: np.abs(r.standard_normal(shape)) + 0.5
+
+
+def _normal(shape):
+    return lambda r: r.standard_normal(shape)
+
+
+# "op" or "op:variant" -> (call on tensors, input makers); every op in
+# engine.__all__ that takes arrays has at least one case.
+LAYOUT_CASES = {
+    "add": (eg.add, [_normal((3, 4)), _normal((3, 4))]),
+    "sub": (eg.sub, [_normal((3, 4)), _normal((4,))]),
+    "mul": (eg.mul, [_normal((3, 4)), _normal((3, 4))]),
+    "div": (eg.div, [_normal((3, 4)), _positive((3, 4))]),
+    "matmul": (eg.matmul, [_normal((4, 5)), _normal((5, 3))]),
+    "matmul:3d": (eg.matmul, [_normal((2, 4, 5)), _normal((2, 5, 3))]),
+    "transpose": (lambda t: eg.transpose(t, (2, 0, 1)), [_normal((3, 4, 5))]),
+    "reshape": (lambda t: eg.reshape(t, (12, 5)), [_normal((3, 4, 5))]),
+    "tensor_slice": (lambda t: eg.tensor_slice(t, (slice(None), slice(1, 3))), [_normal((3, 4, 5))]),
+    "sum_": (lambda t: eg.sum_(t, axis=1), [_normal((3, 4, 5))]),
+    "mean_": (lambda t: eg.mean_(t, axis=0), [_normal((3, 4, 5))]),
+    "abs_": (eg.abs_, [_normal((3, 4))]),
+    "exp": (eg.exp, [_normal((3, 4))]),
+    "log": (eg.log, [_positive((3, 4))]),
+    "sqrt": (eg.sqrt, [_positive((3, 4))]),
+    "maximum": (eg.maximum, [_normal((3, 4)), _normal((3, 4))]),
+    "minimum": (eg.minimum, [_normal((3, 4)), _normal((3, 4))]),
+    "clip": (lambda t: eg.clip(t, -0.5, 0.5), [_normal((3, 4))]),
+    "relu": (eg.relu, [_normal((3, 4))]),
+    "leaky_relu": (lambda t: eg.leaky_relu(t, 0.1), [_normal((3, 4))]),
+    "gelu": (eg.gelu, [_normal((3, 4, 5))]),
+    "sigmoid": (eg.sigmoid, [_normal((3, 4))]),
+    "softmax_last_dim": (eg.softmax_last_dim, [_normal((3, 4, 5))]),
+    "layer_norm": (lambda x, g, b: eg.layer_norm(x, g, b, axis=0),
+                   [_normal((6, 4, 5)), _normal((6,)), _normal((6,))]),
+    "layer_norm:last": (lambda x, g, b: eg.layer_norm(x, g, b, axis=-1),
+                        [_normal((5, 6)), _normal((6,)), _normal((6,))]),
+    "linear": (eg.linear, [_normal((5, 4)), _normal((4, 3)), _normal((3,))]),
+    "conv2d": (lambda x, w, b: eg.conv2d(x, w, b, stride=1, pad=PadMode.zeros(1)),
+               [_normal((2, 6, 5)), _normal((3, 2, 3, 3)), _normal((3,))]),
+    "conv2d:tiled": (lambda x, w, b: eg.conv2d(x, w, b, stride=2, pad=PadMode.valid()),
+                     [_normal((2, 6, 4)), _normal((3, 2, 2, 2)), _normal((3,))]),
+    "conv2d:circular": (lambda x, w: eg.conv2d(x, w, stride=2, pad=PadMode.circular(1)),
+                        [_normal((2, 6, 6)), _normal((3, 2, 3, 3))]),
+    "depthwise_conv2d": (lambda x, w, b: eg.depthwise_conv2d(x, w, b, pad=PadMode.zeros(1)),
+                         [_normal((4, 6, 5)), _normal((4, 3, 3)), _normal((4,))]),
+    "depthwise_conv2d:circular": (lambda x, w: eg.depthwise_conv2d(x, w, pad=PadMode.circular(1)),
+                                  [_normal((4, 5, 6)), _normal((4, 3, 3))]),
+    "depthwise_xcorr": (lambda z, x: eg.depthwise_xcorr(z, x, pad=PadMode.zeros(1)),
+                        [_normal((3, 3, 3)), _normal((3, 6, 5))]),
+}
+
+
+class TestLayouts:
+    def test_every_array_op_has_a_case(self):
+        not_ops = {"Tensor", "PadMode", "ShapeError", "no_grad", "tensor", "parameter",
+                   "backward", "zero_grads", "grad_check", "GradCheckReport", "truncated_normal"}
+        assert {case.split(":")[0] for case in LAYOUT_CASES} == set(eg.__all__) - not_ops
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_forward_ignores_layout(self, case):
+        fn, makers = LAYOUT_CASES[case]
+        r = np.random.default_rng(5)
+        arrays = [m(r).astype(np.float32) for m in makers]
+        want = fn(*(eg.tensor(a) for a in arrays)).data
+        views = [_other_layout(a) for a in arrays]
+        assert not any(v.flags.c_contiguous for v in views if v.ndim)
+        got = fn(*(eg.tensor(v) for v in views)).data
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_grad_check_on_non_contiguous_inputs(self, case):
+        fn, makers = LAYOUT_CASES[case]
+        r = np.random.default_rng(6)
+        params = {f"in{i}": eg.parameter(_other_layout(m(r)), dtype=np.float64)
+                  for i, m in enumerate(makers)}
+        with eg.no_grad():
+            out_shape = fn(*params.values()).shape
+        probe = eg.tensor(r.standard_normal(out_shape), dtype=np.float64)
+        loss = lambda: eg.sum_(eg.mul(fn(*params.values()), probe))
+        report = eg.grad_check(loss, params, tol=1e-4, max_entries=24, rng=r)
+        assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_inputs_unchanged_by_forward_and_backward(self, case, contiguous):
+        fn, makers = LAYOUT_CASES[case]
+        r = np.random.default_rng(7)
+        arrays = [m(r) for m in makers]
+        if not contiguous:
+            arrays = [_other_layout(a) for a in arrays]
+        params = [eg.parameter(a, dtype=np.float64) for a in arrays]
+        before = [p.data.copy() for p in params]
+        out = fn(*params)
+        eg.backward(eg.sum_(eg.mul(out, eg.tensor(r.standard_normal(out.shape), dtype=np.float64))))
+        for p, b in zip(params, before):
+            np.testing.assert_array_equal(p.data, b)
+
+    def test_transpose_returns_a_view(self, rng):
+        x = eg.tensor(rng.standard_normal((3, 4, 5)))
+        out = eg.transpose(x, (1, 2, 0))
+        assert np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(out.data, x.data.transpose(1, 2, 0))
+
+    @staticmethod
+    def _depthwise_tap_loop(x, w, b, pad):
+        """The channels-first tap loop the engine's depthwise kernel replaced."""
+        c, kh, kw = w.shape
+        xp = pad_spatial(x, pad)
+        ho, wo = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
+        out = np.zeros((c, ho, wo), dtype=xp.dtype)
+        for ki in range(kh):
+            for kj in range(kw):
+                out += xp[:, ki : ki + ho, kj : kj + wo] * w[:, ki, kj][:, None, None]
+        return out + b[:, None, None]
+
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode.circular(1), PadMode.valid()])
+    def test_depthwise_bit_equal_to_tap_loop(self, rng, pad):
+        x = rng.standard_normal((16, 9, 7)).astype(np.float32)
+        w = rng.standard_normal((16, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(16).astype(np.float32)
+        want = self._depthwise_tap_loop(x, w, b, pad)
+        for xin in (x, _other_layout(x)):
+            got = eg.depthwise_conv2d(eg.tensor(xin), eg.tensor(w), eg.tensor(b), pad=pad).data
+            np.testing.assert_array_equal(got, want)

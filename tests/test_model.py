@@ -187,6 +187,48 @@ class TestForward:
         np.testing.assert_array_equal(fz.tensor.data, fz2.tensor.data)
         np.testing.assert_array_equal(fx.tensor.data, fx2.tensor.data)
 
+    def test_concurrent_forwards_match_serial(self, rng):
+        """One shared model, two threads: one under no_grad, one recording a
+        graph.  Each thread's outputs equal its serial result bit for bit."""
+        import sys
+        import threading
+
+        m = md.build_model(md.tiny_config(), seed=0)
+        inputs = [tiny_inputs(rng), tiny_inputs(rng)]
+
+        def run(i):
+            if i == 0:
+                with eg.no_grad():
+                    cls, reg = md.forward(m, *inputs[0])
+            else:
+                cls, reg = md.forward(m, *inputs[1])
+                assert cls.requires_grad
+            return cls.data.copy(), reg.data.copy()
+
+        serial = [run(0), run(1)]
+        results: list[list] = [[], []]
+
+        def worker(i):
+            for _ in range(4):
+                results[i].append(run(i))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for i in (0, 1):
+            assert len(results[i]) == 4
+            for cls, reg in results[i]:
+                np.testing.assert_array_equal(cls, serial[i][0])
+                np.testing.assert_array_equal(reg, serial[i][1])
+
     def test_dwcorr_head_variant_runs(self, rng):
         cfg = md.without_cross_attention(md.tiny_config(head_input="dwcorr"))
         m = md.build_model(cfg, seed=0)
@@ -226,6 +268,18 @@ class TestConfigSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(md.ConfigError):
             md.config_from_text("stages: nope")
+
+    def test_heads_not_dividing_channels_raises_config_error(self):
+        text = "stages:\n  - {kernel: 3, channels: 6, stride: 1, depth: 1, heads: 4, reduction: 1}\n"
+        with pytest.raises(md.ConfigError, match="not divisible"):
+            md.config_from_text(text)
+
+    def test_malformed_yaml_raises_config_error(self, tmp_path):
+        with pytest.raises(md.ConfigError, match="not valid YAML"):
+            md.config_from_text("stages: [")
+        (tmp_path / "bad.yaml").write_text("stages: [", encoding="utf-8")
+        with pytest.raises(md.ConfigError):
+            md.load_config(tmp_path / "bad.yaml")
 
 
 class TestWeightFiles:
@@ -340,6 +394,20 @@ class TestWeightFiles:
             wio.read_weight_file(path)
         with pytest.raises(wio.FormatError, match=match):
             wio.load_weights(path)
+
+    @pytest.mark.parametrize("config_text", [
+        "stages: [",
+        "stages:\n  - {kernel: 3, channels: 6, stride: 1, depth: 1, heads: 4, reduction: 1}\n",
+    ])
+    def test_bad_config_header_raises_format_error(self, tmp_path, config_text):
+        path = tmp_path / "m.sbtw"
+        wio.save_weights(md.build_model(md.tiny_config(), seed=0), path)
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", raw, 8)
+        text = config_text.encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + cfg_len :])
+        with pytest.raises(wio.FormatError, match="invalid model config"):
+            wio.read_weight_file(path)
 
     def test_other_search_size_raises_load_error(self, tmp_path):
         path = tmp_path / "m.sbtw"
