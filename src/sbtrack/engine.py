@@ -685,11 +685,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     xp = _pad_spatial(x.data, pad)
     ho = _conv_out_extent(h, k, stride, p)
     wo = _conv_out_extent(w, k, stride, p)
-    if k == stride:  # non-overlapping windows tile the map: a reshape, not a window view
-        win = xp[:, : ho * k, : wo * k].reshape(c_in, ho, k, wo, k).transpose(0, 1, 3, 2, 4)
-    else:
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-        win = win[:, ::stride, ::stride]  # [c_in, ho, wo, k, k]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    win = win[:, ::stride, ::stride]  # [c_in, ho, wo, k, k]
     cols = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(ho * wo, c_in * k * k)
     wmat = weight.data.reshape(c_out, c_in * k * k)
     out = cols @ wmat.T

@@ -67,29 +67,45 @@ def _axis_samples(center: float, side: float, out_size: int) -> np.ndarray:
     return center - side / 2 + (np.arange(out_size) + 0.5) * (side / out_size) - 0.5
 
 
-def _interp_matrix(samples: np.ndarray, size: int, dtype) -> np.ndarray:
-    """[len(samples), size] linear-interpolation weights along one axis; a
-    tap that falls outside 0..size-1 gets no weight."""
+def _lerp_rows(a: np.ndarray, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Linear interpolation of `a` [c, n, m] along axis 1 at the
+    non-decreasing array coordinates `samples`: [c, len(samples), m].
+
+    A tap outside 0..n-1 is not read and adds nothing.  Also returns, per
+    sample, the weight of its taps inside and whether both taps are inside.
+    """
+    n = a.shape[1]
     i0 = np.floor(samples).astype(int)
-    frac = (samples - i0).astype(dtype)
-    m = np.zeros((samples.size, size), dtype=dtype)
-    rows = np.arange(samples.size)
-    for di, wt in ((0, 1 - frac), (1, frac)):
-        idx = i0 + di
-        inside = (idx >= 0) & (idx < size)
-        m[rows[inside], idx[inside]] = wt[inside]
-    return m
+    frac = (samples - i0).astype(a.dtype)
+    out = np.zeros((a.shape[0], samples.size, a.shape[2]), a.dtype)
+    weight = np.zeros(samples.size, a.dtype)
+    for idx, wt in ((i0, 1 - frac), (i0 + 1, frac)):
+        run = slice(np.searchsorted(idx, 0), np.searchsorted(idx, n))  # idx is sorted
+        out[:, run] += a[:, idx[run]] * wt[run, None]
+        weight[run] += wt[run]
+    return out, weight, (i0 >= 0) & (i0 + 1 < n)
 
 
 def _bilinear(frame: np.ndarray, ys: np.ndarray, xs: np.ndarray, fill: np.ndarray) -> np.ndarray:
-    """Bilinear samples of `frame` [c, h, w] on the grid ys x xs, separably:
-    one interpolation matrix per axis.  The weight of the taps that fall
-    outside the frame goes to the per-channel `fill` value."""
-    h, w = frame.shape[1:]
-    ay = _interp_matrix(ys, h, frame.dtype)
-    ax = _interp_matrix(xs, w, frame.dtype)
-    outside = 1 - np.outer(ay.sum(axis=1), ax.sum(axis=1))
-    return ay @ frame @ ax.T + fill[:, None, None] * outside
+    """Bilinear samples of `frame` [c, h, w] on the grid ys x xs, one axis at
+    a time: between the two frame rows of each ys, then between the two
+    columns of each xs.  The row pass reads only the frame columns the xs
+    taps span, so the cost is O(c * len(ys) * (span + len(xs))), whatever
+    the frame size.
+
+    The weight of the taps outside the frame goes to the per-channel `fill`
+    value, which only samples with such a tap see.  So a non-finite pixel
+    reaches the samples whose taps read it and, through `fill`, the samples
+    with a tap outside the frame."""
+    w = frame.shape[2]
+    x0 = min(max(int(np.floor(xs[0])), 0), w)  # the frame columns that xs taps
+    x1 = min(max(int(np.floor(xs[-1])) + 2, x0), w)
+    rows, wy, full_y = _lerp_rows(frame[:, :, x0:x1], ys)
+    cols, wx, full_x = _lerp_rows(np.ascontiguousarray(rows.transpose(0, 2, 1)), xs - x0)
+    edge = ~(full_y[:, None] & full_x)
+    out = np.where(edge, fill[:, None, None] * (1 - np.outer(wy, wx)), 0)
+    out += cols.transpose(0, 2, 1)
+    return out
 
 
 def crop_region(frame: np.ndarray, box: Box, factor: float, out_size: int,

@@ -40,9 +40,11 @@ def boxes():
 
 
 class TestCrop:
-    # boxes centred inside, off each edge and off each corner of a 64x48 frame
+    # boxes centred inside, off each edge and off each corner of a 64x48 frame,
+    # and wholly outside it on either side
     @pytest.mark.parametrize("cx, cy", [(32, 24), (2, 24), (62, 24), (32, 1), (32, 47),
-                                        (0, 0), (63, 0), (0, 47), (63, 47), (-30, 80)])
+                                        (0, 0), (63, 0), (0, 47), (63, 47), (-30, 80),
+                                        (-30, 24), (100, 24)])
     @pytest.mark.parametrize("factor, out_size", [(2.0, 16), (4.0, 32), (0.5, 20)])
     def test_matches_four_tap_formula(self, cx, cy, factor, out_size):
         rng = np.random.default_rng(3)
@@ -56,6 +58,17 @@ class TestCrop:
         assert got.shape == (3, out_size, out_size) and got.dtype == np.float32
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
         assert (meta.frame_h, meta.frame_w) == (48, 64)
+
+    def test_non_finite_pixel_reaches_only_the_samples_that_read_it(self):
+        frame = np.random.default_rng(4).random((3, 48, 64), dtype=np.float32)
+        frame[1, 40, 5] = np.nan
+        # a crop well inside the frame: no tap reads (40, 5) and none falls outside
+        inner, _ = tk.crop_region(frame, Box(24, 12, 40, 28), 1.0, 16)
+        assert np.isfinite(inner).all()
+        # a crop around the pixel: only channel 1, only the samples next to it
+        near, _ = tk.crop_region(frame, Box(1, 36, 9, 44), 1.0, 8)
+        bad = ~np.isfinite(near)
+        assert bad[1].any() and not bad[[0, 2]].any() and bad[1].sum() <= 4
 
     @settings(max_examples=60, deadline=None)
     @given(boxes(), boxes(), st.sampled_from([16, 64, 128]))
