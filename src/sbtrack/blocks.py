@@ -298,26 +298,30 @@ def _attended_residual(f_raw: FeatureMap, f_q: FeatureMap, f_kv: FeatureMap,
     return FeatureMap(eg.add(f_raw.tensor, delta.tensor), f_raw.grid)
 
 
-def eoc_attention(f_z: FeatureMap, f_x: FeatureMap, mode: str, cfg: AttnConfig,
-                  weights: BlockWeights, pre_norm: bool = True) -> tuple[FeatureMap, FeatureMap]:
+def eoc_attention(f_z: FeatureMap | None, f_x: FeatureMap | None, mode: str, cfg: AttnConfig,
+                  weights: BlockWeights, pre_norm: bool = True,
+                  ) -> tuple[FeatureMap | None, FeatureMap | None]:
     """Attention sub-layer updating both branches with shared weights.
 
     SA lets each branch attend to itself; CA takes queries from one branch
     and keys/values from the other.  Both updates read the pre-update
-    features and add the attended values back as a residual.  `pre_norm`
-    can be dropped to expose the bare update (used by the dynamic-conv
-    equivalence checks).
+    features and add the attended values back as a residual.  In SA mode
+    either branch may be None, and is returned as None: the other branch's
+    update does not read it.  `pre_norm` can be dropped to expose the bare
+    update (used by the dynamic-conv equivalence checks).
     """
-    if f_z.channels != f_x.channels:
-        raise ShapeError(f"branch channels differ: {f_z.channels} vs {f_x.channels}")
     if mode not in (SA, CA):
         raise ValueError(f"mode must be '{SA}' or '{CA}'")
+    if mode == CA and (f_z is None or f_x is None):
+        raise ValueError("cross-attention needs both branches")
+    if f_z is not None and f_x is not None and f_z.channels != f_x.channels:
+        raise ShapeError(f"branch channels differ: {f_z.channels} vs {f_x.channels}")
 
-    nz = _norm1(f_z, weights) if pre_norm else f_z
-    nx = _norm1(f_x, weights) if pre_norm else f_x
+    nz = _norm1(f_z, weights) if pre_norm and f_z is not None else f_z
+    nx = _norm1(f_x, weights) if pre_norm and f_x is not None else f_x
     if mode == SA:
-        return (_attended_residual(f_z, nz, nz, cfg, weights),
-                _attended_residual(f_x, nx, nx, cfg, weights))
+        return tuple(None if f is None else _attended_residual(f, n, n, cfg, weights)
+                     for f, n in ((f_z, nz), (f_x, nx)))
     return (_attended_residual(f_z, nz, nx, cfg, weights),
             _attended_residual(f_x, nx, nz, cfg, weights))
 
@@ -337,19 +341,17 @@ def _mlp_residual(f: FeatureMap, weights: BlockWeights, pad_kind: str) -> Featur
     return FeatureMap(eg.add(f.tensor, mlp_cond_pe(n, weights, pad_kind).tensor), f.grid)
 
 
-def eoc_block(f_z: FeatureMap, f_x: FeatureMap, mode: str, cfg: AttnConfig,
-              weights: BlockWeights, pad_kind: str = "zeros") -> tuple[FeatureMap, FeatureMap]:
-    """Full extract-or-correlate block: attention then conditional-PE MLP."""
-    f_z, f_x = eoc_attention(f_z, f_x, mode, cfg, weights)
-    return _mlp_residual(f_z, weights, pad_kind), _mlp_residual(f_x, weights, pad_kind)
+def eoc_block(f_z: FeatureMap | None, f_x: FeatureMap | None, mode: str, cfg: AttnConfig,
+              weights: BlockWeights, pad_kind: str = "zeros",
+              ) -> tuple[FeatureMap | None, FeatureMap | None]:
+    """Full extract-or-correlate block: attention then conditional-PE MLP.
 
-
-def eoc_block_single(f: FeatureMap, cfg: AttnConfig, weights: BlockWeights,
-                     pad_kind: str = "zeros") -> FeatureMap:
-    """Self-attention-only block on one branch (classification pre-training)."""
-    n = _norm1(f, weights)
-    f = _attended_residual(f, n, n, cfg, weights)
-    return _mlp_residual(f, weights, pad_kind)
+    In SA mode a branch given as None is skipped and returned as None, so
+    `eoc_block(f, None, SA, ...)[0]` runs one image alone (the classifier,
+    and the template before its first CA block).
+    """
+    return tuple(None if f is None else _mlp_residual(f, weights, pad_kind)
+                 for f in eoc_attention(f_z, f_x, mode, cfg, weights))
 
 
 def mix_mlp_block(f: FeatureMap, weights: MixMlpWeights) -> FeatureMap:

@@ -324,31 +324,78 @@ def _schedule(model: Model):
             yield si, bi, st, bw
 
 
+@dataclass(frozen=True)
+class TemplatePrefix:
+    """The template's features after the steps that do not read the search
+    image: every step before the first CA block (all of them when there is
+    none).  `after` is the last step run, as (stage, block)."""
+
+    features: FeatureMap
+    after: tuple[int, int]
+    pad_kind: str
+
+
+def _one_branch(model: Model, img, pad_kind: str) -> tuple[FeatureMap, tuple[int, int]]:
+    """Run one image alone through the schedule, stopping before the first CA
+    block; returns its features and the last step run."""
+    f, done = img, (0, 0)
+    for si, bi, st, w in _schedule(model):
+        if bi == 0:
+            f = bl.patch_embed(_as_input(f, model.dtype), w, st.stride, pad_kind)
+        elif bi in st.ca_positions:
+            break
+        else:
+            f = bl.eoc_block(f, None, SA, st.attn, w, pad_kind)[0]
+        done = (si, bi)
+    return f, done
+
+
+def template_prefix(model: Model, z, pad_kind: str | None = None) -> TemplatePrefix:
+    """The template's search-independent part of the backbone, computed once
+    so that every frame of a sequence can pass it to `forward` in place of
+    the template image."""
+    pad_kind = pad_kind or model.config.pad_mode
+    _check_image(z, model.config.template_size, "template")
+    return TemplatePrefix(*_one_branch(model, z, pad_kind), pad_kind)
+
+
 def run_backbone(model: Model, z, x, pad_kind: str | None = None, trace: dict | None = None,
                  after: tuple[int, int] = (0, 0)) -> tuple[FeatureMap, FeatureMap]:
     """Run both branches through the stage/block schedule.
 
-    By default `z` and `x` are the template and search images.  With
-    `after=(stage, block)` they are the FeatureMaps snapshot right after that
-    step (block 0 being the stage's patch embedding) and the pass resumes
-    from the next step.  `trace`, when given, receives a copy of every step's
-    output keyed by ('embed', stage, branch) or ('block', stage, block, branch).
+    By default `z` and `x` are the template and search images.  `z` may also
+    be a `TemplatePrefix` made under the same pad kind; the template branch
+    then skips the steps it covers.  With `after=(stage, block)` `z` and `x`
+    are the FeatureMaps snapshot right after that step (block 0 being the
+    stage's patch embedding) and the pass resumes from the next step.
+    `trace`, when given, receives a copy of the output of every step that
+    ran, keyed by ('embed', stage, branch) or ('block', stage, block, branch).
     """
     pad_kind = pad_kind or model.config.pad_mode
-    fz, fx = z, x
+    fz, fx, z_done = z, x, after
+    if isinstance(z, TemplatePrefix):
+        if z.pad_kind != pad_kind:
+            raise ValueError(f"template prefix made with pad kind {z.pad_kind!r}, not {pad_kind!r}")
+        if after != (0, 0):
+            raise ValueError("a template prefix goes with the search image, not with `after`")
+        fz, z_done = z.features, z.after
     for si, bi, st, w in _schedule(model):
         if (si, bi) <= after:
             continue
+        run_z = (si, bi) > z_done
         if bi == 0:
-            fz = bl.patch_embed(_as_input(fz, model.dtype), w, st.stride, pad_kind)
+            if run_z:
+                fz = bl.patch_embed(_as_input(fz, model.dtype), w, st.stride, pad_kind)
             fx = bl.patch_embed(_as_input(fx, model.dtype), w, st.stride, pad_kind)
             key = ("embed", si)
         else:
             mode = CA if bi in st.ca_positions else SA
-            fz, fx = bl.eoc_block(fz, fx, mode, st.attn, w, pad_kind)
+            oz, fx = bl.eoc_block(fz if run_z else None, fx, mode, st.attn, w, pad_kind)
+            fz = oz if run_z else fz
             key = ("block", si, bi)
         if trace is not None:
-            trace[(*key, "z")] = fz.tensor.data.copy(order="K")
+            if run_z:
+                trace[(*key, "z")] = fz.tensor.data.copy(order="K")
             trace[(*key, "x")] = fx.tensor.data.copy(order="K")
     return fz, fx
 
@@ -378,11 +425,16 @@ def run_heads(model: Model, fz: FeatureMap, fx: FeatureMap) -> tuple[Tensor, Ten
 def forward(model: Model, z, x, pad_kind: str | None = None, trace: dict | None = None,
             ) -> tuple[Tensor, Tensor]:
     """Two-image pass: template z, search x -> (foreground map [1,hs,ws],
-    normalized l/t/r/b distance map [4,hs,ws]), both sigmoid-squashed."""
+    normalized l/t/r/b distance map [4,hs,ws]), both sigmoid-squashed.
+
+    `z` is the template image or its `template_prefix` (the tracker makes
+    one per sequence); both give the same maps bit for bit.  See
+    `run_backbone` for `trace`."""
     cfg = model.config
     if cfg.is_classifier:
         raise ConfigError("classification variant has no tracking heads")
-    _check_image(z, cfg.template_size, "template")
+    if not isinstance(z, TemplatePrefix):
+        _check_image(z, cfg.template_size, "template")
     _check_image(x, cfg.search_size, "search")
     fz, fx = run_backbone(model, z, x, pad_kind, trace)
     return run_heads(model, fz, fx)
@@ -396,16 +448,10 @@ def forward_classification(model: Model, img, pad_kind: str | None = None) -> Te
         raise ConfigError("model was not built with num_classes > 0")
     if len(cfg.stages) != 4:
         raise ConfigError("classification pre-training expects a 4-stage config")
-    pad_kind = pad_kind or cfg.pad_mode
     img = _as_input(img, model.dtype)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected a (3, H, W) image, got {tuple(img.shape)}")
-    f: FeatureMap | Tensor = img
-    for _, bi, st, w in _schedule(model):
-        if bi == 0:
-            f = bl.patch_embed(_as_input(f, model.dtype), w, st.stride, pad_kind)
-        else:
-            f = bl.eoc_block_single(f, st.attn, w, pad_kind)
+    f, _ = _one_branch(model, img, pad_kind or cfg.pad_mode)  # a classifier has no CA block
     pooled = eg.mean_(eg.reshape(f.tensor, (f.channels, f.token_count)), axis=1)
     return eg.linear(eg.reshape(pooled, (1, f.channels)), model.classifier_weight,
                      model.classifier_bias)[0, :]

@@ -167,15 +167,20 @@ def run_tracker(model, seq: Sequence, collect_maps: bool = False):
     """Track a sequence: fixed template from frame 0, search re-centered on
     the previous prediction.  Returns one box per frame (frame 0 echoes the
     given box); with collect_maps also the per-frame foreground maps.  A
-    frame whose network output is not finite keeps the previous box."""
+    frame whose network output is not finite keeps the previous box.
+
+    The template's search-independent backbone prefix (`md.template_prefix`)
+    runs once per sequence, not once per frame; the outputs are the same as
+    passing the template image to every `md.forward`."""
     cfg = model.config
     template, _ = crop_region(seq.frames[0], seq.gt[0], 2.0, cfg.template_size)
     boxes = [seq.gt[0]]
     maps = []
     with no_grad():
+        prefix = md.template_prefix(model, template)
         for frame in seq.frames[1:]:
             search, meta = crop_region(frame, boxes[-1], 4.0, cfg.search_size)
-            cls, reg = md.forward(model, template, search)
+            cls, reg = md.forward(model, prefix, search)
             boxes.append(predict_box(cls, reg, meta, previous=boxes[-1]))
             if collect_maps:
                 maps.append(cls.data[0].copy())

@@ -1,0 +1,35 @@
+"""The benchmark's config-derived engine counts hold for a traced tracker frame.
+
+`benchmark/selftest.py` pins the calls, FLOPs and bytes per op group of one
+tracked `tiny` frame and checks that the `dwcorr` head correlates once; run
+here, a change to the per-frame op schedule fails the test suite too.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+
+
+@pytest.fixture(scope="module")
+def selftest():
+    sys.path.insert(0, str(BENCHMARK))
+    try:
+        import selftest
+        from run import load_sbtrack
+
+        yield selftest, load_sbtrack()
+    finally:
+        sys.path.remove(str(BENCHMARK))
+
+
+def test_traced_frame_counts_match_the_config(selftest):
+    module, sb = selftest
+    assert module.check_counts(sb) == []
+
+
+def test_dwcorr_head_correlates_once(selftest):
+    module, sb = selftest
+    assert module.check_dwcorr(sb) == []

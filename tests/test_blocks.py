@@ -173,6 +173,25 @@ class TestEocAttention:
         with pytest.raises(eg.ShapeError):
             bl.eoc_attention(fmap(rng, 8, 4, 4), fmap(rng, 4, 8, 8), bl.SA, cfg, w)
 
+    def test_sa_runs_one_branch_alone(self, rng):
+        cfg = make_cfg()
+        w = make_weights(rng, cfg)
+        fz, fx = fmap(rng, 8, 4, 4), fmap(rng, 8, 8, 8)
+        oz, ox = bl.eoc_attention(fz, fx, bl.SA, cfg, w)
+        z_only = bl.eoc_attention(fz, None, bl.SA, cfg, w)
+        x_only = bl.eoc_attention(None, fx, bl.SA, cfg, w)
+        assert z_only[1] is None and x_only[0] is None
+        np.testing.assert_array_equal(z_only[0].tensor.data, oz.tensor.data)
+        np.testing.assert_array_equal(x_only[1].tensor.data, ox.tensor.data)
+
+    def test_ca_needs_both_branches(self, rng):
+        cfg = make_cfg()
+        w = make_weights(rng, cfg)
+        with pytest.raises(ValueError, match="both branches"):
+            bl.eoc_attention(fmap(rng, 8, 4, 4), None, bl.CA, cfg, w)
+        with pytest.raises(ValueError, match="both branches"):
+            bl.eoc_block(None, fmap(rng, 8, 8, 8), bl.CA, cfg, w)
+
 
 class TestMlpCondPe:
     def test_zero_weights_zero_output(self, rng):
@@ -236,7 +255,8 @@ class TestEocBlock:
         w = make_weights(rng, cfg)
         f, g = fmap(rng, 8, 4, 4), fmap(rng, 8, 8, 8)
         oz, _ = bl.eoc_block(f, g, bl.SA, cfg, w, pad_kind)
-        single = bl.eoc_block_single(f, cfg, w, pad_kind)
+        single, none = bl.eoc_block(f, None, bl.SA, cfg, w, pad_kind)
+        assert none is None
         np.testing.assert_array_equal(single.tensor.data, oz.tensor.data)
 
     def test_translation_equivariance_circular_r1(self, rng):

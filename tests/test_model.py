@@ -237,6 +237,69 @@ class TestForward:
         assert cls.shape == (1, 16, 16) and reg.shape == (4, 16, 16)
 
 
+# the tiny variants the tracker is tested on: both pad modes, the Siamese-style
+# head, and a config without CA, whose prefix is the whole template branch
+PREFIX_CONFIGS = {
+    "zeros": md.tiny_config(),
+    "circular": md.tiny_config(pad_mode="circular"),
+    "dwcorr": md.tiny_config(head_input="dwcorr"),
+    "no_ca": md.without_cross_attention(md.tiny_config()),
+}
+
+
+class TestTemplatePrefix:
+    @pytest.mark.parametrize("name", sorted(PREFIX_CONFIGS))
+    def test_forward_with_prefix_is_bit_equal(self, rng, name):
+        cfg = PREFIX_CONFIGS[name]
+        m = md.build_model(cfg, seed=0)
+        z, x = tiny_inputs(rng, cfg)
+        want = md.forward(m, z, x)
+        got = md.forward(m, md.template_prefix(m, z), x)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.data, w.data)
+
+    def test_prefix_stops_before_the_first_ca_block(self, rng):
+        m = md.build_model(md.tiny_config(), seed=0)
+        z, x = tiny_inputs(rng)
+        trace: dict = {}
+        md.run_backbone(m, z, x, trace=trace)
+        prefix = md.template_prefix(m, z)
+        assert prefix.after == (3, 1) and prefix.pad_kind == "zeros"
+        assert np.array_equal(prefix.features.tensor.data, trace[("block", 3, 1, "z")])
+        no_ca = md.build_model(PREFIX_CONFIGS["no_ca"], seed=0)
+        assert md.template_prefix(no_ca, z).after == (3, 4)  # every step
+
+    def test_trace_records_only_the_steps_that_ran(self, rng):
+        m = md.build_model(md.tiny_config(), seed=0)
+        z, x = tiny_inputs(rng)
+        full: dict = {}
+        cached: dict = {}
+        md.forward(m, z, x, trace=full)
+        md.forward(m, md.template_prefix(m, z), x, trace=cached)
+        assert set(cached) == {k for k in full if k[-1] == "x" or k[1:-1] > (3, 1)}
+        for k, v in cached.items():
+            assert np.array_equal(v, full[k])
+
+    def test_prefix_under_another_pad_kind_raises(self, rng):
+        m = md.build_model(md.tiny_config(), seed=0)
+        z, x = tiny_inputs(rng)
+        with pytest.raises(ValueError, match="pad kind"):
+            md.forward(m, md.template_prefix(m, z, pad_kind="circular"), x)
+        with pytest.raises(ValueError, match="pad kind"):
+            md.forward(m, md.template_prefix(m, z), x, pad_kind="circular")
+
+    def test_prefix_does_not_resume(self, rng):
+        m = md.build_model(md.tiny_config(), seed=0)
+        z, x = tiny_inputs(rng)
+        with pytest.raises(ValueError, match="after"):
+            md.run_backbone(m, md.template_prefix(m, z), x, after=(1, 0))
+
+    def test_prefix_checks_the_template_size(self, rng):
+        m = md.build_model(md.tiny_config(), seed=0)
+        with pytest.raises(eg.ShapeError):
+            md.template_prefix(m, rng.random((3, 32, 32), dtype=np.float32))
+
+
 class TestClassification:
     def test_logit_length_and_determinism(self, rng):
         cfg = md.classifier_config("tiny", num_classes=7, image_size=64)

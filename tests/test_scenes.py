@@ -1,0 +1,69 @@
+"""Synthetic scenes: determinism, suite splits and the disk formats."""
+
+import numpy as np
+
+from sbtrack import scenes
+
+SHORT = scenes.SceneConfig(length=4, distractors=2)
+
+
+def assert_boxes_close(got, want, atol):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose([g.x1, g.y1, g.x2, g.y2], [w.x1, w.y1, w.x2, w.y2],
+                                   rtol=0, atol=atol)
+
+
+class TestGenerate:
+    def test_deterministic_per_seed(self):
+        a = scenes.generate_sequence(SHORT, 5)
+        b = scenes.generate_sequence(SHORT, 5)
+        assert all(np.array_equal(fa, fb) for fa, fb in zip(a.frames, b.frames))
+        assert a.gt == b.gt and a.distractors == b.distractors and a.seed == b.seed == 5
+
+    def test_seeds_differ(self):
+        a = scenes.generate_sequence(SHORT, 5)
+        b = scenes.generate_sequence(SHORT, 6)
+        assert a.gt != b.gt and not np.array_equal(a.frames[0], b.frames[0])
+
+    def test_frames_and_boxes_align(self):
+        seq = scenes.generate_sequence(SHORT, 3)
+        assert len(seq.frames) == len(seq.gt) == len(seq.distractors) == SHORT.length
+        assert all(len(d) == SHORT.distractors for d in seq.distractors)
+        frame = seq.frames[0]
+        assert frame.shape == (3, 128, 128) and frame.dtype == np.float32
+        assert 0.0 <= frame.min() and frame.max() <= 1.0
+
+
+class TestSuite:
+    def test_train_and_eval_share_no_seed(self):
+        cfg = scenes.SceneConfig(length=1)
+        for seed in (0, 7, 9_999):
+            suite = scenes.make_suite(cfg, 4, 4, seed=seed)
+            train = {s.seed for s in suite.train}
+            evals = {s.seed for s in suite.eval}
+            assert len(train) == len(evals) == 4
+            assert not train & evals
+
+
+class TestDiskFormats:
+    def test_ppm_round_trip(self, tmp_path):
+        img = np.random.default_rng(0).random((3, 9, 13), dtype=np.float32)
+        scenes.write_ppm(img, tmp_path / "a.ppm")
+        back = scenes.read_ppm(tmp_path / "a.ppm")
+        assert back.shape == img.shape and back.dtype == np.float32
+        np.testing.assert_allclose(back, img, rtol=0, atol=1 / 255)
+
+    def test_sequence_round_trip(self, tmp_path):
+        seq = scenes.generate_sequence(SHORT, 2)
+        scenes.write_sequence(seq, tmp_path / "seq")
+        back = scenes.read_sequence(tmp_path / "seq")
+        assert len(back.frames) == len(seq.frames)
+        for a, b in zip(back.frames, seq.frames):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1 / 255)
+        # x, y, w, h are written to 2 decimals, so a far edge x + w may be off by 0.01
+        tol = 0.01 + 1e-9
+        assert_boxes_close(back.gt, seq.gt, tol)
+        assert len(back.distractors) == len(seq.distractors)
+        for got, want in zip(back.distractors, seq.distractors):
+            assert_boxes_close(got, want, tol)

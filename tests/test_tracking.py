@@ -1,14 +1,19 @@
 """Crop geometry, box decoding and the frame-by-frame tracker."""
 
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sbtrack import engine as eg
 from sbtrack import model as md
 from sbtrack import scenes
 from sbtrack import tracking as tk
 from sbtrack.boxes import Box
+from sbtrack.training import assign_targets
 
 
 def four_tap_bilinear(frame, ys, xs, fill):
@@ -115,6 +120,28 @@ class TestPredictBox:
         reg[:, 0, 0] = np.nan
         assert tk.predict_box(cls, reg, self.meta) == tk.predict_box(*self.maps(), self.meta)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(64, 8), (64, 16), (128, 16)]),
+           st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
+           st.floats(0, 1), st.floats(0, 1))
+    def test_decodes_assign_targets_maps(self, geometry, fi, fj, fx1, fy1, fx2, fy2):
+        """A box in an identity crop around at least one cell centre comes back
+        within 1 px from the perfect maps that assign_targets makes for it."""
+        size, cells = geometry
+        cell = size / cells
+        # a cell centre, and a box whose edges lie on either side of it
+        cx = (min(int(fj * cells), cells - 1) + 0.5) * cell
+        cy = (min(int(fi * cells), cells - 1) + 0.5) * cell
+        x1, y1 = fx1 * cx, fy1 * cy
+        x2, y2 = cx + fx2 * (size - cx), cy + fy2 * (size - cy)
+        assume(x1 < x2 and y1 < y2)
+        box = Box(x1, y1, x2, y2)
+        target = assign_targets(box, (cells, cells), size)
+        assert target.positives > 0
+        got = tk.predict_box(target.labels, target.reg, tk.CropMeta.identity(size))
+        np.testing.assert_allclose([got.x1, got.y1, got.x2, got.y2], [x1, y1, x2, y2],
+                                   rtol=0, atol=1.0)
+
 
 @pytest.fixture(scope="module")
 def short_sequence():
@@ -133,3 +160,103 @@ class TestRunTracker:
         m.cls_head.out_bias.data[:] = np.nan
         boxes = tk.run_tracker(m, short_sequence)
         assert boxes == [short_sequence.gt[0]] * len(short_sequence.frames)
+
+
+def uncached_tracker(model, seq):
+    """run_tracker's loop with the template image passed to every forward."""
+    cfg = model.config
+    template, _ = tk.crop_region(seq.frames[0], seq.gt[0], 2.0, cfg.template_size)
+    boxes, maps = [seq.gt[0]], []
+    with eg.no_grad():
+        for frame in seq.frames[1:]:
+            search, meta = tk.crop_region(frame, boxes[-1], 4.0, cfg.search_size)
+            cls, reg = md.forward(model, template, search)
+            boxes.append(tk.predict_box(cls, reg, meta, previous=boxes[-1]))
+            maps.append(cls.data[0].copy())
+    return boxes, maps
+
+
+def engine_ops():
+    """The engine's public tensor ops: functions in `__all__` annotated to
+    return a Tensor, other than the constructors."""
+    return [name for name in eg.__all__
+            if name not in ("tensor", "parameter") and inspect.isfunction(getattr(eg, name))
+            and inspect.signature(getattr(eg, name)).return_annotation in ("Tensor", eg.Tensor)]
+
+
+def layout(n: int) -> Counter:
+    """n layout changes (tokens_of, map_of, head split or merge): a reshape
+    and a transpose each."""
+    return Counter(elementwise=n, transpose=n)
+
+
+def step_calls(st_cfg, block: int) -> Counter:
+    """Engine calls of one backbone step on one branch (block 0 being the
+    patch embedding), following the op sequence of blocks.py."""
+    if block == 0:
+        return Counter(conv2d=1, layer_norm=1)
+    kv = layout(2) + Counter(linear=1)  # tokens, linear, split heads
+    if st_cfg.reduction > 1:
+        kv += Counter(conv2d=1, layer_norm=1)
+    attn = (Counter(layer_norm=1) + layout(2) + Counter(linear=1) + kv + kv  # norm1, q, k, v
+            + Counter(transpose=1, matmul=2, elementwise=1, softmax_last_dim=1)
+            + layout(2) + Counter(linear=1, elementwise=1))  # merge, out, map, residual
+    mlp = Counter(layer_norm=1, linear=2, depthwise_conv2d=1, gelu=1, elementwise=1) + layout(4)
+    return attn + mlp
+
+
+def head_calls(cfg) -> Counter:
+    """Engine calls of the two search-feature heads and their sigmoids."""
+    mix = layout(2) + Counter(linear=2, elementwise=2, transpose=2)  # with relu, leaky relu
+    head = Counter(linear=1, elementwise=1) + layout(2)
+    for _ in range(cfg.head_depth):
+        head += mix
+    return head + head
+
+
+def expected_calls(cfg) -> tuple[Counter, Counter]:
+    """Engine calls of the template prefix (once per sequence) and of one frame."""
+    once, frame = Counter(), head_calls(cfg)
+    in_prefix = True
+    for st_cfg in cfg.stages:
+        for block in range(st_cfg.depth + 1):
+            in_prefix = in_prefix and block not in st_cfg.ca_positions
+            step = step_calls(st_cfg, block)
+            if in_prefix:
+                once += step
+            else:
+                frame += step  # the template branch after the prefix
+            frame += step  # the search branch runs every step
+    return once, frame
+
+
+class TestTemplateCache:
+    @pytest.mark.parametrize("cfg", [md.tiny_config(), md.tiny_config(pad_mode="circular"),
+                                     md.tiny_config(head_input="dwcorr"),
+                                     md.without_cross_attention(md.tiny_config())],
+                             ids=["zeros", "circular", "dwcorr", "no_ca"])
+    def test_bit_equal_to_forward_with_the_template_image(self, short_sequence, cfg):
+        m = md.build_model(cfg, seed=1)
+        boxes, maps = tk.run_tracker(m, short_sequence, collect_maps=True)
+        want_boxes, want_maps = uncached_tracker(m, short_sequence)
+        assert boxes == want_boxes
+        assert len(maps) == len(want_maps)
+        assert all(np.array_equal(a, b) for a, b in zip(maps, want_maps))
+
+    def test_engine_calls_per_sequence(self, monkeypatch):
+        cfg = md.tiny_config()
+        m = md.build_model(cfg, seed=0)
+        seq = scenes.generate_sequence(scenes.SceneConfig(length=30), 0)
+        calls = Counter()
+        for name in engine_ops():
+            fn = getattr(eg, name)
+            monkeypatch.setattr(eg, name, lambda *a, _n=name, _f=fn, **k: calls.update([_n])
+                                or _f(*a, **k))
+        tk.run_tracker(m, seq)
+        once, frame = expected_calls(cfg)
+        tracked = len(seq.frames) - 1
+        # uncached, a frame is the 604 calls and 30 conv2d that benchmark/selftest.py pins
+        uncached = once + frame
+        assert (sum(uncached.values()), uncached["conv2d"]) == (604, 30)
+        assert sum(calls.values()) == sum(once.values()) + tracked * sum(frame.values())
+        assert calls["conv2d"] == once["conv2d"] + tracked * frame["conv2d"]
