@@ -52,17 +52,17 @@ class AttnConfig:
 
 @dataclass
 class FeatureMap:
-    """One branch's features on a token grid: tensor [c, h, w], grid (h, w)."""
+    """One branch's features on a token grid: tensor [c, h, w]."""
 
     tensor: Tensor
-    grid: tuple[int, int] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.grid is None:
-            self.grid = (self.tensor.shape[1], self.tensor.shape[2])
-        c, h, w = self.tensor.shape
-        if (h, w) != tuple(self.grid) or min(c, h, w) < 1:
-            raise ShapeError(f"feature map {self.tensor.shape} disagrees with grid {self.grid}")
+        if self.tensor.ndim != 3 or min(self.tensor.shape) < 1:
+            raise ShapeError(f"feature map must be a non-empty [c, h, w], got {self.tensor.shape}")
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        return self.tensor.shape[1:]
 
     @property
     def channels(self) -> int:
@@ -82,7 +82,7 @@ def tokens_of(f: FeatureMap) -> Tensor:
 def map_of(tokens: Tensor, grid: tuple[int, int]) -> FeatureMap:
     h, w = grid
     c = tokens.shape[-1]
-    return FeatureMap(eg.reshape(eg.transpose(tokens, (1, 0)), (c, h, w)), grid)
+    return FeatureMap(eg.reshape(eg.transpose(tokens, (1, 0)), (c, h, w)))
 
 
 # -- weight containers ------------------------------------------------------
@@ -295,7 +295,7 @@ def _attended_residual(f_raw: FeatureMap, f_q: FeatureMap, f_kv: FeatureMap,
     att = attention(q, k, v, cfg.head_dim)
     out_tok = eg.linear(_merge_heads(att, cfg), weights.out_weight, weights.out_bias)
     delta = map_of(out_tok, f_q.grid)
-    return FeatureMap(eg.add(f_raw.tensor, delta.tensor), f_raw.grid)
+    return FeatureMap(eg.add(f_raw.tensor, delta.tensor))
 
 
 def eoc_attention(f_z: FeatureMap | None, f_x: FeatureMap | None, mode: str, cfg: AttnConfig,
@@ -338,7 +338,7 @@ def mlp_cond_pe(f: FeatureMap, weights: BlockWeights, pad_kind: str = "zeros") -
 
 def _mlp_residual(f: FeatureMap, weights: BlockWeights, pad_kind: str) -> FeatureMap:
     n = FeatureMap(eg.layer_norm(f.tensor, weights.norm2_gamma, weights.norm2_beta, axis=0))
-    return FeatureMap(eg.add(f.tensor, mlp_cond_pe(n, weights, pad_kind).tensor), f.grid)
+    return FeatureMap(eg.add(f.tensor, mlp_cond_pe(n, weights, pad_kind).tensor))
 
 
 def eoc_block(f_z: FeatureMap | None, f_x: FeatureMap | None, mode: str, cfg: AttnConfig,

@@ -11,7 +11,8 @@ left/top/right/bottom distance map, both through a sigmoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -116,60 +117,27 @@ class ModelConfig:
 
 # -- presets -----------------------------------------------------------------
 
-_STAGE4 = {
-    "light": StageConfig(kernel=3, channels=256, stride=2, depth=2, heads=8, reduction=1),
-    "small": StageConfig(kernel=3, channels=512, stride=2, depth=2, heads=8, reduction=1),
-    "base": StageConfig(kernel=3, channels=512, stride=2, depth=2, heads=8, reduction=1),
-    "large": StageConfig(kernel=3, channels=512, stride=2, depth=2, heads=8, reduction=1),
+# One row per published scale, holding only what differs between them: stage
+# 1-3 (channels, depth), the stage-3 CA blocks, and the channels of the
+# classification variant's stage 4.  Kernels, strides, heads and reductions
+# are shared.
+_SCALES = {
+    "light": (((32, 2), (64, 2), (160, 6)), (2, 4, 6), 256),
+    "small": (((64, 2), (128, 2), (320, 6)), (2, 4, 6), 512),
+    "base": (((64, 3), (128, 4), (320, 10)), (2, 4, 6, 8, 10), 512),
+    "large": (((64, 3), (128, 4), (320, 18)), (6, 8, 10, 12, 14, 16, 18), 512),
 }
 
 
-def _tracking_stages(name: str) -> tuple[StageConfig, ...]:
-    if name == "light":
-        return (
-            StageConfig(kernel=7, channels=32, stride=4, depth=2, heads=1, reduction=8),
-            StageConfig(kernel=3, channels=64, stride=2, depth=2, heads=2, reduction=4),
-            StageConfig(kernel=3, channels=160, stride=1, depth=6, heads=5, reduction=2,
-                        ca_positions=(2, 4, 6)),
-        )
-    if name == "small":
-        return (
-            StageConfig(kernel=7, channels=64, stride=4, depth=2, heads=1, reduction=8),
-            StageConfig(kernel=3, channels=128, stride=2, depth=2, heads=2, reduction=4),
-            StageConfig(kernel=3, channels=320, stride=1, depth=6, heads=5, reduction=2,
-                        ca_positions=(2, 4, 6)),
-        )
-    if name == "base":
-        return (
-            StageConfig(kernel=7, channels=64, stride=4, depth=3, heads=1, reduction=8),
-            StageConfig(kernel=3, channels=128, stride=2, depth=4, heads=2, reduction=4),
-            StageConfig(kernel=3, channels=320, stride=1, depth=10, heads=5, reduction=2,
-                        ca_positions=(2, 4, 6, 8, 10)),
-        )
-    if name == "large":
-        return (
-            StageConfig(kernel=7, channels=64, stride=4, depth=3, heads=1, reduction=8),
-            StageConfig(kernel=3, channels=128, stride=2, depth=4, heads=2, reduction=4),
-            StageConfig(kernel=3, channels=320, stride=1, depth=18, heads=5, reduction=2,
-                        ca_positions=(6, 8, 10, 12, 14, 16, 18)),
-        )
-    raise ConfigError(f"unknown preset {name!r}")
-
-
-def light_config(**overrides) -> ModelConfig:
-    return ModelConfig(name="light", stages=_tracking_stages("light"), **overrides)
-
-
-def small_config(**overrides) -> ModelConfig:
-    return ModelConfig(name="small", stages=_tracking_stages("small"), **overrides)
-
-
-def base_config(**overrides) -> ModelConfig:
-    return ModelConfig(name="base", stages=_tracking_stages("base"), **overrides)
-
-
-def large_config(**overrides) -> ModelConfig:
-    return ModelConfig(name="large", stages=_tracking_stages("large"), **overrides)
+def _scale_config(name: str) -> ModelConfig:
+    ((c1, d1), (c2, d2), (c3, d3)), ca, _ = _SCALES[name]
+    stages = (
+        StageConfig(kernel=7, channels=c1, stride=4, depth=d1, heads=1, reduction=8),
+        StageConfig(kernel=3, channels=c2, stride=2, depth=d2, heads=2, reduction=4),
+        StageConfig(kernel=3, channels=c3, stride=1, depth=d3, heads=5, reduction=2,
+                    ca_positions=ca),
+    )
+    return ModelConfig(name=name, stages=stages)
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -185,17 +153,7 @@ def tiny_config(**overrides) -> ModelConfig:
     return ModelConfig(name="tiny", stages=stages, **kw)
 
 
-def classifier_config(name: str, num_classes: int, image_size: int = 224) -> ModelConfig:
-    """Four-stage single-branch variant for classification pre-training."""
-    if name == "tiny":
-        base_stages = tiny_config().stages
-        stage4 = StageConfig(kernel=3, channels=128, stride=2, depth=2, heads=4, reduction=1)
-    else:
-        base_stages = _tracking_stages(name)
-        stage4 = _STAGE4[name]
-    stages = tuple(replace(st, ca_positions=()) for st in base_stages) + (stage4,)
-    return ModelConfig(name=f"{name}-cls", stages=stages, template_size=image_size,
-                       search_size=image_size, num_classes=num_classes)
+PRESETS = {"tiny": tiny_config, **{name: partial(_scale_config, name) for name in _SCALES}}
 
 
 def with_reduction(cfg: ModelConfig, r: int) -> ModelConfig:
@@ -208,13 +166,18 @@ def without_cross_attention(cfg: ModelConfig) -> ModelConfig:
     return replace(cfg, stages=tuple(replace(st, ca_positions=()) for st in cfg.stages))
 
 
-PRESETS = {
-    "tiny": tiny_config,
-    "light": light_config,
-    "small": small_config,
-    "base": base_config,
-    "large": large_config,
-}
+def classifier_config(name: str, num_classes: int, image_size: int = 224) -> ModelConfig:
+    """Four-stage single-branch variant for classification pre-training."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    if name == "tiny":
+        stage4 = StageConfig(kernel=3, channels=128, stride=2, depth=2, heads=4, reduction=1)
+    else:
+        stage4 = StageConfig(kernel=3, channels=_SCALES[name][2], stride=2, depth=2, heads=8,
+                             reduction=1)
+    stages = without_cross_attention(PRESETS[name]()).stages + (stage4,)
+    return ModelConfig(name=f"{name}-cls", stages=stages, template_size=image_size,
+                       search_size=image_size, num_classes=num_classes)
 
 
 # -- model -------------------------------------------------------------------
@@ -325,79 +288,76 @@ def _schedule(model: Model):
 
 
 @dataclass(frozen=True)
-class TemplatePrefix:
-    """The template's features after the steps that do not read the search
-    image: every step before the first CA block (all of them when there is
-    none).  `after` is the last step run, as (stage, block)."""
+class BranchState:
+    """One branch part-way through the backbone: its features right after
+    step `after` = (stage, block) of the schedule."""
 
     features: FeatureMap
     after: tuple[int, int]
-    pad_kind: str
 
 
-def _one_branch(model: Model, img, pad_kind: str) -> tuple[FeatureMap, tuple[int, int]]:
-    """Run one image alone through the schedule, stopping before the first CA
-    block; returns its features and the last step run."""
-    f, done = img, (0, 0)
-    for si, bi, st, w in _schedule(model):
-        if bi == 0:
-            f = bl.patch_embed(_as_input(f, model.dtype), w, st.stride, pad_kind)
-        elif bi in st.ca_positions:
-            break
-        else:
-            f = bl.eoc_block(f, None, SA, st.attn, w, pad_kind)[0]
-        done = (si, bi)
-    return f, done
+def _walk(model: Model, z, x=None, trace: dict | None = None,
+          ) -> tuple[BranchState, BranchState | None]:
+    """Run each branch through the schedule's steps after its own `after`.
 
-
-def template_prefix(model: Model, z, pad_kind: str | None = None) -> TemplatePrefix:
-    """The template's search-independent part of the backbone, computed once
-    so that every frame of a sequence can pass it to `forward` in place of
-    the template image."""
-    pad_kind = pad_kind or model.config.pad_mode
-    _check_image(z, model.config.template_size, "template")
-    return TemplatePrefix(*_one_branch(model, z, pad_kind), pad_kind)
-
-
-def run_backbone(model: Model, z, x, pad_kind: str | None = None, trace: dict | None = None,
-                 after: tuple[int, int] = (0, 0)) -> tuple[FeatureMap, FeatureMap]:
-    """Run both branches through the stage/block schedule.
-
-    By default `z` and `x` are the template and search images.  `z` may also
-    be a `TemplatePrefix` made under the same pad kind; the template branch
-    then skips the steps it covers.  With `after=(stage, block)` `z` and `x`
-    are the FeatureMaps snapshot right after that step (block 0 being the
-    stage's patch embedding) and the pass resumes from the next step.
-    `trace`, when given, receives a copy of the output of every step that
-    ran, keyed by ('embed', stage, branch) or ('block', stage, block, branch).
+    A branch is an image (no step run yet) or a `BranchState`.  Without `x`
+    the template runs alone and stops before its first CA block; with both,
+    a CA block that only one of them would run raises `ValueError`.  Returns
+    each branch's state after the last step it ran (None for an absent `x`).
     """
-    pad_kind = pad_kind or model.config.pad_mode
-    fz, fx, z_done = z, x, after
-    if isinstance(z, TemplatePrefix):
-        if z.pad_kind != pad_kind:
-            raise ValueError(f"template prefix made with pad kind {z.pad_kind!r}, not {pad_kind!r}")
-        if after != (0, 0):
-            raise ValueError("a template prefix goes with the search image, not with `after`")
-        fz, z_done = z.features, z.after
+    pad = model.config.pad_mode
+    fz, z_after = (z.features, z.after) if isinstance(z, BranchState) else (z, (0, 0))
+    fx, x_after = (x.features, x.after) if isinstance(x, BranchState) else (x, (0, 0))
     for si, bi, st, w in _schedule(model):
-        if (si, bi) <= after:
+        run_z, run_x = (si, bi) > z_after, x is not None and (si, bi) > x_after
+        if not (run_z or run_x):
             continue
-        run_z = (si, bi) > z_done
         if bi == 0:
             if run_z:
-                fz = bl.patch_embed(_as_input(fz, model.dtype), w, st.stride, pad_kind)
-            fx = bl.patch_embed(_as_input(fx, model.dtype), w, st.stride, pad_kind)
+                fz = bl.patch_embed(_as_input(fz, model.dtype), w, st.stride, pad)
+            if run_x:
+                fx = bl.patch_embed(_as_input(fx, model.dtype), w, st.stride, pad)
             key = ("embed", si)
         else:
             mode = CA if bi in st.ca_positions else SA
-            oz, fx = bl.eoc_block(fz if run_z else None, fx, mode, st.attn, w, pad_kind)
-            fz = oz if run_z else fz
+            if mode == CA and not (run_z and run_x):
+                if x is None:
+                    break
+                raise ValueError(f"CA block ({si}, {bi}) needs both branches; the template "
+                                 f"stands after {z_after}, the search after {x_after}")
+            oz, ox = bl.eoc_block(fz if run_z else None, fx if run_x else None, mode, st.attn, w, pad)
+            fz, fx = (oz if run_z else fz), (ox if run_x else fx)
             key = ("block", si, bi)
         if trace is not None:
             if run_z:
                 trace[(*key, "z")] = fz.tensor.data.copy(order="K")
-            trace[(*key, "x")] = fx.tensor.data.copy(order="K")
-    return fz, fx
+            if run_x:
+                trace[(*key, "x")] = fx.tensor.data.copy(order="K")
+        z_after = (si, bi) if run_z else z_after
+        x_after = (si, bi) if run_x else x_after
+    return BranchState(fz, z_after), None if x is None else BranchState(fx, x_after)
+
+
+def template_prefix(model: Model, z) -> BranchState:
+    """The template's search-independent part of the backbone: every step
+    before the first CA block (all of them when there is none).  Computed
+    once, it stands in for the template image in every frame's `forward`."""
+    _check_image(z, model.config.template_size, "template")
+    return _walk(model, z)[0]
+
+
+def run_backbone(model: Model, z, x, trace: dict | None = None) -> tuple[FeatureMap, FeatureMap]:
+    """Run the template and search branches through the stage/block schedule.
+
+    Each branch is an image or a `BranchState`, which runs only the steps
+    after its `after`: a `template_prefix`, or snapshots of both branches
+    taken after one step (block 0 being the stage's patch embedding).  A CA
+    block that only one branch would run raises `ValueError`.  `trace`, when
+    given, receives a copy of the output of every step that ran, keyed by
+    ('embed', stage, branch) or ('block', stage, block, branch).
+    """
+    z, x = _walk(model, z, x, trace)
+    return z.features, x.features
 
 
 def _crop_template_odd(fz: FeatureMap, max_side: int = 7) -> FeatureMap:
@@ -422,25 +382,23 @@ def run_heads(model: Model, fz: FeatureMap, fx: FeatureMap) -> tuple[Tensor, Ten
     return cls, reg
 
 
-def forward(model: Model, z, x, pad_kind: str | None = None, trace: dict | None = None,
-            ) -> tuple[Tensor, Tensor]:
+def forward(model: Model, z, x) -> tuple[Tensor, Tensor]:
     """Two-image pass: template z, search x -> (foreground map [1,hs,ws],
     normalized l/t/r/b distance map [4,hs,ws]), both sigmoid-squashed.
 
     `z` is the template image or its `template_prefix` (the tracker makes
-    one per sequence); both give the same maps bit for bit.  See
-    `run_backbone` for `trace`."""
+    one per sequence); both give the same maps bit for bit.  Padding comes
+    from `model.config.pad_mode`."""
     cfg = model.config
     if cfg.is_classifier:
         raise ConfigError("classification variant has no tracking heads")
-    if not isinstance(z, TemplatePrefix):
+    if not isinstance(z, BranchState):
         _check_image(z, cfg.template_size, "template")
     _check_image(x, cfg.search_size, "search")
-    fz, fx = run_backbone(model, z, x, pad_kind, trace)
-    return run_heads(model, fz, fx)
+    return run_heads(model, *run_backbone(model, z, x))
 
 
-def forward_classification(model: Model, img, pad_kind: str | None = None) -> Tensor:
+def forward_classification(model: Model, img) -> Tensor:
     """Single-branch pass for the four-stage variant: global average pool of
     the last stage then a linear classifier; returns logits."""
     cfg = model.config
@@ -451,7 +409,7 @@ def forward_classification(model: Model, img, pad_kind: str | None = None) -> Te
     img = _as_input(img, model.dtype)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected a (3, H, W) image, got {tuple(img.shape)}")
-    f, _ = _one_branch(model, img, pad_kind or cfg.pad_mode)  # a classifier has no CA block
+    f = _walk(model, img)[0].features  # a classifier has no CA block, so every step runs
     pooled = eg.mean_(eg.reshape(f.tensor, (f.channels, f.token_count)), axis=1)
     return eg.linear(eg.reshape(pooled, (1, f.channels)), model.classifier_weight,
                      model.classifier_bias)[0, :]

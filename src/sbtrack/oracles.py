@@ -14,7 +14,7 @@ with the attention path it is used to verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,12 +121,12 @@ def pixelwise_correlation(z, x) -> np.ndarray:
     return apply_pointwise_filters(z.reshape(c, -1).T, x)
 
 
-def shift_equivariance_probe(model, z, x, dy: int, dx: int,
-                             pad_mode: str | None = None) -> float:
+def shift_equivariance_probe(model, z, x, dy: int, dx: int) -> float:
     """Max residual between tracking the shifted search image and shifting
     the foreground map: |forward(z, shift(x)) - shift(forward(z, x))|.
 
-    Shifts are circular and must be multiples of the total stride.
+    Shifts are circular and must be multiples of the total stride; the
+    model pads as its config's `pad_mode` says.
     """
     stride = model.config.total_stride
     if dy % stride or dx % stride:
@@ -134,8 +134,8 @@ def shift_equivariance_probe(model, z, x, dy: int, dx: int,
     z = np.asarray(z)
     x = np.asarray(x)
     with no_grad():
-        cls_ref, _ = md.forward(model, z, x, pad_kind=pad_mode)
-        cls_shift, _ = md.forward(model, z, np.roll(x, (dy, dx), axis=(1, 2)), pad_kind=pad_mode)
+        cls_ref, _ = md.forward(model, z, x)
+        cls_shift, _ = md.forward(model, z, np.roll(x, (dy, dx), axis=(1, 2)))
     expected = np.roll(cls_ref.data, (dy // stride, dx // stride), axis=(1, 2))
     return float(np.abs(cls_shift.data - expected).max())
 
@@ -170,9 +170,11 @@ def serial_hierarchy_trace(model, z, x) -> SerialTrace:
         cls_ref, reg_ref = md.run_heads(model, fz, fx)
         residual = 0.0
         for si, bi in ca_blocks:
-            snap_z = FeatureMap(eg.tensor(trace[("block", si, bi, "z")], dtype=model.dtype))
-            snap_x = FeatureMap(eg.tensor(trace[("block", si, bi, "x")], dtype=model.dtype))
-            rz, rx = md.run_backbone(model, snap_z, snap_x, after=(si, bi))
+            snap_z, snap_x = (
+                md.BranchState(FeatureMap(eg.tensor(trace[("block", si, bi, b)], dtype=model.dtype)),
+                               (si, bi))
+                for b in ("z", "x"))
+            rz, rx = md.run_backbone(model, snap_z, snap_x)
             cls2, reg2 = md.run_heads(model, rz, rx)
             residual = max(residual,
                            float(np.abs(cls2.data - cls_ref.data).max()),
@@ -259,15 +261,16 @@ def _pixcorr_is_similarity_bank(rng) -> OracleResult:
 
 def _shift_probes(rng) -> list[OracleResult]:
     cfg = md.with_reduction(md.tiny_config(), 1)
-    model = md.build_model(cfg, seed=11)
+    zeros = md.build_model(cfg, seed=11)
+    circular = md.build_model(replace(cfg, pad_mode="circular"), seed=11)  # same weights
     stride = cfg.total_stride
     z = rng.random((3, cfg.template_size, cfg.template_size), dtype=np.float32)
     x = rng.random((3, cfg.search_size, cfg.search_size), dtype=np.float32)
-    zero_res = shift_equivariance_probe(model, z, x, 0, 0, pad_mode="circular")
-    circ = max(shift_equivariance_probe(model, z, x, stride, 0, pad_mode="circular"),
-               shift_equivariance_probe(model, z, x, 0, stride, pad_mode="circular"))
-    padded = max(shift_equivariance_probe(model, z, x, stride, 0, pad_mode="zeros"),
-                 shift_equivariance_probe(model, z, x, 0, stride, pad_mode="zeros"))
+    zero_res = shift_equivariance_probe(circular, z, x, 0, 0)
+    circ = max(shift_equivariance_probe(circular, z, x, stride, 0),
+               shift_equivariance_probe(circular, z, x, 0, stride))
+    padded = max(shift_equivariance_probe(zeros, z, x, stride, 0),
+                 shift_equivariance_probe(zeros, z, x, 0, stride))
     return [
         OracleResult("zero shift residual", zero_res == 0.0, zero_res, "== 0"),
         OracleResult("circular pad one-token shift", circ < 1e-3, circ, "< 1e-3"),
@@ -277,11 +280,9 @@ def _shift_probes(rng) -> list[OracleResult]:
 
 
 def _serial_recomposition(rng) -> OracleResult:
-    import dataclasses
-
     base = md.tiny_config()
-    st3 = dataclasses.replace(base.stages[2], ca_positions=(1, 2, 4))
-    cfg = dataclasses.replace(base, stages=(base.stages[0], base.stages[1], st3))
+    st3 = replace(base.stages[2], ca_positions=(1, 2, 4))
+    cfg = replace(base, stages=(base.stages[0], base.stages[1], st3))
     model = md.build_model(cfg, seed=4)
     z = rng.random((3, cfg.template_size, cfg.template_size), dtype=np.float32)
     x = rng.random((3, cfg.search_size, cfg.search_size), dtype=np.float32)

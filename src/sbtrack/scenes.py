@@ -222,9 +222,15 @@ class TrackingSuite:
     config: SceneConfig = field(default_factory=SceneConfig)
 
 
+_EVAL_OFFSET = 10_000
+
+
 def make_suite(cfg: SceneConfig, n_train: int, n_eval: int, seed: int = 0) -> TrackingSuite:
+    """Train sequence i has seed `seed + i`, eval sequence i `seed + 10000 + i`."""
+    if n_train > _EVAL_OFFSET:
+        raise ValueError(f"n_train {n_train} > {_EVAL_OFFSET} would share seeds with the eval split")
     train = [generate_sequence(cfg, seed + i) for i in range(n_train)]
-    eval_ = [generate_sequence(cfg, seed + 10_000 + i) for i in range(n_eval)]
+    eval_ = [generate_sequence(cfg, seed + _EVAL_OFFSET + i) for i in range(n_eval)]
     return TrackingSuite(train=train, eval=eval_, config=cfg)
 
 

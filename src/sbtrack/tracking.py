@@ -169,9 +169,10 @@ def run_tracker(model, seq: Sequence, collect_maps: bool = False):
     given box); with collect_maps also the per-frame foreground maps.  A
     frame whose network output is not finite keeps the previous box.
 
-    The template's search-independent backbone prefix (`md.template_prefix`)
-    runs once per sequence, not once per frame; the outputs are the same as
-    passing the template image to every `md.forward`."""
+    The template runs alone up to its first CA block once per sequence
+    (`md.template_prefix`), and every frame's `md.forward` resumes it from
+    there; the outputs are the same as passing the template image to every
+    `md.forward`."""
     cfg = model.config
     template, _ = crop_region(seq.frames[0], seq.gt[0], 2.0, cfg.template_size)
     boxes = [seq.gt[0]]

@@ -1,8 +1,10 @@
-"""The benchmark's config-derived engine counts hold for a traced tracker frame.
+"""The benchmark's self-test and correctness gate, run in the test suite.
 
 `benchmark/selftest.py` pins the calls, FLOPs and bytes per op group of one
-tracked `tiny` frame and checks that the `dwcorr` head correlates once; run
-here, a change to the per-frame op schedule fails the test suite too.
+tracked `tiny` frame and checks that the `dwcorr` head correlates once;
+`benchmark/gate.py` compares outputs with the stored `reference.npz` and
+runs the oracle table.  Run here, a change to the per-frame op schedule or
+an output that drifts fails the test suite too.
 """
 
 import sys
@@ -33,3 +35,13 @@ def test_traced_frame_counts_match_the_config(selftest):
 def test_dwcorr_head_correlates_once(selftest):
     module, sb = selftest
     assert module.check_dwcorr(sb) == []
+
+
+def test_correctness_gate_passes(selftest):
+    """Maps, features and the first training step against `reference.npz`,
+    plus the oracle table."""
+    _, sb = selftest
+    import gate
+
+    failed = [r for r in gate.check(sb) if not r["ok"]]
+    assert failed == []

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from sbtrack import blocks as bl
 from sbtrack import engine as eg
 from sbtrack import model as md
 from sbtrack import weights as wio
@@ -13,6 +14,11 @@ from sbtrack import weights as wio
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def snapshot(trace, si, bi, branch):
+    """A branch's state right after block (si, bi) of a traced pass."""
+    return md.BranchState(bl.FeatureMap(eg.tensor(trace[("block", si, bi, branch)])), (si, bi))
 
 
 def tiny_inputs(rng, cfg=None):
@@ -24,17 +30,17 @@ def tiny_inputs(rng, cfg=None):
 
 class TestPresets:
     def test_base_cross_attention_positions(self):
-        cfg = md.base_config()
+        cfg = md.PRESETS["base"]()
         assert cfg.stages[2].ca_positions == (2, 4, 6, 8, 10)
         assert cfg.stages[0].ca_positions == ()
 
     def test_published_scales(self):
-        light = md.light_config()
+        light = md.PRESETS["light"]()
         assert [st.channels for st in light.stages] == [32, 64, 160]
         assert [st.depth for st in light.stages] == [2, 2, 6]
         assert [st.stride for st in light.stages] == [4, 2, 1]
         assert light.total_stride == 8
-        large = md.large_config()
+        large = md.PRESETS["large"]()
         assert large.stages[2].depth == 18
         assert large.stages[2].ca_positions == (6, 8, 10, 12, 14, 16, 18)
 
@@ -44,7 +50,7 @@ class TestPresets:
         assert len(m.reg_head.blocks) == 2
 
     def test_search_grid(self):
-        assert md.base_config().search_grid() == (32, 32)
+        assert md.PRESETS["base"]().search_grid() == (32, 32)
         assert md.tiny_config().search_grid() == (16, 16)
 
 
@@ -166,8 +172,8 @@ class TestForward:
         z2 = rng.random((3, 64, 64), dtype=np.float32)
         tr1: dict = {}
         tr2: dict = {}
-        md.forward(m, z1, x, trace=tr1)
-        md.forward(m, z2, x, trace=tr2)
+        md.run_backbone(m, z1, x, trace=tr1)
+        md.run_backbone(m, z2, x, trace=tr2)
         np.testing.assert_array_equal(tr1[("block", 1, 1, "x")], tr2[("block", 1, 1, "x")])
         np.testing.assert_array_equal(tr1[("block", 2, 1, "x")], tr2[("block", 2, 1, "x")])
         np.testing.assert_array_equal(tr1[("block", 3, 1, "x")], tr2[("block", 3, 1, "x")])
@@ -175,15 +181,12 @@ class TestForward:
         assert np.abs(tr1[("block", 3, 4, "x")] - tr2[("block", 3, 4, "x")]).max() > 0
 
     def test_resume_backbone_is_bit_exact(self, rng):
-        from sbtrack import blocks as bl
-
+        """Both branches resumed from their snapshots after (3, 2)."""
         m = md.build_model(md.tiny_config(), seed=0)
         z, x = tiny_inputs(rng)
         trace: dict = {}
         fz, fx = md.run_backbone(m, z, x, trace=trace)
-        rz = bl.FeatureMap(eg.tensor(trace[("block", 3, 2, "z")]))
-        rx = bl.FeatureMap(eg.tensor(trace[("block", 3, 2, "x")]))
-        fz2, fx2 = md.run_backbone(m, rz, rx, after=(3, 2))
+        fz2, fx2 = md.run_backbone(m, snapshot(trace, 3, 2, "z"), snapshot(trace, 3, 2, "x"))
         np.testing.assert_array_equal(fz.tensor.data, fz2.tensor.data)
         np.testing.assert_array_equal(fx.tensor.data, fx2.tensor.data)
 
@@ -264,7 +267,7 @@ class TestTemplatePrefix:
         trace: dict = {}
         md.run_backbone(m, z, x, trace=trace)
         prefix = md.template_prefix(m, z)
-        assert prefix.after == (3, 1) and prefix.pad_kind == "zeros"
+        assert prefix.after == (3, 1)
         assert np.array_equal(prefix.features.tensor.data, trace[("block", 3, 1, "z")])
         no_ca = md.build_model(PREFIX_CONFIGS["no_ca"], seed=0)
         assert md.template_prefix(no_ca, z).after == (3, 4)  # every step
@@ -274,25 +277,30 @@ class TestTemplatePrefix:
         z, x = tiny_inputs(rng)
         full: dict = {}
         cached: dict = {}
-        md.forward(m, z, x, trace=full)
-        md.forward(m, md.template_prefix(m, z), x, trace=cached)
+        md.run_backbone(m, z, x, trace=full)
+        md.run_backbone(m, md.template_prefix(m, z), x, trace=cached)
         assert set(cached) == {k for k in full if k[-1] == "x" or k[1:-1] > (3, 1)}
         for k, v in cached.items():
             assert np.array_equal(v, full[k])
 
-    def test_prefix_under_another_pad_kind_raises(self, rng):
+    def test_prefix_with_a_search_snapshot_at_the_same_step(self, rng):
         m = md.build_model(md.tiny_config(), seed=0)
         z, x = tiny_inputs(rng)
-        with pytest.raises(ValueError, match="pad kind"):
-            md.forward(m, md.template_prefix(m, z, pad_kind="circular"), x)
-        with pytest.raises(ValueError, match="pad kind"):
-            md.forward(m, md.template_prefix(m, z), x, pad_kind="circular")
+        trace: dict = {}
+        fz, fx = md.run_backbone(m, z, x, trace=trace)
+        gz, gx = md.run_backbone(m, md.template_prefix(m, z), snapshot(trace, 3, 1, "x"))
+        assert np.array_equal(gz.tensor.data, fz.tensor.data)
+        assert np.array_equal(gx.tensor.data, fx.tensor.data)
 
-    def test_prefix_does_not_resume(self, rng):
+    @pytest.mark.parametrize("z_at, x_at", [((3, 2), (3, 1)), ((3, 1), (3, 3)), ((3, 4), (2, 1))])
+    def test_branches_at_different_steps_before_a_ca_block_raise(self, rng, z_at, x_at):
         m = md.build_model(md.tiny_config(), seed=0)
         z, x = tiny_inputs(rng)
-        with pytest.raises(ValueError, match="after"):
-            md.run_backbone(m, md.template_prefix(m, z), x, after=(1, 0))
+        trace: dict = {}
+        md.run_backbone(m, z, x, trace=trace)
+        z_state, x_state = snapshot(trace, *z_at, "z"), snapshot(trace, *x_at, "x")
+        with pytest.raises(ValueError, match="needs both branches"):
+            md.run_backbone(m, z_state, x_state)
 
     def test_prefix_checks_the_template_size(self, rng):
         m = md.build_model(md.tiny_config(), seed=0)
@@ -324,7 +332,7 @@ class TestConfigSerialization:
         assert back == cfg
 
     def test_file_roundtrip(self, tmp_path):
-        cfg = md.light_config()
+        cfg = md.PRESETS["light"]()
         md.save_config(cfg, tmp_path / "light.yaml")
         assert md.load_config(tmp_path / "light.yaml") == cfg
 

@@ -148,30 +148,32 @@ class TestPixelwiseCorrelation:
 class TestShiftProbe:
     @pytest.fixture(scope="class")
     def probe_setup(self):
+        """The same weights (same seed) under circular and zero padding."""
         cfg = md.with_reduction(md.tiny_config(), 1)
-        model = md.build_model(cfg, seed=11)
+        circular = md.build_model(dataclasses.replace(cfg, pad_mode="circular"), seed=11)
+        zeros = md.build_model(cfg, seed=11)
         rng = np.random.default_rng(0)
         z = rng.random((3, 64, 64), dtype=np.float32)
         x = rng.random((3, 128, 128), dtype=np.float32)
-        return model, z, x
+        return circular, zeros, z, x
 
     def test_zero_shift_residual_zero(self, probe_setup):
-        model, z, x = probe_setup
-        assert orc.shift_equivariance_probe(model, z, x, 0, 0, pad_mode="circular") == 0.0
+        circular, _, z, x = probe_setup
+        assert orc.shift_equivariance_probe(circular, z, x, 0, 0) == 0.0
 
     def test_circular_one_token_shift(self, probe_setup):
-        model, z, x = probe_setup
-        res = orc.shift_equivariance_probe(model, z, x, 8, 0, pad_mode="circular")
+        circular, _, z, x = probe_setup
+        res = orc.shift_equivariance_probe(circular, z, x, 8, 0)
         assert res < 1e-3
 
     def test_zero_pad_strictly_worse(self, probe_setup):
-        model, z, x = probe_setup
-        circ = orc.shift_equivariance_probe(model, z, x, 8, 8, pad_mode="circular")
-        padded = orc.shift_equivariance_probe(model, z, x, 8, 8, pad_mode="zeros")
+        circular, zeros, z, x = probe_setup
+        circ = orc.shift_equivariance_probe(circular, z, x, 8, 8)
+        padded = orc.shift_equivariance_probe(zeros, z, x, 8, 8)
         assert padded > circ
 
     def test_non_stride_shift_rejected(self, probe_setup):
-        model, z, x = probe_setup
+        model, _, z, x = probe_setup
         with pytest.raises(ValueError):
             orc.shift_equivariance_probe(model, z, x, 3, 0)
 

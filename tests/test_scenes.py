@@ -1,6 +1,7 @@
 """Synthetic scenes: determinism, suite splits and the disk formats."""
 
 import numpy as np
+import pytest
 
 from sbtrack import scenes
 
@@ -44,6 +45,14 @@ class TestSuite:
             evals = {s.seed for s in suite.eval}
             assert len(train) == len(evals) == 4
             assert not train & evals
+
+
+    def test_train_split_past_the_eval_seeds_raises(self, monkeypatch):
+        monkeypatch.setattr(scenes, "generate_sequence", lambda cfg, seed: seed)
+        suite = scenes.make_suite(scenes.SceneConfig(), 10_000, 3, seed=0)
+        assert max(suite.train) < min(suite.eval)
+        with pytest.raises(ValueError, match="n_train"):
+            scenes.make_suite(scenes.SceneConfig(), 10_001, 3, seed=0)
 
 
 class TestDiskFormats:

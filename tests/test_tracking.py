@@ -155,6 +155,21 @@ class TestRunTracker:
         assert len(first) == len(short_sequence.frames)
         assert tk.run_tracker(m, short_sequence) == first
 
+    def test_perfect_maps_score_ao_one(self, monkeypatch):
+        """On a static scene without distractors, the maps that assign_targets
+        makes for the target centred in every search crop track it exactly."""
+        cfg = scenes.SceneConfig(distractors=0, speed=(0.0, 0.0), motion_sigma=0.0)
+        seq = scenes.generate_sequence(cfg, 3)
+        m = md.build_model(md.tiny_config(), seed=1)
+        _, meta = tk.crop_region(seq.frames[0], seq.gt[0], 4.0, m.config.search_size)
+        target = assign_targets(meta.to_crop(seq.gt[0]), m.config.search_grid(),
+                                float(m.config.search_size))
+        perfect = (eg.tensor(target.labels[None]), eg.tensor(target.reg))
+        monkeypatch.setattr(md, "forward", lambda model, z, x: perfect)
+        boxes = tk.run_tracker(m, seq)
+        metrics = tk.compute_metrics(boxes[1:], seq.gt[1:])
+        assert metrics.ao > 0.999 and metrics.sr75 == 1.0
+
     def test_non_finite_network_keeps_previous_box(self, short_sequence):
         m = md.build_model(md.tiny_config(), seed=1)
         m.cls_head.out_bias.data[:] = np.nan
