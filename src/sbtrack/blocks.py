@@ -19,7 +19,7 @@ then get a gradient again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,78 +132,67 @@ class MixMlpWeights:
 
 @dataclass
 class HeadWeights:
-    blocks: list[MixMlpWeights] = field(default_factory=list)
-    out_weight: Tensor = None  # type: ignore[assignment]  # [c, out_channels]
-    out_bias: Tensor = None  # type: ignore[assignment]
+    blocks: list[MixMlpWeights]
+    out_weight: Tensor  # [c, out_channels]
+    out_bias: Tensor
 
 
-# -- initialization -----------------------------------------------------------
+# -- parameter tables ({field: shape} in field order) and initialization ------
 
 
-def _tn(rng, shape, dtype):
-    return eg.parameter(eg.truncated_normal(rng, shape, std=0.02, dtype=dtype))
+def patch_embed_shapes(c_in: int, c_out: int, kernel: int) -> dict[str, tuple[int, ...]]:
+    return {"weight": (c_out, c_in, kernel, kernel), "bias": (c_out,), "gamma": (c_out,),
+            "beta": (c_out,)}
 
 
-def _zeros(shape, dtype):
-    return eg.parameter(np.zeros(shape, dtype=dtype))
+def block_shapes(cfg: AttnConfig) -> dict[str, tuple[int, ...]]:
+    c, hidden, r = cfg.dim, 4 * cfg.dim, cfg.reduction
+    shapes = {"norm1_gamma": (c,), "norm1_beta": (c,)}
+    for proj in ("q", "k", "v", "out"):
+        shapes.update({f"{proj}_weight": (c, c), f"{proj}_bias": (c,)})
+    shapes.update(norm2_gamma=(c,), norm2_beta=(c,), fc1_weight=(c, hidden), fc1_bias=(hidden,),
+                  pe_weight=(hidden, 3, 3), pe_bias=(hidden,), fc2_weight=(hidden, c), fc2_bias=(c,))
+    if r > 1:
+        shapes.update(reduce_weight=(c, c, r, r), reduce_bias=(c,), reduce_gamma=(c,), reduce_beta=(c,))
+    return shapes
 
 
-def _ones(shape, dtype):
-    return eg.parameter(np.ones(shape, dtype=dtype))
+def mix_mlp_shapes(c: int, n_tokens: int) -> dict[str, tuple[int, ...]]:
+    return {"channel_weight": (c, c), "channel_bias": (c,), "spatial_weight": (n_tokens, n_tokens),
+            "spatial_bias": (n_tokens,)}
+
+
+def initial_value(rng, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    """A fresh parameter by its name: truncated normal (std 0.02, clipped at
+    two sigma) for weights, ones for layer-norm gains, zeros otherwise.  Only
+    weights draw from `rng`.
+
+    Head spatial mixing starts at identity, so a fresh head is translation-
+    equivariant and its signal is not crushed by two stacked near-zero maps.
+    The identity acts on the channel ReLU's non-negative output, which the
+    leaky activation after it passes unchanged, as a plain ReLU would.
+    """
+    if name.endswith("spatial_weight"):
+        return np.eye(shape[0], dtype=dtype)
+    if name.endswith("weight"):
+        return eg.truncated_normal(rng, shape, std=0.02, dtype=dtype)
+    return (np.ones if name.endswith("gamma") else np.zeros)(shape, dtype=dtype)
+
+
+def _init(rng, shapes: dict[str, tuple[int, ...]], dtype) -> dict[str, Tensor]:
+    return {name: eg.parameter(initial_value(rng, name, shape, dtype)) for name, shape in shapes.items()}
 
 
 def init_patch_embed(rng, c_in: int, c_out: int, kernel: int, dtype=np.float32) -> PatchEmbedWeights:
-    return PatchEmbedWeights(
-        weight=_tn(rng, (c_out, c_in, kernel, kernel), dtype),
-        bias=_zeros(c_out, dtype),
-        gamma=_ones(c_out, dtype),
-        beta=_zeros(c_out, dtype),
-    )
+    return PatchEmbedWeights(**_init(rng, patch_embed_shapes(c_in, c_out, kernel), dtype))
 
 
 def init_block_weights(rng, cfg: AttnConfig, dtype=np.float32) -> BlockWeights:
-    c = cfg.dim
-    hidden = 4 * c
-    w = BlockWeights(
-        norm1_gamma=_ones(c, dtype), norm1_beta=_zeros(c, dtype),
-        q_weight=_tn(rng, (c, c), dtype), q_bias=_zeros(c, dtype),
-        k_weight=_tn(rng, (c, c), dtype), k_bias=_zeros(c, dtype),
-        v_weight=_tn(rng, (c, c), dtype), v_bias=_zeros(c, dtype),
-        out_weight=_tn(rng, (c, c), dtype), out_bias=_zeros(c, dtype),
-        norm2_gamma=_ones(c, dtype), norm2_beta=_zeros(c, dtype),
-        fc1_weight=_tn(rng, (c, hidden), dtype), fc1_bias=_zeros(hidden, dtype),
-        pe_weight=_tn(rng, (hidden, 3, 3), dtype), pe_bias=_zeros(hidden, dtype),
-        fc2_weight=_tn(rng, (hidden, c), dtype), fc2_bias=_zeros(c, dtype),
-    )
-    if cfg.reduction > 1:
-        r = cfg.reduction
-        w.reduce_weight = _tn(rng, (c, c, r, r), dtype)
-        w.reduce_bias = _zeros(c, dtype)
-        w.reduce_gamma = _ones(c, dtype)
-        w.reduce_beta = _zeros(c, dtype)
-    return w
+    return BlockWeights(**_init(rng, block_shapes(cfg), dtype))
 
 
 def init_mix_mlp(rng, c: int, n_tokens: int, dtype=np.float32) -> MixMlpWeights:
-    # Spatial mixing starts at identity: the freshly built head is then
-    # translation-equivariant, and the signal reaching the output layer is
-    # not crushed by two stacked near-zero linear maps.  The identity acts on
-    # the non-negative output of the channel ReLU, so the leaky activation
-    # after it passes that input unchanged and a fresh head's output is the
-    # same as under a plain ReLU.
-    return MixMlpWeights(
-        channel_weight=_tn(rng, (c, c), dtype),
-        channel_bias=_zeros(c, dtype),
-        spatial_weight=eg.parameter(np.eye(n_tokens, dtype=dtype)),
-        spatial_bias=_zeros(n_tokens, dtype),
-    )
-
-
-def init_head(rng, c: int, n_tokens: int, depth: int, out_channels: int, dtype=np.float32) -> HeadWeights:
-    head = HeadWeights(blocks=[init_mix_mlp(rng, c, n_tokens, dtype) for _ in range(depth)])
-    head.out_weight = _tn(rng, (c, out_channels), dtype)
-    head.out_bias = _zeros(out_channels, dtype)
-    return head
+    return MixMlpWeights(**_init(rng, mix_mlp_shapes(c, n_tokens), dtype))
 
 
 # -- operations ---------------------------------------------------------------

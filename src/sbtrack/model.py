@@ -11,14 +11,15 @@ left/top/right/bottom distance map, both through a sigmoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from . import blocks as bl
 from . import engine as eg
-from .blocks import CA, SA, AttnConfig, BlockWeights, FeatureMap, HeadWeights, PatchEmbedWeights
+from .blocks import (CA, SA, AttnConfig, BlockWeights, FeatureMap, HeadWeights, MixMlpWeights,
+                     PatchEmbedWeights)
 from .engine import ShapeError, Tensor
 
 
@@ -183,6 +184,31 @@ def classifier_config(name: str, num_classes: int, image_size: int = 224) -> Mod
 # -- model -------------------------------------------------------------------
 
 
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, without allocating any.  The order is
+    the weight file's order and the order in which `build_model` draws."""
+    shapes: dict[str, tuple[int, ...]] = {}
+
+    def add(prefix: str, table: dict[str, tuple[int, ...]]) -> None:
+        shapes.update((f"{prefix}.{name}", shape) for name, shape in table.items())
+
+    c_in = 3
+    for si, st in enumerate(config.stages, 1):
+        add(f"stage{si}.patch", bl.patch_embed_shapes(c_in, st.channels, st.kernel))
+        for bi in range(1, st.depth + 1):
+            add(f"stage{si}.block{bi}", bl.block_shapes(st.attn))
+        c_in = st.channels
+    if config.is_classifier:
+        add("classifier", {"weight": (c_in, config.num_classes), "bias": (config.num_classes,)})
+        return shapes
+    hs, ws = config.search_grid()
+    for head, out_channels in (("cls", 1), ("reg", 4)):
+        for mi in range(1, config.head_depth + 1):
+            add(f"head.{head}.mmb{mi}", bl.mix_mlp_shapes(c_in, hs * ws))
+        add(f"head.{head}", {"out_weight": (c_in, out_channels), "out_bias": (out_channels,)})
+    return shapes
+
+
 @dataclass
 class StageWeights:
     patch: PatchEmbedWeights
@@ -191,73 +217,54 @@ class StageWeights:
 
 @dataclass
 class Model:
+    """A config and its parameters: `params` maps the names of
+    `parameter_shapes(config)` to tensors, in that order.  `stages`, the heads
+    and the classifier are views of the same tensors, grouped by container."""
+
     config: ModelConfig
-    stages: list[StageWeights]
-    cls_head: HeadWeights | None = None
-    reg_head: HeadWeights | None = None
-    classifier_weight: Tensor | None = None
-    classifier_bias: Tensor | None = None
-    dtype: type = np.float32
+    params: dict[str, Tensor]
+    stages: list[StageWeights] = field(init=False)
+    cls_head: HeadWeights | None = field(init=False, default=None)
+    reg_head: HeadWeights | None = field(init=False, default=None)
+    classifier_weight: Tensor | None = field(init=False, default=None)
+    classifier_bias: Tensor | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        groups: dict[str, dict[str, Tensor]] = {}  # container name -> {field: tensor}
+        for name, t in self.params.items():
+            owner, _, fname = name.rpartition(".")
+            groups.setdefault(owner, {})[fname] = t
+        cfg = self.config
+        self.stages = [StageWeights(PatchEmbedWeights(**groups[f"stage{si}.patch"]),
+                                    [BlockWeights(**groups[f"stage{si}.block{bi}"])
+                                     for bi in range(1, st.depth + 1)])
+                       for si, st in enumerate(cfg.stages, 1)]
+        if cfg.is_classifier:
+            self.classifier_weight, self.classifier_bias = (groups["classifier"][k] for k in ("weight", "bias"))
+            return
+        self.cls_head, self.reg_head = (
+            HeadWeights([MixMlpWeights(**groups[f"head.{head}.mmb{mi}"])
+                         for mi in range(1, cfg.head_depth + 1)], **groups[f"head.{head}"])
+            for head in ("cls", "reg"))
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for si, sw in enumerate(self.stages, 1):
-            for fname, t in vars(sw.patch).items():
-                out[f"stage{si}.patch.{fname}"] = t
-            for bi, bw in enumerate(sw.blocks, 1):
-                for fname, t in vars(bw).items():
-                    if t is not None:
-                        out[f"stage{si}.block{bi}.{fname}"] = t
-        for head_name, head in (("cls", self.cls_head), ("reg", self.reg_head)):
-            if head is None:
-                continue
-            for mi, mw in enumerate(head.blocks, 1):
-                for fname, t in vars(mw).items():
-                    out[f"head.{head_name}.mmb{mi}.{fname}"] = t
-            out[f"head.{head_name}.out_weight"] = head.out_weight
-            out[f"head.{head_name}.out_bias"] = head.out_bias
-        if self.classifier_weight is not None:
-            out["classifier.weight"] = self.classifier_weight
-            out["classifier.bias"] = self.classifier_bias
-        return out
+        return dict(self.params)
 
     def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
+        return list(self.params.values())
 
 
 def parameter_count(model: Model) -> int:
     return sum(t.size for t in model.parameters())
 
 
-def backbone_parameter_count(model: Model) -> int:
-    """Stage parameters only (patch embeddings + blocks, no heads)."""
-    return sum(t.size for name, t in model.named_parameters().items() if name.startswith("stage"))
-
-
-def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
-    """Deterministic construction: truncated-normal weights with std 0.02
-    clipped at two sigma, zero biases, unit layer-norm gains.  Head spatial
-    mixing starts at identity (see blocks.init_mix_mlp)."""
+def build_model(config: ModelConfig, seed: int = 0) -> Model:
+    """Deterministic construction: every entry of `parameter_shapes(config)`,
+    in order, takes `blocks.initial_value` from one rng seeded with `seed`."""
     config.validate()
     rng = np.random.default_rng(seed)
-    stages: list[StageWeights] = []
-    c_in = 3
-    for st in config.stages:
-        patch = bl.init_patch_embed(rng, c_in, st.channels, st.kernel, dtype=dtype)
-        blocks = [bl.init_block_weights(rng, st.attn, dtype=dtype) for _ in range(st.depth)]
-        stages.append(StageWeights(patch=patch, blocks=blocks))
-        c_in = st.channels
-    model = Model(config=config, stages=stages, dtype=dtype)
-    if config.is_classifier:
-        model.classifier_weight = eg.parameter(
-            eg.truncated_normal(rng, (c_in, config.num_classes), std=0.02, dtype=dtype))
-        model.classifier_bias = eg.parameter(np.zeros(config.num_classes, dtype=dtype))
-    else:
-        hs, ws = config.search_grid()
-        n_tokens = hs * ws
-        model.cls_head = bl.init_head(rng, c_in, n_tokens, config.head_depth, 1, dtype=dtype)
-        model.reg_head = bl.init_head(rng, c_in, n_tokens, config.head_depth, 4, dtype=dtype)
-    return model
+    return Model(config, {name: eg.parameter(bl.initial_value(rng, name, shape))
+                          for name, shape in parameter_shapes(config).items()})
 
 
 # -- forward -----------------------------------------------------------------
@@ -268,13 +275,13 @@ def _check_image(img, size: int, what: str) -> None:
         raise ShapeError(f"{what} image must be (3, {size}, {size}), got {tuple(img.shape)}")
 
 
-def _as_input(f, dtype) -> Tensor:
+def _as_input(f) -> Tensor:
     """A patch embedding's input as a tensor: an image, or the previous stage's features."""
     if isinstance(f, FeatureMap):
         return f.tensor
     if isinstance(f, Tensor):
         return f
-    return eg.tensor(np.asarray(f), dtype=dtype)
+    return eg.tensor(np.asarray(f))
 
 
 def _schedule(model: Model):
@@ -314,9 +321,9 @@ def _walk(model: Model, z, x=None, trace: dict | None = None,
             continue
         if bi == 0:
             if run_z:
-                fz = bl.patch_embed(_as_input(fz, model.dtype), w, st.stride, pad)
+                fz = bl.patch_embed(_as_input(fz), w, st.stride, pad)
             if run_x:
-                fx = bl.patch_embed(_as_input(fx, model.dtype), w, st.stride, pad)
+                fx = bl.patch_embed(_as_input(fx), w, st.stride, pad)
             key = ("embed", si)
         else:
             mode = CA if bi in st.ca_positions else SA
@@ -406,7 +413,7 @@ def forward_classification(model: Model, img) -> Tensor:
         raise ConfigError("model was not built with num_classes > 0")
     if len(cfg.stages) != 4:
         raise ConfigError("classification pre-training expects a 4-stage config")
-    img = _as_input(img, model.dtype)
+    img = _as_input(img)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected a (3, H, W) image, got {tuple(img.shape)}")
     f = _walk(model, img)[0].features  # a classifier has no CA block, so every step runs

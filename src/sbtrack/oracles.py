@@ -171,8 +171,7 @@ def serial_hierarchy_trace(model, z, x) -> SerialTrace:
         residual = 0.0
         for si, bi in ca_blocks:
             snap_z, snap_x = (
-                md.BranchState(FeatureMap(eg.tensor(trace[("block", si, bi, b)], dtype=model.dtype)),
-                               (si, bi))
+                md.BranchState(FeatureMap(eg.tensor(trace[("block", si, bi, b)])), (si, bi))
                 for b in ("z", "x"))
             rz, rx = md.run_backbone(model, snap_z, snap_x)
             cls2, reg2 = md.run_heads(model, rz, rx)

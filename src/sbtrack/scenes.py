@@ -170,16 +170,18 @@ def _paint(frame, actor):
 
 
 def _push_apart(actor, target, min_gap=2.0):
-    """Move a distractor off the target when occlusion is disabled."""
+    """Move a distractor off the target when occlusion is disabled: along the
+    axis of least overlap, to `min_gap` past the target's edge on the side of
+    the distractor's centre.  The push may leave it partly outside the frame."""
     tb, db = target.box(), actor.box()
     overlap_x = min(tb.x2, db.x2) - max(tb.x1, db.x1) + min_gap
     overlap_y = min(tb.y2, db.y2) - max(tb.y1, db.y1) + min_gap
     if overlap_x <= 0 or overlap_y <= 0:
         return
     if overlap_x < overlap_y:
-        actor.pos[0] += overlap_x if db.cx >= tb.cx else -overlap_x
+        actor.pos[0] += tb.x2 - db.x1 + min_gap if db.cx >= tb.cx else -(db.x2 - tb.x1 + min_gap)
     else:
-        actor.pos[1] += overlap_y if db.cy >= tb.cy else -overlap_y
+        actor.pos[1] += tb.y2 - db.y1 + min_gap if db.cy >= tb.cy else -(db.y2 - tb.y1 + min_gap)
 
 
 def generate_sequence(cfg: SceneConfig, seed: int) -> Sequence:

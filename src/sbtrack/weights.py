@@ -7,10 +7,13 @@ Layout (all integers little-endian u32):
     | extent per axis | float32 payload
 
 The config lets ``load_weights(path)`` rebuild the model without a side
-channel.  A file is read into memory once and parsed from that buffer; every
-declared length (config, name, extents, payload) is checked against the
-bytes left before anything is taken or allocated, so a corrupt header
-raises `FormatError` instead of asking for memory it cannot fill.
+channel: `model.parameter_shapes` of that config names every tensor the file
+must hold and its shape, so the file is checked before any parameter is
+made, and the parameters then wrap the file's own arrays.  A file is read
+into memory once and parsed from that buffer; every declared length
+(config, name, extents, payload) is checked against the bytes left before
+anything is taken or allocated, so a corrupt header raises `FormatError`
+instead of asking for memory it cannot fill.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
+from . import engine as eg
 from . import model as md
 from .model import Model
 
@@ -132,22 +136,6 @@ def read_weight_file(path) -> tuple[md.ModelConfig, dict[str, np.ndarray]]:
     return config, tensors
 
 
-def _assign(model: Model, tensors: dict[str, np.ndarray]) -> LoadReport:
-    params = model.named_parameters()
-    report = LoadReport()
-    for name, arr in tensors.items():
-        t = params.get(name)
-        if t is None:
-            report.skipped.append(name)
-            continue
-        if tuple(arr.shape) != tuple(t.shape):
-            raise LoadError(f"shape mismatch for {name}: file {arr.shape} vs model {t.shape}")
-        t.data[:] = arr.astype(model.dtype)
-        report.loaded.append(name)
-    report.missing = [n for n in params if n not in tensors]
-    return report
-
-
 def load_weights_into(model: Model, path) -> LoadReport:
     """Assign file tensors to model parameters by name.
 
@@ -156,17 +144,34 @@ def load_weights_into(model: Model, path) -> LoadReport:
     error.  Returns what was loaded / skipped / left at init.
     """
     _, tensors = read_weight_file(path)
-    return _assign(model, tensors)
+    params = model.named_parameters()
+    report = LoadReport()
+    for name, arr in tensors.items():
+        t = params.get(name)
+        if t is None:
+            report.skipped.append(name)
+            continue
+        if arr.shape != t.shape:
+            raise LoadError(f"shape mismatch for {name}: file {arr.shape} vs model {t.shape}")
+        t.data[:] = arr
+        report.loaded.append(name)
+    report.missing = [n for n in params if n not in tensors]
+    return report
 
 
 def load_weights(path) -> Model:
     """Rebuild the model from a file written by `save_weights`.
 
-    Uses the file's config; every model tensor must be present.
+    The file's tensors are checked against `model.parameter_shapes` of the
+    file's own config before any parameter is made: a missing tensor or a
+    shape clash raises `LoadError`, and tensors the config does not name are
+    ignored.  The parameters then wrap the file's arrays; nothing is drawn.
     """
     config, tensors = read_weight_file(path)
-    model = md.build_model(config, seed=0)
-    report = _assign(model, tensors)
-    if report.missing:
-        raise LoadError(f"file incomplete for its own config: missing {report.missing[:5]}")
-    return model
+    shapes = md.parameter_shapes(config)
+    for name, shape in shapes.items():
+        if name not in tensors:
+            raise LoadError(f"file incomplete for its own config: no {name}")
+        if tensors[name].shape != shape:
+            raise LoadError(f"shape mismatch for {name}: file {tensors[name].shape} vs config {shape}")
+    return Model(config, {name: eg.parameter(tensors[name]) for name in shapes})

@@ -1,6 +1,8 @@
 """Model assembly, config plumbing, and weight-file persistence tests."""
 
+import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +129,61 @@ class TestBuild:
         assert all(st.reduction == 1 for st in cfg.stages)
         m = md.build_model(cfg, seed=0)
         assert m.stages[0].blocks[0].reduce_weight is None
+
+
+ALL_CONFIGS = {**md.PRESETS, **{f"{name}-cls": lambda name=name: md.classifier_config(name, 10)
+                                for name in md.PRESETS}}
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("name", ALL_CONFIGS)
+    def test_shapes_are_the_built_models_in_order(self, name):
+        cfg = ALL_CONFIGS[name]()
+        built = md.build_model(cfg, seed=0).named_parameters()
+        assert list(md.parameter_shapes(cfg).items()) == [(n, t.shape) for n, t in built.items()]
+
+    def test_load_weights_draws_nothing(self, tmp_path, monkeypatch):
+        m = md.build_model(md.tiny_config(), seed=2)
+        path = tmp_path / "m.sbtw"
+        wio.save_weights(m, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_weights drew a random init")
+
+        monkeypatch.setattr(eg, "truncated_normal", no_draws)
+        loaded = wio.load_weights(path).named_parameters()
+        assert list(loaded) == list(m.named_parameters())
+        for name, t in m.named_parameters().items():
+            np.testing.assert_array_equal(loaded[name].data, t.data)
+
+    def test_loaded_parameters_are_writable(self, tmp_path):
+        path = tmp_path / "m.sbtw"
+        wio.save_weights(md.build_model(md.tiny_config(), seed=0), path)
+        m = wio.load_weights(path)
+        for t in m.parameters():
+            assert t.requires_grad and t.data.flags.writeable
+        m.stages[0].patch.weight.data -= 1.0  # an optimizer step updates in place
+        np.testing.assert_array_equal(m.named_parameters()["stage1.patch.weight"].data,
+                                      m.stages[0].patch.weight.data)
+
+    def test_header_deeper_than_the_file_raises_before_building(self, tmp_path):
+        cfg = md.tiny_config()
+        path = tmp_path / "m.sbtw"
+        wio.save_weights(md.build_model(cfg, seed=0), path)
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", raw, 8)
+        deep_stage3 = dataclasses.replace(cfg.stages[2], depth=40)
+        deep = dataclasses.replace(cfg, stages=(*cfg.stages[:2], deep_stage3))
+        text = md.config_to_text(deep).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + cfg_len :])
+        tracemalloc.start()
+        try:
+            with pytest.raises(wio.LoadError, match="stage3.block5"):
+                wio.load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(raw)
 
 
 class TestForward:

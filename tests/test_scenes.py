@@ -36,6 +36,38 @@ class TestGenerate:
         assert 0.0 <= frame.min() and frame.max() <= 1.0
 
 
+def meets(a, b):
+    return min(a.x2, b.x2) > max(a.x1, b.x1) and min(a.y2, b.y2) > max(a.y1, b.y1)
+
+
+class TestPushApart:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_clears_a_target_the_distractor_spans(self, axis, side):
+        """The distractor (30 px) spans the target (10 px) along the axis it is pushed on."""
+
+        def actor(along, across, offset):
+            size = (across, along) if axis == 0 else (along, across)  # mask is [h, w]
+            pos = np.array([50.0, 50.0])
+            pos[axis] += offset
+            return scenes._Actor("rectangle", np.zeros((3, *size), np.float32), np.ones(size, bool),
+                                 pos, np.zeros(2))
+
+        target, distractor = actor(10, 30, 0.0), actor(30, 30, 2.0 * side)
+        scenes._push_apart(distractor, target, min_gap=2.0)
+        tb, db = target.box(), distractor.box()
+        lo, hi = ("x1", "x2") if axis == 0 else ("y1", "y2")
+        gap = getattr(db, lo) - getattr(tb, hi) if side > 0 else getattr(tb, lo) - getattr(db, hi)
+        assert not meets(tb, db)
+        assert gap == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("seed", [48, 139])
+    def test_no_frame_puts_a_distractor_on_the_target(self, seed):
+        seq = scenes.generate_sequence(scenes.SceneConfig(), seed)
+        assert not [t for t, (gt, ds) in enumerate(zip(seq.gt, seq.distractors))
+                    if any(meets(gt, d) for d in ds)]
+
+
 class TestSuite:
     def test_train_and_eval_share_no_seed(self):
         cfg = scenes.SceneConfig(length=1)
