@@ -9,6 +9,13 @@ allocated itself, never into an input's data.  Calling ``backward`` on a
 scalar walks the recorded graph once in reverse topological order and
 accumulates gradients into every reachable tensor that asked for them.
 
+An op is its forward array plus one partial per operand: a function from
+the output gradient to that operand's gradient.  The op hands both to
+`_op`, which alone decides whether the op is recorded (grad enabled and
+some operand requires grad), which operands receive a gradient (those that
+require grad) and how each gradient is summed back over the axes its
+operand was broadcast along.
+
 Thread-safety contract: a single forward/backward graph is owned by one
 thread; tensors that do not require grad are never mutated by the engine
 and may be shared freely; independent graphs may run concurrently.
@@ -41,9 +48,7 @@ __all__ = [
     "sum_",
     "mean_",
     "abs_",
-    "exp",
     "log",
-    "sqrt",
     "maximum",
     "minimum",
     "clip",
@@ -102,21 +107,6 @@ class Tensor:
         self._parents: tuple = ()
         self._grad_fn = None
 
-    # -- construction ----------------------------------------------------
-
-    @staticmethod
-    def _from_op(data: np.ndarray, parents, grad_fn) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        live = _grad_enabled() and any(p.requires_grad for p in parents)
-        out.requires_grad = live
-        out._parents = tuple(parents) if live else ()
-        out._grad_fn = grad_fn if live else None
-        return out
-
-    # -- bookkeeping ------------------------------------------------------
-
     @property
     def shape(self):
         return self.data.shape
@@ -148,36 +138,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={'set' if self.grad is not None else 'none'})"
 
-    # -- operator sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return tensor_slice(self, idx)
 
@@ -199,6 +159,12 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as tensors; a number takes the other's dtype."""
+    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
+    return a, _as_tensor(b, a)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     if g.shape == shape:
@@ -210,6 +176,41 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+def _op(data: np.ndarray, operands, *partials):
+    """The result of an op with forward array `data`.
+
+    ``partials[i](g)`` maps the output gradient `g` to the gradient of
+    ``operands[i]`` at the output's shape; it runs only for an operand that
+    requires grad, and its result is summed back to that operand's shape.
+    A None operand (an absent bias) is skipped with its partial.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    out._parents = ()
+    out._grad_fn = None
+    if not _grad_enabled():
+        return out
+    parents = operands if None not in operands else tuple([t for t in operands if t is not None])
+    # a loop rather than any() over a generator: this runs once per op
+    for t in parents:
+        if t.requires_grad:
+            break
+    else:
+        return out
+
+    def grad_fn(g):
+        for t, partial in zip(operands, partials):
+            if t is not None and t.requires_grad:
+                t._accumulate(_unbroadcast(partial(g), t.shape))
+
+    out.requires_grad = True
+    out._parents = parents
+    out._grad_fn = grad_fn
+    return out
 
 
 # -- padding -------------------------------------------------------------
@@ -282,59 +283,24 @@ def _unpad_adjoint(gp: np.ndarray, pad: PadMode, h: int, w: int) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    out_data = a.data + b.data
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-
-    return Tensor._from_op(out_data, (a, b), grad_fn)
+    a, b = _operands(a, b)
+    return _op(a.data + b.data, (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    out_data = a.data - b.data
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-    return Tensor._from_op(out_data, (a, b), grad_fn)
+    a, b = _operands(a, b)
+    return _op(a.data - b.data, (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    out_data = a.data * b.data
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return Tensor._from_op(out_data, (a, b), grad_fn)
+    a, b = _operands(a, b)
+    return _op(a.data * b.data, (a, b), lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    out_data = a.data / b.data
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return Tensor._from_op(out_data, (a, b), grad_fn)
+    a, b = _operands(a, b)
+    return _op(a.data / b.data, (a, b), lambda g: g / b.data,
+               lambda g: -g * a.data / (b.data * b.data))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -345,69 +311,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs matching 2d/3d ranks, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2] or (a.ndim == 3 and a.shape[0] != b.shape[0]):
         raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad:
-            b._accumulate(a.data.swapaxes(-1, -2) @ g)
-
-    return Tensor._from_op(out_data, (a, b), grad_fn)
+    return _op(a.data @ b.data, (a, b), lambda g: g @ b.data.swapaxes(-1, -2),
+               lambda g: a.data.swapaxes(-1, -2) @ g)
 
 
 def transpose(t: Tensor, axes=None) -> Tensor:
     t = _as_tensor(t)
     axes = tuple(axes) if axes is not None else tuple(reversed(range(t.ndim)))
-    out_data = t.data.transpose(axes)
-
-    def grad_fn(g):
-        if t.requires_grad:
-            t._accumulate(g.transpose(np.argsort(axes)))
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _op(t.data.transpose(axes), (t,), lambda g: g.transpose(np.argsort(axes)))
 
 
 def reshape(t: Tensor, shape) -> Tensor:
     t = _as_tensor(t)
-    out_data = t.data.reshape(shape)
-
-    def grad_fn(g):
-        if t.requires_grad:
-            t._accumulate(g.reshape(t.shape))
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _op(t.data.reshape(shape), (t,), lambda g: g.reshape(t.shape))
 
 
 def tensor_slice(t: Tensor, idx) -> Tensor:
     """Basic slicing (views copied); gradient scatters back into place."""
     t = _as_tensor(t)
-    out_data = np.ascontiguousarray(t.data[idx])
 
-    def grad_fn(g):
-        if t.requires_grad:
-            full = np.zeros_like(t.data)
-            full[idx] += g
-            t._accumulate(full)
+    def scatter(g):
+        full = np.zeros_like(t.data)
+        full[idx] += g
+        return full
 
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _op(np.ascontiguousarray(t.data[idx]), (t,), scatter)
 
 
 def sum_(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     t = _as_tensor(t)
-    out_data = t.data.sum(axis=axis, keepdims=keepdims)
 
-    def grad_fn(g):
-        if not t.requires_grad:
-            return
-        if axis is None:
-            t._accumulate(np.broadcast_to(g, t.shape).astype(t.data.dtype))
-            return
-        if not keepdims:
+    def spread(g):
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        t._accumulate(np.broadcast_to(g, t.shape).astype(t.data.dtype))
+        return np.broadcast_to(g, t.shape).astype(t.data.dtype)
 
-    return Tensor._from_op(np.asarray(out_data), (t,), grad_fn)
+    return _op(np.asarray(t.data.sum(axis=axis, keepdims=keepdims)), (t,), spread)
 
 
 def mean_(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -418,90 +357,39 @@ def mean_(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def abs_(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    out_data = np.abs(t.data)
     sign = np.sign(t.data)
-
-    def grad_fn(g):
-        if t.requires_grad:
-            t._accumulate(g * sign)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
-
-
-def exp(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    out_data = np.exp(t.data)
-
-    def grad_fn(g):
-        if t.requires_grad:
-            t._accumulate(g * out_data)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _op(np.abs(t.data), (t,), lambda g: g * sign)
 
 
 def log(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    out_data = np.log(t.data)
-
-    def grad_fn(g):
-        if t.requires_grad:
-            t._accumulate(g / t.data)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _op(np.log(t.data), (t,), lambda g: g / t.data)
 
 
-def sqrt(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    out_data = np.sqrt(t.data)
-
-    def grad_fn(g):
-        if t.requires_grad:
-            t._accumulate(g * 0.5 / out_data)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+def _pick(a, b, pick, a_wins, b_wins) -> Tensor:
+    """`pick` (np.maximum or np.minimum) of two operands.  The gradient goes
+    to the operand that `a_wins`/`b_wins` names; exact ties and NaNs split it
+    evenly."""
+    a, b = _operands(a, b)
+    out_data = pick(a.data, b.data)
+    wa = np.where(a_wins(a.data, b.data), 1.0,
+                  np.where(b_wins(a.data, b.data), 0.0, 0.5)).astype(out_data.dtype)
+    return _op(out_data, (a, b), lambda g: g * wa, lambda g: g * (1.0 - wa))
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; exact ties split the gradient evenly."""
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    out_data = np.maximum(a.data, b.data)
-    wa = np.where(a.data > b.data, 1.0, np.where(a.data < b.data, 0.0, 0.5)).astype(out_data.dtype)
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * wa, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * (1.0 - wa), b.shape))
-
-    return Tensor._from_op(out_data, (a, b), grad_fn)
+    return _pick(a, b, np.maximum, np.greater, np.less)
 
 
 def minimum(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    out_data = np.minimum(a.data, b.data)
-    wa = np.where(a.data < b.data, 1.0, np.where(a.data > b.data, 0.0, 0.5)).astype(out_data.dtype)
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * wa, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * (1.0 - wa), b.shape))
-
-    return Tensor._from_op(out_data, (a, b), grad_fn)
+    return _pick(a, b, np.minimum, np.less, np.greater)
 
 
 def clip(t: Tensor, lo: float, hi: float) -> Tensor:
     t = _as_tensor(t)
-    out_data = np.clip(t.data, lo, hi)
     inside = (t.data >= lo) & (t.data <= hi)
-
-    def grad_fn(g):
-        if t.requires_grad:
-            t._accumulate(g * inside)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _op(np.clip(t.data, lo, hi), (t,), lambda g: g * inside)
 
 
 # -- activations ----------------------------------------------------------
@@ -511,26 +399,15 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def relu(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    out_data = np.maximum(t.data, 0.0)
-
-    def grad_fn(g):
-        if t.requires_grad:
-            t._accumulate(g * (t.data > 0))
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _op(np.maximum(t.data, 0.0), (t,), lambda g: g * (t.data > 0))
 
 
 def leaky_relu(t: Tensor, slope: float) -> Tensor:
     """x where x > 0, else slope * x; like relu, the slope-1 branch is x > 0 only."""
     t = _as_tensor(t)
     positive = t.data > 0
-    out_data = np.where(positive, t.data, slope * t.data)
-
-    def grad_fn(g):
-        if t.requires_grad:
-            t._accumulate(np.where(positive, g, slope * g))
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _op(np.where(positive, t.data, slope * t.data), (t,),
+               lambda g: np.where(positive, g, slope * g))
 
 
 def gelu(t: Tensor) -> Tensor:
@@ -545,14 +422,12 @@ def gelu(t: Tensor) -> Tensor:
     np.tanh(th, out=th)
     half_1p = th + 1.0
     half_1p *= 0.5
-    out_data = x * half_1p
 
-    def grad_fn(g):
-        if t.requires_grad:
-            d_inner = _GELU_C * (1.0 + 0.134145 * x2)
-            t._accumulate(g * (half_1p + 0.5 * x * (1.0 - th * th) * d_inner))
+    def grad_x(g):
+        d_inner = _GELU_C * (1.0 + 0.134145 * x2)
+        return g * (half_1p + 0.5 * x * (1.0 - th * th) * d_inner)
 
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _op(x * half_1p, (t,), grad_x)
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -560,12 +435,7 @@ def sigmoid(t: Tensor) -> Tensor:
     x = t.data
     e = np.exp(-np.abs(x))
     out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
-
-    def grad_fn(g):
-        if t.requires_grad:
-            t._accumulate(g * out_data * (1.0 - out_data))
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _op(out_data, (t,), lambda g: g * out_data * (1.0 - out_data))
 
 
 def softmax_last_dim(t: Tensor) -> Tensor:
@@ -575,12 +445,11 @@ def softmax_last_dim(t: Tensor) -> Tensor:
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
 
-    def grad_fn(g):
-        if t.requires_grad:
-            dot = (g * s).sum(axis=-1, keepdims=True)
-            t._accumulate(s * (g - dot))
+    def grad_t(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        return s * (g - dot)
 
-    return Tensor._from_op(s, (t,), grad_fn)
+    return _op(s, (t,), grad_t)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: int = -1) -> Tensor:
@@ -607,21 +476,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: 
     xhat *= inv
     np.multiply(xhat, gb, out=out_data)
     out_data += bb
+    red = tuple(i for i in range(x.ndim) if i != ax)
 
-    def grad_fn(g):
-        if gamma.requires_grad:
-            red = tuple(i for i in range(x.ndim) if i != ax)
-            gamma._accumulate((g * xhat).sum(axis=red))
-        if beta.requires_grad:
-            red = tuple(i for i in range(x.ndim) if i != ax)
-            beta._accumulate(g.sum(axis=red))
-        if x.requires_grad:
-            dxhat = g * gb
-            m1 = dxhat.mean(axis=ax, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
-            x._accumulate(inv * (dxhat - m1 - xhat * m2))
+    def grad_x(g):
+        dxhat = g * gb
+        m1 = dxhat.mean(axis=ax, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
+        return inv * (dxhat - m1 - xhat * m2)
 
-    return Tensor._from_op(out_data, (x, gamma, beta), grad_fn)
+    return _op(out_data, (x, gamma, beta), grad_x, lambda g: (g * xhat).sum(axis=red),
+               lambda g: g.sum(axis=red))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -630,25 +494,16 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     weight = _as_tensor(weight, x)
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: {x.shape} with weight {weight.shape}")
-    lead = x.shape[:-1]
+    dout = weight.shape[1]
     x2 = x.data.reshape(-1, x.shape[-1])
     out = x2 @ weight.data
     if bias is not None:
         bias = _as_tensor(bias, x)
         out += bias.data
-    out_data = out.reshape(*lead, weight.shape[1])
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def grad_fn(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            x._accumulate((g2 @ weight.data.T).reshape(x.shape))
-        if weight.requires_grad:
-            weight._accumulate(x2.T @ g2)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0))
-
-    return Tensor._from_op(out_data, parents, grad_fn)
+    return _op(out.reshape(*x.shape[:-1], dout), (x, weight, bias),
+               lambda g: (g.reshape(-1, dout) @ weight.data.T).reshape(x.shape),
+               lambda g: x2.T @ g.reshape(-1, dout),
+               lambda g: g.reshape(-1, dout).sum(axis=0))
 
 
 # -- convolutions ----------------------------------------------------------
@@ -690,33 +545,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     if bias is not None:
         bias = _as_tensor(bias, x)
         out += bias.data
-    out_data = out.T.reshape(c_out, ho, wo)  # channels-last view of the GEMM output
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
-    def grad_fn(g):
-        gmat = g.reshape(c_out, ho * wo).T  # [ho*wo, c_out]
-        if weight.requires_grad:
-            weight._accumulate((gmat.T @ cols).reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(gmat.sum(axis=0))
-        if x.requires_grad:
-            gcols = (gmat @ wmat).reshape(ho, wo, c_in, k, k).transpose(2, 0, 1, 3, 4)
-            gxp = np.zeros_like(xp)
-            for ki in range(k):
-                for kj in range(k):
-                    gxp[:, ki : ki + (ho - 1) * stride + 1 : stride,
-                        kj : kj + (wo - 1) * stride + 1 : stride] += gcols[:, :, :, ki, kj]
-            x._accumulate(_unpad_adjoint(gxp, pad, h, w))
+    def rows(g):  # [ho*wo, c_out]
+        return g.reshape(c_out, ho * wo).T
 
-    return Tensor._from_op(out_data, parents, grad_fn)
+    def grad_x(g):
+        gcols = (rows(g) @ wmat).reshape(ho, wo, c_in, k, k).transpose(2, 0, 1, 3, 4)
+        gxp = np.zeros_like(xp)
+        for ki in range(k):
+            for kj in range(k):
+                gxp[:, ki : ki + (ho - 1) * stride + 1 : stride,
+                    kj : kj + (wo - 1) * stride + 1 : stride] += gcols[:, :, :, ki, kj]
+        return _unpad_adjoint(gxp, pad, h, w)
+
+    # the output is a channels-last view of the GEMM output
+    return _op(out.T.reshape(c_out, ho, wo), (x, weight, bias), grad_x,
+               lambda g: (rows(g).T @ cols).reshape(weight.shape),
+               lambda g: rows(g).sum(axis=0))
 
 
 def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
     """The kernel behind both depthwise ops: channel c of x [c, h, w], padded
     by `pad`, cross-correlated with kernel[c] of kernel [c, kh, kw].
 
-    Returns the [c, h + 2p - kh + 1, w + 2p - kw + 1] output and the function
-    that accumulates an output gradient into `x` and `kernel`.
+    Returns the [c, h + 2p - kh + 1, w + 2p - kw + 1] output and the partials
+    of `x` and of `kernel`.
 
     The padded input is held channels-last as a flat [hp * wp, c] buffer, in
     which tap (ki, kj) of every output position is the same row shifted by
@@ -742,26 +595,30 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
         acc[:n] += scratch
     out_data = acc.reshape(ho, wp, c)[:, :wo].transpose(2, 0, 1)
 
-    def grad_fn(g):
+    def flat(g):
+        """The output gradient in the flat output rows, and a scratch buffer."""
         gl = np.zeros((ho, wp, c), dtype=xflat.dtype)
         gl[:, :wo] = g.transpose(1, 2, 0)  # wrap columns stay zero
-        gflat = gl.reshape(ho * wp, c)[:n]
-        scratch = np.empty((n, c), dtype=xflat.dtype)
-        if kernel.requires_grad:
-            gw = np.empty((c, kh, kw), dtype=xflat.dtype)
-            for ki, kj, s in shifts:
-                np.multiply(xflat[s : s + n], gflat, out=scratch)
-                gw[:, ki, kj] = scratch.sum(axis=0)
-            kernel._accumulate(gw)
-        if x.requires_grad:
-            gxflat = np.zeros((hp * wp, c), dtype=xflat.dtype)
-            for ki, kj, s in shifts:
-                np.multiply(gflat, wk[:, ki, kj], out=scratch)
-                gxflat[s : s + n] += scratch
-            gxp = gxflat.reshape(hp, wp, c).transpose(2, 0, 1)
-            x._accumulate(_unpad_adjoint(gxp, pad, h, w))
+        return gl.reshape(ho * wp, c)[:n], np.empty((n, c), dtype=xflat.dtype)
 
-    return out_data, grad_fn
+    def grad_x(g):
+        gflat, scratch = flat(g)
+        gxflat = np.zeros((hp * wp, c), dtype=xflat.dtype)
+        for ki, kj, s in shifts:
+            np.multiply(gflat, wk[:, ki, kj], out=scratch)
+            gxflat[s : s + n] += scratch
+        gxp = gxflat.reshape(hp, wp, c).transpose(2, 0, 1)
+        return _unpad_adjoint(gxp, pad, h, w)
+
+    def grad_kernel(g):
+        gflat, scratch = flat(g)
+        gw = np.empty((c, kh, kw), dtype=xflat.dtype)
+        for ki, kj, s in shifts:
+            np.multiply(xflat[s : s + n], gflat, out=scratch)
+            gw[:, ki, kj] = scratch.sum(axis=0)
+        return gw
+
+    return out_data, grad_x, grad_kernel
 
 
 def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -777,20 +634,13 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError("depthwise kernels must be square and odd")
     if x.ndim != 3 or x.shape[0] != c:
         raise ShapeError(f"depthwise channel mismatch: {x.shape} vs {weight.shape}")
-    out_data, xcorr_grad = _per_channel_xcorr(x, weight, pad)
+    out_data, grad_x, grad_weight = _per_channel_xcorr(x, weight, pad)
     if bias is not None:
         bias = _as_tensor(bias, x)
         # a new array rather than in place: the kernel's output is a view
         # with gaps, and the ops that read this one run faster on a compact one
         out_data = out_data + bias.data[:, None, None]
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def grad_fn(g):
-        xcorr_grad(g)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(1, 2)))
-
-    return Tensor._from_op(out_data, parents, grad_fn)
+    return _op(out_data, (x, weight, bias), grad_x, grad_weight, lambda g: g.sum(axis=(1, 2)))
 
 
 def depthwise_xcorr(template: Tensor, search: Tensor, pad: PadMode = PadMode.valid()) -> Tensor:
@@ -803,8 +653,8 @@ def depthwise_xcorr(template: Tensor, search: Tensor, pad: PadMode = PadMode.val
     search = _as_tensor(search, template)
     if template.ndim != 3 or search.ndim != 3 or template.shape[0] != search.shape[0]:
         raise ShapeError(f"xcorr operands disagree: {template.shape} vs {search.shape}")
-    out_data, grad_fn = _per_channel_xcorr(search, template, pad)
-    return Tensor._from_op(out_data, (template, search), grad_fn)
+    out_data, grad_search, grad_template = _per_channel_xcorr(search, template, pad)
+    return _op(out_data, (template, search), grad_template, grad_search)
 
 
 # -- backward pass ----------------------------------------------------------

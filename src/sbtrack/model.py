@@ -76,10 +76,6 @@ class ModelConfig:
         g = self.search_size // self.total_stride
         return (g, g)
 
-    def template_grid(self) -> tuple[int, int]:
-        g = self.template_size // self.total_stride
-        return (g, g)
-
     def validate(self) -> None:
         if not self.stages:
             raise ConfigError("at least one stage required")
@@ -87,6 +83,12 @@ class ModelConfig:
             raise ConfigError(f"pad_mode must be zeros/circular, got {self.pad_mode!r}")
         if self.head_input not in ("search", "dwcorr"):
             raise ConfigError(f"head_input must be search/dwcorr, got {self.head_input!r}")
+        if self.num_classes < 0 or self.head_depth < 0:
+            raise ConfigError(f"num_classes and head_depth must be >= 0, got {self.num_classes}, "
+                              f"{self.head_depth}")
+        if min(self.template_size, self.search_size) < 1:
+            raise ConfigError(f"image sizes must be >= 1, got template {self.template_size}, "
+                              f"search {self.search_size}")
         for i, st in enumerate(self.stages, 1):
             if st.stride not in (1, 2, 4):
                 raise ConfigError(f"stage {i}: stride must be 1, 2 or 4")
@@ -171,6 +173,8 @@ def classifier_config(name: str, num_classes: int, image_size: int = 224) -> Mod
     """Four-stage single-branch variant for classification pre-training."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}")
+    if num_classes < 1:
+        raise ConfigError(f"a classifier needs num_classes >= 1, got {num_classes}")
     if name == "tiny":
         stage4 = StageConfig(kernel=3, channels=128, stride=2, depth=2, heads=4, reduction=1)
     else:

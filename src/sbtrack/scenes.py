@@ -255,6 +255,10 @@ def read_ppm(path) -> np.ndarray:
     if not m:
         raise ValueError(f"{path}: not a binary PPM")
     w, h, maxval = (int(g) for g in m.groups())
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"{path}: maxval {maxval} outside 1..255 (one byte per sample)")
+    if len(data) - m.end() < w * h * 3:
+        raise ValueError(f"{path}: {len(data) - m.end()} bytes of pixel data, {w}x{h} needs {w * h * 3}")
     pixels = np.frombuffer(data[m.end() :], dtype=np.uint8, count=w * h * 3)
     return (pixels.reshape(h, w, 3).transpose(2, 0, 1) / float(maxval)).astype(np.float32)
 

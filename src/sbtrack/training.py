@@ -71,6 +71,8 @@ class TrainConfig:
             raise ValueError("backbone lr must not exceed head lr")
         if self.batch < 1 or self.steps < 0:
             raise ValueError("batch must be >= 1 and steps >= 0")
+        if self.probe_every < 1:
+            raise ValueError(f"probe_every must be >= 1, got {self.probe_every}")
 
 
 # -- target assignment -----------------------------------------------------------

@@ -37,6 +37,16 @@ def test_dwcorr_head_correlates_once(selftest):
     assert module.check_dwcorr(sb) == []
 
 
+def test_tracer_finds_every_engine_op(selftest):
+    """The tracer finds ops by their `-> Tensor` annotation; an op that lost
+    it would silently drop out of every trace."""
+    from test_engine import NOT_OPS
+    import tracer
+
+    _, sb = selftest
+    assert sorted(tracer.engine_ops(sb.engine)) == sorted(set(sb.engine.__all__) - NOT_OPS)
+
+
 def test_correctness_gate_passes(selftest):
     """Maps, features and the first training step against `reference.npz`,
     plus the oracle table."""

@@ -81,6 +81,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             md.ModelConfig(name="bad", stages=(st,), template_size=8, search_size=16).validate()
 
+    @pytest.mark.parametrize("field,value", [("num_classes", -2), ("template_size", 0),
+                                             ("search_size", 0), ("head_depth", -1)])
+    def test_out_of_range_sizes_and_counts(self, field, value):
+        d = md.config_to_dict(md.tiny_config())
+        d[field] = value
+        with pytest.raises(md.ConfigError, match=field.split("_")[0]):
+            md.config_from_dict(d)
+
+    @pytest.mark.parametrize("num_classes", [0, -3])
+    def test_classifier_needs_a_class(self, num_classes):
+        with pytest.raises(md.ConfigError, match="num_classes"):
+            md.classifier_config("tiny", num_classes)
+
+    @pytest.mark.parametrize("name", sorted(md.PRESETS))
+    def test_presets_and_their_classifiers_validate(self, name):
+        md.PRESETS[name]().validate()
+        cfg = md.classifier_config(name, 10)
+        cfg.validate()
+        assert cfg.is_classifier
+
 
 class TestBuild:
     def test_deterministic_given_seed(self):

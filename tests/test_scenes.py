@@ -95,6 +95,19 @@ class TestDiskFormats:
         assert back.shape == img.shape and back.dtype == np.float32
         np.testing.assert_allclose(back, img, rtol=0, atol=1 / 255)
 
+    @pytest.mark.parametrize("maxval", [65535, 256, 0])
+    def test_ppm_maxval_outside_one_byte_raises(self, tmp_path, maxval):
+        path = tmp_path / "wide.ppm"
+        path.write_bytes(f"P6\n5 4\n{maxval}\n".encode("ascii") + bytes(5 * 4 * 3 * 2))
+        with pytest.raises(ValueError, match=f"wide.ppm.*maxval {maxval}"):
+            scenes.read_ppm(path)
+
+    def test_ppm_short_pixel_data_raises(self, tmp_path):
+        path = tmp_path / "short.ppm"
+        path.write_bytes(b"P6\n5 4\n255\n" + bytes(5 * 4 * 3 - 1))
+        with pytest.raises(ValueError, match="short.ppm: 59 bytes"):
+            scenes.read_ppm(path)
+
     def test_sequence_round_trip(self, tmp_path):
         seq = scenes.generate_sequence(SHORT, 2)
         scenes.write_sequence(seq, tmp_path / "seq")

@@ -222,6 +222,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tr.TrainConfig(lr_head=1e-4, lr_backbone=1e-3)
 
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_probe_every_must_be_positive(self, every):
+        with pytest.raises(ValueError, match="probe_every"):
+            tr.TrainConfig(probe_every=every)
+
 
 def _toy_dataset(rng, n=3, search=128, template=64):
     out = []
