@@ -15,6 +15,10 @@ activation leaks because a token's spatial column and bias are shared by all
 of its channels: training can push that token's pre-activation below zero in
 every channel at once, and under a plain ReLU nothing upstream of it would
 then get a gradient again.
+
+A block's weights are a plain dict: its entries of the model's parameter
+table, keyed by the names of its shape table below (`w["q_weight"]`).  The
+shape tables are the only place that knows a block's parameter layout.
 """
 
 from __future__ import annotations
@@ -85,58 +89,6 @@ def map_of(tokens: Tensor, grid: tuple[int, int]) -> FeatureMap:
     return FeatureMap(eg.reshape(eg.transpose(tokens, (1, 0)), (c, h, w)))
 
 
-# -- weight containers ------------------------------------------------------
-
-
-@dataclass
-class PatchEmbedWeights:
-    weight: Tensor  # [c_out, c_in, k, k]
-    bias: Tensor
-    gamma: Tensor
-    beta: Tensor
-
-
-@dataclass
-class BlockWeights:
-    norm1_gamma: Tensor
-    norm1_beta: Tensor
-    q_weight: Tensor
-    q_bias: Tensor
-    k_weight: Tensor
-    k_bias: Tensor
-    v_weight: Tensor
-    v_bias: Tensor
-    out_weight: Tensor
-    out_bias: Tensor
-    norm2_gamma: Tensor
-    norm2_beta: Tensor
-    fc1_weight: Tensor
-    fc1_bias: Tensor
-    pe_weight: Tensor  # depthwise 3x3 on the hidden channels
-    pe_bias: Tensor
-    fc2_weight: Tensor
-    fc2_bias: Tensor
-    reduce_weight: Tensor | None = None  # present only when reduction > 1
-    reduce_bias: Tensor | None = None
-    reduce_gamma: Tensor | None = None
-    reduce_beta: Tensor | None = None
-
-
-@dataclass
-class MixMlpWeights:
-    channel_weight: Tensor  # [c, c], shared across positions
-    channel_bias: Tensor
-    spatial_weight: Tensor  # [n_tokens, n_tokens], shared across channels
-    spatial_bias: Tensor
-
-
-@dataclass
-class HeadWeights:
-    blocks: list[MixMlpWeights]
-    out_weight: Tensor  # [c, out_channels]
-    out_bias: Tensor
-
-
 # -- parameter tables ({field: shape} in field order) and initialization ------
 
 
@@ -179,39 +131,26 @@ def initial_value(rng, name: str, shape: tuple[int, ...], dtype=np.float32) -> n
     return (np.ones if name.endswith("gamma") else np.zeros)(shape, dtype=dtype)
 
 
-def _init(rng, shapes: dict[str, tuple[int, ...]], dtype) -> dict[str, Tensor]:
+def init_params(rng, shapes: dict[str, tuple[int, ...]], dtype=np.float32) -> dict[str, Tensor]:
+    """A fresh parameter for every entry of a shape table, drawn in its order."""
     return {name: eg.parameter(initial_value(rng, name, shape, dtype)) for name, shape in shapes.items()}
-
-
-def init_patch_embed(rng, c_in: int, c_out: int, kernel: int, dtype=np.float32) -> PatchEmbedWeights:
-    return PatchEmbedWeights(**_init(rng, patch_embed_shapes(c_in, c_out, kernel), dtype))
-
-
-def init_block_weights(rng, cfg: AttnConfig, dtype=np.float32) -> BlockWeights:
-    return BlockWeights(**_init(rng, block_shapes(cfg), dtype))
-
-
-def init_mix_mlp(rng, c: int, n_tokens: int, dtype=np.float32) -> MixMlpWeights:
-    return MixMlpWeights(**_init(rng, mix_mlp_shapes(c, n_tokens), dtype))
 
 
 # -- operations ---------------------------------------------------------------
 
 
-def patch_embed(img: Tensor, weights: PatchEmbedWeights, stride: int,
-                pad_kind: str = "zeros") -> FeatureMap:
+def patch_embed(img: Tensor, w: dict[str, Tensor], stride: int, pad_kind: str = "zeros") -> FeatureMap:
     """Overlapping-patch embedding: strided conv then per-position layer norm."""
-    k = weights.weight.shape[-1]
-    pad = PadMode.same(pad_kind, k)
-    h, w = img.shape[1], img.shape[2]
-    if h % stride or w % stride:
-        raise ShapeError(f"input {h}x{w} not divisible by stride {stride}")
-    out = eg.conv2d(img, weights.weight, weights.bias, stride=stride, pad=pad)
-    out = eg.layer_norm(out, weights.gamma, weights.beta, axis=0)
+    pad = PadMode.same(pad_kind, w["weight"].shape[-1])
+    h, wd = img.shape[1], img.shape[2]
+    if h % stride or wd % stride:
+        raise ShapeError(f"input {h}x{wd} not divisible by stride {stride}")
+    out = eg.conv2d(img, w["weight"], w["bias"], stride=stride, pad=pad)
+    out = eg.layer_norm(out, w["gamma"], w["beta"], axis=0)
     return FeatureMap(out)
 
 
-def _kv_tokens(f: FeatureMap, cfg: AttnConfig, w: BlockWeights) -> Tensor:
+def _kv_tokens(f: FeatureMap, cfg: AttnConfig, w: dict[str, Tensor]) -> Tensor:
     """Key/value source tokens, spatially reduced when cfg.reduction > 1."""
     r = cfg.reduction
     if r == 1:
@@ -219,9 +158,9 @@ def _kv_tokens(f: FeatureMap, cfg: AttnConfig, w: BlockWeights) -> Tensor:
     h, wd = f.grid
     if h % r or wd % r:
         raise ShapeError(f"reduction {r} does not divide grid {f.grid}")
-    red = eg.conv2d(f.tensor, w.reduce_weight, w.reduce_bias, stride=r, pad=PadMode.valid())
+    red = eg.conv2d(f.tensor, w["reduce_weight"], w["reduce_bias"], stride=r, pad=PadMode.valid())
     tok = tokens_of(FeatureMap(red))
-    return eg.layer_norm(tok, w.reduce_gamma, w.reduce_beta, axis=-1)
+    return eg.layer_norm(tok, w["reduce_gamma"], w["reduce_beta"], axis=-1)
 
 
 def _split_heads(tok: Tensor, cfg: AttnConfig) -> Tensor:
@@ -234,23 +173,17 @@ def _merge_heads(att: Tensor, cfg: AttnConfig) -> Tensor:
     return eg.reshape(eg.transpose(att, (1, 0, 2)), (t, cfg.dim))
 
 
-def qkv_project(f: FeatureMap, which: str, cfg: AttnConfig, weights: BlockWeights) -> Tensor:
+def qkv_project(f: FeatureMap, which: str, cfg: AttnConfig, w: dict[str, Tensor]) -> Tensor:
     """Project one branch's features to per-head tokens [heads, tokens, head_dim].
 
     Queries keep the full grid; keys/values see the reduced grid.
     """
     if f.channels != cfg.dim:
         raise ShapeError(f"feature dim {f.channels} != config dim {cfg.dim}")
-    if which == "q":
-        tok = tokens_of(f)
-        proj = eg.linear(tok, weights.q_weight, weights.q_bias)
-    elif which == "k":
-        proj = eg.linear(_kv_tokens(f, cfg, weights), weights.k_weight, weights.k_bias)
-    elif which == "v":
-        proj = eg.linear(_kv_tokens(f, cfg, weights), weights.v_weight, weights.v_bias)
-    else:
+    if which not in ("q", "k", "v"):
         raise ValueError(f"which must be q/k/v, got {which!r}")
-    return _split_heads(proj, cfg)
+    tok = tokens_of(f) if which == "q" else _kv_tokens(f, cfg, w)
+    return _split_heads(eg.linear(tok, w[f"{which}_weight"], w[f"{which}_bias"]), cfg)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int) -> Tensor:
@@ -271,24 +204,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int) -> Tensor:
     return out
 
 
-def _norm1(f: FeatureMap, weights: BlockWeights) -> FeatureMap:
-    return FeatureMap(eg.layer_norm(f.tensor, weights.norm1_gamma, weights.norm1_beta, axis=0))
+def _norm1(f: FeatureMap, w: dict[str, Tensor]) -> FeatureMap:
+    return FeatureMap(eg.layer_norm(f.tensor, w["norm1_gamma"], w["norm1_beta"], axis=0))
 
 
 def _attended_residual(f_raw: FeatureMap, f_q: FeatureMap, f_kv: FeatureMap,
-                       cfg: AttnConfig, weights: BlockWeights) -> FeatureMap:
+                       cfg: AttnConfig, w: dict[str, Tensor]) -> FeatureMap:
     """f_raw + out_proj(Attn(q(f_q), k(f_kv), v(f_kv))) on f_q's grid."""
-    q = qkv_project(f_q, "q", cfg, weights)
-    k = qkv_project(f_kv, "k", cfg, weights)
-    v = qkv_project(f_kv, "v", cfg, weights)
+    q = qkv_project(f_q, "q", cfg, w)
+    k = qkv_project(f_kv, "k", cfg, w)
+    v = qkv_project(f_kv, "v", cfg, w)
     att = attention(q, k, v, cfg.head_dim)
-    out_tok = eg.linear(_merge_heads(att, cfg), weights.out_weight, weights.out_bias)
+    out_tok = eg.linear(_merge_heads(att, cfg), w["out_weight"], w["out_bias"])
     delta = map_of(out_tok, f_q.grid)
     return FeatureMap(eg.add(f_raw.tensor, delta.tensor))
 
 
 def eoc_attention(f_z: FeatureMap | None, f_x: FeatureMap | None, mode: str, cfg: AttnConfig,
-                  weights: BlockWeights, pre_norm: bool = True,
+                  w: dict[str, Tensor], pre_norm: bool = True,
                   ) -> tuple[FeatureMap | None, FeatureMap | None]:
     """Attention sub-layer updating both branches with shared weights.
 
@@ -306,32 +239,32 @@ def eoc_attention(f_z: FeatureMap | None, f_x: FeatureMap | None, mode: str, cfg
     if f_z is not None and f_x is not None and f_z.channels != f_x.channels:
         raise ShapeError(f"branch channels differ: {f_z.channels} vs {f_x.channels}")
 
-    nz = _norm1(f_z, weights) if pre_norm and f_z is not None else f_z
-    nx = _norm1(f_x, weights) if pre_norm and f_x is not None else f_x
+    nz = _norm1(f_z, w) if pre_norm and f_z is not None else f_z
+    nx = _norm1(f_x, w) if pre_norm and f_x is not None else f_x
     if mode == SA:
-        return tuple(None if f is None else _attended_residual(f, n, n, cfg, weights)
+        return tuple(None if f is None else _attended_residual(f, n, n, cfg, w)
                      for f, n in ((f_z, nz), (f_x, nx)))
-    return (_attended_residual(f_z, nz, nx, cfg, weights),
-            _attended_residual(f_x, nx, nz, cfg, weights))
+    return (_attended_residual(f_z, nz, nx, cfg, w),
+            _attended_residual(f_x, nx, nz, cfg, w))
 
 
-def mlp_cond_pe(f: FeatureMap, weights: BlockWeights, pad_kind: str = "zeros") -> FeatureMap:
+def mlp_cond_pe(f: FeatureMap, w: dict[str, Tensor], pad_kind: str = "zeros") -> FeatureMap:
     """Token MLP with a 3x3 depthwise conv injecting position before GELU."""
-    hidden = eg.linear(tokens_of(f), weights.fc1_weight, weights.fc1_bias)
+    hidden = eg.linear(tokens_of(f), w["fc1_weight"], w["fc1_bias"])
     hmap = map_of(hidden, f.grid)
-    hmap = FeatureMap(eg.depthwise_conv2d(hmap.tensor, weights.pe_weight, weights.pe_bias,
+    hmap = FeatureMap(eg.depthwise_conv2d(hmap.tensor, w["pe_weight"], w["pe_bias"],
                                           pad=PadMode.same(pad_kind, 3)))
-    out = eg.linear(tokens_of(FeatureMap(eg.gelu(hmap.tensor))), weights.fc2_weight, weights.fc2_bias)
+    out = eg.linear(tokens_of(FeatureMap(eg.gelu(hmap.tensor))), w["fc2_weight"], w["fc2_bias"])
     return map_of(out, f.grid)
 
 
-def _mlp_residual(f: FeatureMap, weights: BlockWeights, pad_kind: str) -> FeatureMap:
-    n = FeatureMap(eg.layer_norm(f.tensor, weights.norm2_gamma, weights.norm2_beta, axis=0))
-    return FeatureMap(eg.add(f.tensor, mlp_cond_pe(n, weights, pad_kind).tensor))
+def _mlp_residual(f: FeatureMap, w: dict[str, Tensor], pad_kind: str) -> FeatureMap:
+    n = FeatureMap(eg.layer_norm(f.tensor, w["norm2_gamma"], w["norm2_beta"], axis=0))
+    return FeatureMap(eg.add(f.tensor, mlp_cond_pe(n, w, pad_kind).tensor))
 
 
 def eoc_block(f_z: FeatureMap | None, f_x: FeatureMap | None, mode: str, cfg: AttnConfig,
-              weights: BlockWeights, pad_kind: str = "zeros",
+              w: dict[str, Tensor], pad_kind: str = "zeros",
               ) -> tuple[FeatureMap | None, FeatureMap | None]:
     """Full extract-or-correlate block: attention then conditional-PE MLP.
 
@@ -339,30 +272,31 @@ def eoc_block(f_z: FeatureMap | None, f_x: FeatureMap | None, mode: str, cfg: At
     `eoc_block(f, None, SA, ...)[0]` runs one image alone (the classifier,
     and the template before its first CA block).
     """
-    return tuple(None if f is None else _mlp_residual(f, weights, pad_kind)
-                 for f in eoc_attention(f_z, f_x, mode, cfg, weights))
+    return tuple(None if f is None else _mlp_residual(f, w, pad_kind)
+                 for f in eoc_attention(f_z, f_x, mode, cfg, w))
 
 
-def mix_mlp_block(f: FeatureMap, weights: MixMlpWeights) -> FeatureMap:
+def mix_mlp_block(f: FeatureMap, w: dict[str, Tensor]) -> FeatureMap:
     """Prediction-head block: channel mixing (linear+ReLU), then spatial mixing
     (linear+leaky ReLU, so that a token negative in every channel still passes
     a gradient to its spatial weights and bias and to everything upstream)."""
     n_tokens = f.token_count
-    if weights.spatial_weight.shape[0] != n_tokens:
-        raise ShapeError(
-            f"spatial mixing weight expects {weights.spatial_weight.shape[0]} tokens, got {n_tokens}")
+    expected = w["spatial_weight"].shape[0]
+    if expected != n_tokens:
+        raise ShapeError(f"spatial mixing weight expects {expected} tokens, got {n_tokens}")
     tok = tokens_of(f)
-    mixed_c = eg.relu(eg.linear(tok, weights.channel_weight, weights.channel_bias))
+    mixed_c = eg.relu(eg.linear(tok, w["channel_weight"], w["channel_bias"]))
     by_channel = eg.transpose(mixed_c, (1, 0))  # [c, n_tokens]
-    mixed_s = eg.leaky_relu(eg.linear(by_channel, weights.spatial_weight, weights.spatial_bias),
+    mixed_s = eg.leaky_relu(eg.linear(by_channel, w["spatial_weight"], w["spatial_bias"]),
                             SPATIAL_LEAK)
     return map_of(eg.transpose(mixed_s, (1, 0)), f.grid)
 
 
-def head_forward(f: FeatureMap, head: HeadWeights) -> Tensor:
-    """Stacked mix-MLP blocks then a per-token linear map; returns [out_c, h, w]."""
+def head_forward(f: FeatureMap, blocks: list[dict[str, Tensor]], out: dict[str, Tensor]) -> Tensor:
+    """Stacked mix-MLP blocks then the per-token linear map `out` (its
+    `out_weight` and `out_bias`); returns [out_c, h, w]."""
     cur = f
-    for blk in head.blocks:
-        cur = mix_mlp_block(cur, blk)
-    out_tok = eg.linear(tokens_of(cur), head.out_weight, head.out_bias)
+    for w in blocks:
+        cur = mix_mlp_block(cur, w)
+    out_tok = eg.linear(tokens_of(cur), out["out_weight"], out["out_bias"])
     return map_of(out_tok, f.grid).tensor

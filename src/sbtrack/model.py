@@ -7,19 +7,23 @@ in data flow"); blocks listed in `ca_positions` correlate the branches,
 all others extract within a branch.  The fused search features feed two
 mix-MLP prediction heads: a 1-channel foreground map and a 4-channel
 left/top/right/bottom distance map, both through a sigmoid.
+
+The weights are one parameter table, `parameter_shapes(config)`: each name
+is an owner ("stage2.block1") and a field of that owner's shape table in
+`blocks` ("q_weight").  A block reads its owner's entries as a dict keyed
+by those fields; the weight file, building and loading use the full names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
 
 from . import blocks as bl
 from . import engine as eg
-from .blocks import (CA, SA, AttnConfig, BlockWeights, FeatureMap, HeadWeights, MixMlpWeights,
-                     PatchEmbedWeights)
+from .blocks import CA, SA, AttnConfig, FeatureMap
 from .engine import ShapeError, Tensor
 
 
@@ -214,42 +218,21 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 @dataclass
-class StageWeights:
-    patch: PatchEmbedWeights
-    blocks: list[BlockWeights]
-
-
-@dataclass
 class Model:
     """A config and its parameters: `params` maps the names of
-    `parameter_shapes(config)` to tensors, in that order.  `stages`, the heads
-    and the classifier are views of the same tensors, grouped by container."""
+    `parameter_shapes(config)` to tensors, in that order.  `by_owner` indexes
+    the same tensors by owner, the name up to its last dot ("stage3.block2",
+    "head.cls.mmb1", "classifier"), as {field: tensor}: the dict a block reads."""
 
     config: ModelConfig
     params: dict[str, Tensor]
-    stages: list[StageWeights] = field(init=False)
-    cls_head: HeadWeights | None = field(init=False, default=None)
-    reg_head: HeadWeights | None = field(init=False, default=None)
-    classifier_weight: Tensor | None = field(init=False, default=None)
-    classifier_bias: Tensor | None = field(init=False, default=None)
+    by_owner: dict[str, dict[str, Tensor]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        groups: dict[str, dict[str, Tensor]] = {}  # container name -> {field: tensor}
+        self.by_owner = {}
         for name, t in self.params.items():
             owner, _, fname = name.rpartition(".")
-            groups.setdefault(owner, {})[fname] = t
-        cfg = self.config
-        self.stages = [StageWeights(PatchEmbedWeights(**groups[f"stage{si}.patch"]),
-                                    [BlockWeights(**groups[f"stage{si}.block{bi}"])
-                                     for bi in range(1, st.depth + 1)])
-                       for si, st in enumerate(cfg.stages, 1)]
-        if cfg.is_classifier:
-            self.classifier_weight, self.classifier_bias = (groups["classifier"][k] for k in ("weight", "bias"))
-            return
-        self.cls_head, self.reg_head = (
-            HeadWeights([MixMlpWeights(**groups[f"head.{head}.mmb{mi}"])
-                         for mi in range(1, cfg.head_depth + 1)], **groups[f"head.{head}"])
-            for head in ("cls", "reg"))
+            self.by_owner.setdefault(owner, {})[fname] = t
 
     def named_parameters(self) -> dict[str, Tensor]:
         return dict(self.params)
@@ -267,8 +250,7 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
     in order, takes `blocks.initial_value` from one rng seeded with `seed`."""
     config.validate()
     rng = np.random.default_rng(seed)
-    return Model(config, {name: eg.parameter(bl.initial_value(rng, name, shape))
-                          for name, shape in parameter_shapes(config).items()})
+    return Model(config, bl.init_params(rng, parameter_shapes(config)))
 
 
 # -- forward -----------------------------------------------------------------
@@ -292,10 +274,10 @@ def _schedule(model: Model):
     """The backbone's steps in forward order as (stage, block, stage config,
     weights), both indices 1-based except that block 0 is the stage's patch
     embedding."""
-    for si, (st, sw) in enumerate(zip(model.config.stages, model.stages), 1):
-        yield si, 0, st, sw.patch
-        for bi, bw in enumerate(sw.blocks, 1):
-            yield si, bi, st, bw
+    for si, st in enumerate(model.config.stages, 1):
+        yield si, 0, st, model.by_owner[f"stage{si}.patch"]
+        for bi in range(1, st.depth + 1):
+            yield si, bi, st, model.by_owner[f"stage{si}.block{bi}"]
 
 
 @dataclass(frozen=True)
@@ -388,9 +370,12 @@ def run_heads(model: Model, fz: FeatureMap, fx: FeatureMap) -> tuple[Tensor, Ten
         head_in = FeatureMap(eg.depthwise_xcorr(zc.tensor, fx.tensor, pad=pad))
     else:
         head_in = fx
-    cls = eg.sigmoid(bl.head_forward(head_in, model.cls_head))
-    reg = eg.sigmoid(bl.head_forward(head_in, model.reg_head))
-    return cls, reg
+
+    def head(h: str) -> Tensor:
+        blocks = [model.by_owner[f"head.{h}.mmb{i}"] for i in range(1, model.config.head_depth + 1)]
+        return eg.sigmoid(bl.head_forward(head_in, blocks, model.by_owner[f"head.{h}"]))
+
+    return head("cls"), head("reg")
 
 
 def forward(model: Model, z, x) -> tuple[Tensor, Tensor]:
@@ -422,61 +407,35 @@ def forward_classification(model: Model, img) -> Tensor:
         raise ShapeError(f"expected a (3, H, W) image, got {tuple(img.shape)}")
     f = _walk(model, img)[0].features  # a classifier has no CA block, so every step runs
     pooled = eg.mean_(eg.reshape(f.tensor, (f.channels, f.token_count)), axis=1)
-    return eg.linear(eg.reshape(pooled, (1, f.channels)), model.classifier_weight,
-                     model.classifier_bias)[0, :]
+    w = model.by_owner["classifier"]
+    return eg.linear(eg.reshape(pooled, (1, f.channels)), w["weight"], w["bias"])[0, :]
 
 
 # -- config serialization ------------------------------------------------------
 
 
+_STAGE_INTS = ("kernel", "channels", "stride", "depth", "heads", "reduction")
+
+
 def config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "template_size": cfg.template_size,
-        "search_size": cfg.search_size,
-        "head_depth": cfg.head_depth,
-        "pad_mode": cfg.pad_mode,
-        "num_classes": cfg.num_classes,
-        "head_input": cfg.head_input,
-        "stages": [
-            {
-                "kernel": st.kernel,
-                "channels": st.channels,
-                "stride": st.stride,
-                "depth": st.depth,
-                "heads": st.heads,
-                "reduction": st.reduction,
-                "ca_positions": list(st.ca_positions),
-            }
-            for st in cfg.stages
-        ],
-    }
+    """Every field in declaration order; the stages as lists of dicts."""
+    d = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "stages"}
+    d["stages"] = [{**{k: getattr(st, k) for k in _STAGE_INTS}, "ca_positions": list(st.ca_positions)}
+                   for st in cfg.stages]
+    return d
 
 
 def config_from_dict(d: dict) -> ModelConfig:
     try:
         stages = tuple(
-            StageConfig(
-                kernel=int(s["kernel"]),
-                channels=int(s["channels"]),
-                stride=int(s["stride"]),
-                depth=int(s["depth"]),
-                heads=int(s["heads"]),
-                reduction=int(s["reduction"]),
-                ca_positions=tuple(int(p) for p in s.get("ca_positions", ())),
-            )
+            StageConfig(**{k: int(s[k]) for k in _STAGE_INTS},
+                        ca_positions=tuple(int(p) for p in s.get("ca_positions", ())))
             for s in d["stages"]
         )
-        cfg = ModelConfig(
-            name=str(d.get("name", "custom")),
-            stages=stages,
-            template_size=int(d.get("template_size", 128)),
-            search_size=int(d.get("search_size", 256)),
-            head_depth=int(d.get("head_depth", 2)),
-            pad_mode=str(d.get("pad_mode", "zeros")),
-            num_classes=int(d.get("num_classes", 0)),
-            head_input=str(d.get("head_input", "search")),
-        )
+        # a field left out keeps its default, and the default's type converts a given value
+        rest = {f.name: type(f.default)(d[f.name]) for f in fields(ModelConfig)
+                if f.name not in ("name", "stages") and f.name in d}
+        cfg = ModelConfig(name=str(d.get("name", "custom")), stages=stages, **rest)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed model config: {exc}") from exc
     cfg.validate()

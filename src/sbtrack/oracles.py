@@ -215,11 +215,10 @@ def _eq8_equivalence(rng, trials: int) -> OracleResult:
         x = rng.standard_normal((c, hx, wx)).astype(np.float32)
 
         cfg = bl.AttnConfig(dim=c, heads=1, reduction=1)
-        w = bl.init_block_weights(rng, cfg)
-        for name in ("q_weight", "k_weight", "v_weight", "out_weight"):
-            getattr(w, name).data[:] = np.eye(c)
-        for name in ("q_bias", "k_bias", "v_bias", "out_bias"):
-            getattr(w, name).data[:] = 0
+        w = bl.init_params(rng, bl.block_shapes(cfg))
+        for proj in ("q", "k", "v", "out"):
+            w[f"{proj}_weight"].data[:] = np.eye(c)
+            w[f"{proj}_bias"].data[:] = 0
         with no_grad():
             _, fx = bl.eoc_attention(bl.FeatureMap(eg.tensor(z)), bl.FeatureMap(eg.tensor(x)),
                                      bl.CA, cfg, w, pre_norm=False)

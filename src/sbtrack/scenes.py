@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _SHAPES = ("rectangle", "ellipse", "triangle")
+_MARGIN = 4  # px between an actor's box and the frame edge
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,16 @@ class SceneConfig:
             raise ValueError("distractor count must be >= 0")
         if self.similarity not in ("easy", "hard"):
             raise ValueError(f"similarity must be easy/hard, got {self.similarity!r}")
+        if self.length < 1:
+            raise ValueError(f"length must be >= 1, got {self.length}")
+        if not 1 <= self.target_size[0] <= self.target_size[1]:
+            raise ValueError(f"target_size needs 1 <= min <= max, got {self.target_size}")
+        if self.frame_size < self.target_size[1] + 2 * _MARGIN:
+            raise ValueError(f"frame_size {self.frame_size} < max target side + 2 * {_MARGIN} px margin")
+        if not 0 <= self.speed[0] <= self.speed[1]:
+            raise ValueError(f"speed needs 0 <= min <= max, got {self.speed}")
+        if self.motion_sigma < 0:
+            raise ValueError(f"motion_sigma must be >= 0, got {self.motion_sigma}")
 
 
 @dataclass
@@ -126,11 +137,11 @@ class _Actor:
                    self.pos[0] + w / 2, self.pos[1] + h / 2)
 
 
-def _spawn(rng, cfg, shape, margin=4):
+def _spawn(rng, cfg, shape):
     h = int(rng.integers(cfg.target_size[0], cfg.target_size[1] + 1))
     w = int(rng.integers(cfg.target_size[0], cfg.target_size[1] + 1))
-    lo_x, hi_x = margin + w / 2, cfg.frame_size - margin - w / 2
-    lo_y, hi_y = margin + h / 2, cfg.frame_size - margin - h / 2
+    lo_x, hi_x = _MARGIN + w / 2, cfg.frame_size - _MARGIN - w / 2
+    lo_y, hi_y = _MARGIN + h / 2, cfg.frame_size - _MARGIN - h / 2
     pos = np.array([rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y)])
     speed = rng.uniform(*cfg.speed)
     angle = rng.uniform(0, 2 * np.pi)
@@ -139,11 +150,11 @@ def _spawn(rng, cfg, shape, margin=4):
                   pos=pos, vel=vel)
 
 
-def _advance(actor, rng, cfg, margin=4):
+def _advance(actor, rng, cfg):
     actor.pos = actor.pos + actor.vel + rng.normal(0, cfg.motion_sigma, size=2)
     h, w = actor.size
-    lo = np.array([margin + w / 2, margin + h / 2])
-    hi = np.array([cfg.frame_size - margin - w / 2, cfg.frame_size - margin - h / 2])
+    lo = np.array([_MARGIN + w / 2, _MARGIN + h / 2])
+    hi = np.array([cfg.frame_size - _MARGIN - w / 2, cfg.frame_size - _MARGIN - h / 2])
     for ax in (0, 1):
         if actor.pos[ax] < lo[ax]:
             actor.pos[ax] = lo[ax] + (lo[ax] - actor.pos[ax])
@@ -295,17 +306,35 @@ def write_sequence(seq: Sequence, directory) -> None:
                 fh.write(";".join(cells) + "\n")
 
 
+def _read_box(cell: str, where: str) -> Box:
+    """One "x,y,w,h" cell of a box file; `where` ("file:line") heads any error."""
+    try:
+        vals = [float(v) for v in cell.split(",")]
+        if len(vals) != 4 or not np.isfinite(vals).all():
+            raise ValueError(f"expected 4 finite numbers, got {len(vals)} values")
+        return Box.from_xywh(*vals)
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad box {cell!r}: {exc}") from None
+
+
 def read_sequence(directory) -> Sequence:
+    """Read what `write_sequence` writes.  Frames of differing sizes and box
+    lines with the wrong count, a non-number or a degenerate box raise
+    `ValueError` naming the file (and the line)."""
     names = sorted(n for n in os.listdir(directory) if n.endswith(".ppm"))
     if not names:
         raise ValueError(f"{directory}: no PPM frames found")
     frames = [read_ppm(os.path.join(directory, n)) for n in names]
+    for n, f in zip(names, frames):
+        if f.shape != frames[0].shape:
+            raise ValueError(f"{os.path.join(directory, n)}: frame is {f.shape[2]}x{f.shape[1]}, "
+                             f"but {names[0]} is {frames[0].shape[2]}x{frames[0].shape[1]}")
     gt = []
-    with open(os.path.join(directory, "groundtruth.txt"), "r", encoding="ascii") as fh:
-        for line in fh:
+    gt_path = os.path.join(directory, "groundtruth.txt")
+    with open(gt_path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, 1):
             if line.strip():
-                x, y, w, h = (float(v) for v in line.strip().split(","))
-                gt.append(Box.from_xywh(x, y, w, h))
+                gt.append(_read_box(line.strip(), f"{gt_path}:{lineno}"))
     if len(gt) != len(frames):
         raise ValueError(f"{directory}: {len(frames)} frames but {len(gt)} boxes")
     dist_path = os.path.join(directory, "distractors.txt")
@@ -316,5 +345,5 @@ def read_sequence(directory) -> Sequence:
                 if i >= len(frames):
                     break
                 cells = [c for c in line.strip().split(";") if c]
-                distractors[i] = [Box.from_xywh(*(float(v) for v in c.split(","))) for c in cells]
+                distractors[i] = [_read_box(c, f"{dist_path}:{i + 1}") for c in cells]
     return Sequence(frames=frames, gt=gt, distractors=distractors)

@@ -316,7 +316,9 @@ def train(model, dataset: list[TrainExample], tc: TrainConfig,
     rates for the prediction heads and the backbone.  The learning rate
     drops by 10x at each step listed in `tc.decay_steps`.  Every
     `tc.probe_every` steps the mean IoU of greedy decodes on a held-out
-    probe batch is logged (carried forward in between).
+    probe batch is logged (carried forward in between).  A step whose
+    gradient is not finite raises `ValueError` naming the step and the first
+    such parameter, before any parameter is updated.
     """
     if not dataset:
         raise ValueError("empty training set")
@@ -352,7 +354,12 @@ def train(model, dataset: list[TrainExample], tc: TrainConfig,
             eg.mul(loss, 1.0 / tc.batch).backward()
             acc += (c_term.item(), g_term.item(), l1_term.item(), loss.item())
         acc /= tc.batch
-        clip_global_norm(all_params, tc.clip_norm)
+        norm = clip_global_norm(all_params, tc.clip_norm)
+        if not np.isfinite(norm):
+            bad = next((n for n, t in named.items()
+                        if t.grad is not None and not np.isfinite(t.grad).all()), None)
+            raise ValueError(f"step {step}: gradient of {bad} is not finite (global norm {norm}); "
+                             f"no parameter was updated")
         adamw_step(head_params, [p.grad for p in head_params], head_state,
                    lr=tc.lr_head * lr_scale, weight_decay=tc.weight_decay)
         adamw_step(back_params, [p.grad for p in back_params], back_state,

@@ -104,23 +104,15 @@ def pixcorr_loops(z, x):
     return out
 
 
-def randomize_weights(container, rng, scale=0.4):
-    """Re-draw every tensor in a weights dataclass at O(1) scale.
+def randomize_weights(weights, rng, scale=0.4):
+    """Re-draw every tensor of a block's weight dict at O(1) scale.
 
     Freshly initialized nets have near-zero attention scores, which makes
     some parameter gradients vanish relative to the loss and drowns central
     differences in float64 round-off.  Gradient checks therefore run on
     random instances with healthy magnitudes.
     """
-    for name, t in vars(container).items():
-        if t is None:
-            continue
-        if isinstance(t, list):
-            for item in t:
-                randomize_weights(item, rng, scale)
-            continue
-        if not hasattr(t, "data"):
-            continue
+    for name, t in weights.items():
         if name.endswith("gamma"):
             t.data[:] = 1.0 + 0.1 * rng.standard_normal(t.shape)
         elif name.endswith(("bias", "beta")):

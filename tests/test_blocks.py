@@ -24,27 +24,27 @@ def make_cfg(c=8, heads=2, r=2):
 
 
 def make_weights(rng, cfg, dtype=np.float32):
-    return bl.init_block_weights(rng, cfg, dtype=dtype)
+    return bl.init_params(rng, bl.block_shapes(cfg), dtype=dtype)
 
 
 class TestPatchEmbed:
     def test_template_shape(self, rng):
-        w = bl.init_patch_embed(rng, 3, 64, 7)
+        w = bl.init_params(rng, bl.patch_embed_shapes(3, 64, 7))
         out = bl.patch_embed(eg.tensor(rng.standard_normal((3, 128, 128))), w, stride=4)
         assert out.tensor.shape == (64, 32, 32)
 
     def test_search_shape(self, rng):
-        w = bl.init_patch_embed(rng, 3, 64, 7)
+        w = bl.init_params(rng, bl.patch_embed_shapes(3, 64, 7))
         out = bl.patch_embed(eg.tensor(rng.standard_normal((3, 256, 256))), w, stride=4)
         assert out.tensor.shape == (64, 64, 64)
 
     def test_zero_image_zero_output(self, rng):
-        w = bl.init_patch_embed(rng, 3, 16, 7)
+        w = bl.init_params(rng, bl.patch_embed_shapes(3, 16, 7))
         out = bl.patch_embed(eg.tensor(np.zeros((3, 32, 32))), w, stride=4)
         np.testing.assert_allclose(out.tensor.data, 0.0, atol=1e-7)
 
     def test_indivisible_extent_rejected(self, rng):
-        w = bl.init_patch_embed(rng, 3, 16, 7)
+        w = bl.init_params(rng, bl.patch_embed_shapes(3, 16, 7))
         with pytest.raises(eg.ShapeError):
             bl.patch_embed(eg.tensor(np.zeros((3, 30, 30))), w, stride=4)
 
@@ -53,8 +53,8 @@ class TestQkvProject:
     def test_identity_projection_returns_tokens(self, rng):
         cfg = make_cfg(c=6, heads=1, r=1)
         w = make_weights(rng, cfg)
-        w.q_weight.data[:] = np.eye(6)
-        w.q_bias.data[:] = 0
+        w["q_weight"].data[:] = np.eye(6)
+        w["q_bias"].data[:] = 0
         f = fmap(rng, 6, 4, 4)
         q = bl.qkv_project(f, "q", cfg, w)
         np.testing.assert_allclose(q.data[0], bl.tokens_of(f).data, atol=1e-6)
@@ -79,14 +79,14 @@ class TestQkvProject:
         f = fmap(rng, 4, 4, 6, dtype=np.float64)
         got = bl.qkv_project(f, "k", cfg, w).data[0]
 
-        red = conv2d_loops(f.tensor.data, w.reduce_weight.data, w.reduce_bias.data,
+        red = conv2d_loops(f.tensor.data, w["reduce_weight"].data, w["reduce_bias"].data,
                            stride=2, pad=PadMode.valid())
         tok = red.reshape(4, -1).T
         mu = tok.mean(axis=1, keepdims=True)
         var = tok.var(axis=1, keepdims=True)
         tok = (tok - mu) / np.sqrt(var + 1e-5)
-        tok = tok * w.reduce_gamma.data + w.reduce_beta.data
-        want = tok @ w.k_weight.data + w.k_bias.data
+        tok = tok * w["reduce_gamma"].data + w["reduce_beta"].data
+        want = tok @ w["k_weight"].data + w["k_bias"].data
         assert np.abs(got - want).max() < 1e-5
 
 
@@ -142,7 +142,7 @@ class TestEocAttention:
     def test_zero_values_is_identity(self, rng):
         cfg = make_cfg()
         w = make_weights(rng, cfg)
-        w.v_weight.data[:] = 0
+        w["v_weight"].data[:] = 0
         fz, fx = fmap(rng, 8, 4, 4), fmap(rng, 8, 8, 8)
         for mode in (bl.SA, bl.CA):
             oz, ox = bl.eoc_attention(fz, fx, mode, cfg, w)
@@ -197,15 +197,15 @@ class TestMlpCondPe:
     def test_zero_weights_zero_output(self, rng):
         cfg = make_cfg()
         w = make_weights(rng, cfg)
-        for t in (w.fc1_weight, w.fc1_bias, w.pe_weight, w.pe_bias, w.fc2_weight, w.fc2_bias):
-            t.data[:] = 0
+        for name in ("fc1_weight", "fc1_bias", "pe_weight", "pe_bias", "fc2_weight", "fc2_bias"):
+            w[name].data[:] = 0
         out = bl.mlp_cond_pe(fmap(rng, 8, 4, 4), w)
         np.testing.assert_array_equal(out.tensor.data, 0)
 
     def test_hidden_width_is_4c(self, rng):
         cfg = bl.AttnConfig(dim=64, heads=1, reduction=1)
         w = make_weights(rng, cfg)
-        assert w.fc1_weight.shape == (64, 256)
+        assert w["fc1_weight"].shape == (64, 256)
 
     def test_circular_shift_equivariance(self, rng):
         cfg = make_cfg(c=8, heads=1, r=1)
@@ -220,8 +220,8 @@ class TestEocBlock:
     def test_zero_output_weights_is_identity(self, rng):
         cfg = make_cfg()
         w = make_weights(rng, cfg)
-        w.out_weight.data[:] = 0
-        w.fc2_weight.data[:] = 0
+        w["out_weight"].data[:] = 0
+        w["fc2_weight"].data[:] = 0
         fz, fx = fmap(rng, 8, 4, 4), fmap(rng, 8, 8, 8)
         oz, ox = bl.eoc_block(fz, fx, bl.CA, cfg, w)
         np.testing.assert_array_equal(oz.tensor.data, fz.tensor.data)
@@ -235,7 +235,7 @@ class TestEocBlock:
 
         az, ax = bl.eoc_attention(fz, fx, bl.CA, cfg, w)
         for a, o in ((az, oz), (ax, ox)):
-            normed = bl.FeatureMap(eg.layer_norm(a.tensor, w.norm2_gamma, w.norm2_beta, axis=0))
+            normed = bl.FeatureMap(eg.layer_norm(a.tensor, w["norm2_gamma"], w["norm2_beta"], axis=0))
             manual = a.tensor.data + bl.mlp_cond_pe(normed, w).tensor.data
             assert np.abs(manual - o.tensor.data).max() < 1e-6
 
@@ -276,19 +276,19 @@ class TestEocBlock:
 class TestMixMlp:
     def test_identity_weights_pass_nonnegative_input(self, rng):
         c, n = 6, 16
-        w = bl.MixMlpWeights(
-            channel_weight=eg.parameter(np.eye(c, dtype=np.float32)),
-            channel_bias=eg.parameter(np.zeros(c, dtype=np.float32)),
-            spatial_weight=eg.parameter(np.eye(n, dtype=np.float32)),
-            spatial_bias=eg.parameter(np.zeros(n, dtype=np.float32)),
-        )
+        w = {
+            "channel_weight": eg.parameter(np.eye(c, dtype=np.float32)),
+            "channel_bias": eg.parameter(np.zeros(c, dtype=np.float32)),
+            "spatial_weight": eg.parameter(np.eye(n, dtype=np.float32)),
+            "spatial_bias": eg.parameter(np.zeros(n, dtype=np.float32)),
+        }
         x = np.abs(rng.standard_normal((c, 4, 4))).astype(np.float32)
         out = bl.mix_mlp_block(bl.FeatureMap(eg.tensor(x)), w)
         np.testing.assert_allclose(out.tensor.data, x, atol=1e-6)
 
     def test_channel_mix_commutes_with_position_permutation(self, rng):
         c, n = 6, 16
-        w = bl.init_mix_mlp(rng, c, n)  # spatial part is identity at init
+        w = bl.init_params(rng, bl.mix_mlp_shapes(c, n))  # spatial part is identity at init
         x = rng.standard_normal((c, 4, 4)).astype(np.float32)
         perm = rng.permutation(n)
 
@@ -302,16 +302,16 @@ class TestMixMlp:
         # A token whose spatial pre-activation is negative in every channel is
         # off; a plain ReLU after spatial mixing would give its bias exactly 0.
         c, n, dead = 6, 16, 5
-        w = bl.init_mix_mlp(rng, c, n)
-        w.spatial_bias.data[dead] = -100.0
+        w = bl.init_params(rng, bl.mix_mlp_shapes(c, n))
+        w["spatial_bias"].data[dead] = -100.0
         x = eg.tensor(rng.standard_normal((c, 4, 4)).astype(np.float32))
         out = bl.mix_mlp_block(bl.FeatureMap(x), w)
         assert (out.tensor.data.reshape(c, n)[:, dead] < 0).all()
         eg.backward(eg.sum_(out.tensor))
-        assert w.spatial_bias.grad[dead] != 0.0
+        assert w["spatial_bias"].grad[dead] != 0.0
 
     def test_grid_mismatch_rejected(self, rng):
-        w = bl.init_mix_mlp(rng, 6, 16)
+        w = bl.init_params(rng, bl.mix_mlp_shapes(6, 16))
         with pytest.raises(eg.ShapeError):
             bl.mix_mlp_block(fmap(rng, 6, 4, 5), w)
 
@@ -336,12 +336,11 @@ class TestBlockGradients:
                 bl.CA, cfg, w)
             return eg.add(eg.sum_(eg.mul(oz.tensor, probe_z)), eg.sum_(eg.mul(ox.tensor, probe_x)))
 
-        params = {k: v for k, v in vars(w).items() if v is not None}
-        report = eg.grad_check(loss, params, tol=1e-4, max_entries=6, rng=rng)
+        report = eg.grad_check(loss, w, tol=1e-4, max_entries=6, rng=rng)
         assert report.ok, report.summary()
 
     def test_mix_mlp_grad_check(self, rng):
-        w = bl.init_mix_mlp(rng, 4, 9, dtype=np.float64)
+        w = bl.init_params(rng, bl.mix_mlp_shapes(4, 9), dtype=np.float64)
         randomize_weights(w, rng)
         x = rng.standard_normal((4, 3, 3))
         probe = eg.tensor(rng.standard_normal((4, 3, 3)), dtype=np.float64)
@@ -350,5 +349,5 @@ class TestBlockGradients:
             out = bl.mix_mlp_block(bl.FeatureMap(eg.tensor(x, dtype=np.float64)), w)
             return eg.sum_(eg.mul(out.tensor, probe))
 
-        report = eg.grad_check(loss, vars(w), tol=1e-4, max_entries=8, rng=rng)
+        report = eg.grad_check(loss, w, tol=1e-4, max_entries=8, rng=rng)
         assert report.ok, report.summary()

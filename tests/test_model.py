@@ -48,8 +48,9 @@ class TestPresets:
 
     def test_head_depth_default_two(self, rng):
         m = md.build_model(md.tiny_config(), seed=0)
-        assert len(m.cls_head.blocks) == 2
-        assert len(m.reg_head.blocks) == 2
+        for head in ("cls", "reg"):
+            assert [o for o in m.by_owner if o.startswith(f"head.{head}.")] == [
+                f"head.{head}.mmb1", f"head.{head}.mmb2"]
 
     def test_search_grid(self):
         assert md.PRESETS["base"]().search_grid() == (32, 32)
@@ -113,15 +114,16 @@ class TestBuild:
     def test_seed_changes_weights(self):
         a = md.build_model(md.tiny_config(), seed=5)
         b = md.build_model(md.tiny_config(), seed=6)
-        assert np.abs(a.stages[0].patch.weight.data - b.stages[0].patch.weight.data).max() > 0
+        name = "stage1.patch.weight"
+        assert np.abs(a.params[name].data - b.params[name].data).max() > 0
 
     def test_init_statistics(self):
         m = md.build_model(md.tiny_config(), seed=0)
-        w = m.stages[2].blocks[0].q_weight.data
+        w = m.params["stage3.block1.q_weight"].data
         assert np.abs(w).max() <= 0.04 + 1e-6  # 2 sigma * 0.02
         assert abs(w.std() - 0.02) < 0.005
-        np.testing.assert_array_equal(m.stages[0].patch.bias.data, 0)
-        np.testing.assert_array_equal(m.stages[0].blocks[0].norm1_gamma.data, 1)
+        np.testing.assert_array_equal(m.params["stage1.patch.bias"].data, 0)
+        np.testing.assert_array_equal(m.params["stage1.block1.norm1_gamma"].data, 1)
 
     def test_count_monotone_in_depth_and_width(self):
         base = md.parameter_count(md.build_model(md.tiny_config(), seed=0))
@@ -148,7 +150,7 @@ class TestBuild:
         cfg = md.with_reduction(md.tiny_config(), 1)
         assert all(st.reduction == 1 for st in cfg.stages)
         m = md.build_model(cfg, seed=0)
-        assert m.stages[0].blocks[0].reduce_weight is None
+        assert "reduce_weight" not in m.by_owner["stage1.block1"]
 
 
 ALL_CONFIGS = {**md.PRESETS, **{f"{name}-cls": lambda name=name: md.classifier_config(name, 10)
@@ -182,9 +184,9 @@ class TestParameterTable:
         m = wio.load_weights(path)
         for t in m.parameters():
             assert t.requires_grad and t.data.flags.writeable
-        m.stages[0].patch.weight.data -= 1.0  # an optimizer step updates in place
+        m.params["stage1.patch.weight"].data -= 1.0  # an optimizer step updates in place
         np.testing.assert_array_equal(m.named_parameters()["stage1.patch.weight"].data,
-                                      m.stages[0].patch.weight.data)
+                                      m.by_owner["stage1.patch"]["weight"].data)
 
     def test_header_deeper_than_the_file_raises_before_building(self, tmp_path):
         cfg = md.tiny_config()
@@ -474,8 +476,8 @@ class TestWeightFiles:
         assert report.loaded  # shared stages actually transferred
         assert {n.split(".")[0] for n in report.skipped} == {"stage4", "classifier"}
         assert all(n.startswith("head.") for n in report.missing)
-        np.testing.assert_array_equal(tracker.stages[0].patch.weight.data,
-                                      cls_model.stages[0].patch.weight.data)
+        np.testing.assert_array_equal(tracker.params["stage1.patch.weight"].data,
+                                      cls_model.params["stage1.patch.weight"].data)
         assert not report.complete
         assert "skipped" in report.summary()
 

@@ -20,11 +20,11 @@ def rng():
 
 def identity_attention_weights(c):
     cfg = bl.AttnConfig(dim=c, heads=1, reduction=1)
-    w = bl.init_block_weights(np.random.default_rng(0), cfg)
+    w = bl.init_params(np.random.default_rng(0), bl.block_shapes(cfg))
     for name in ("q_weight", "k_weight", "v_weight", "out_weight"):
-        getattr(w, name).data[:] = np.eye(c)
+        w[name].data[:] = np.eye(c)
     for name in ("q_bias", "k_bias", "v_bias", "out_bias"):
-        getattr(w, name).data[:] = 0
+        w[name].data[:] = 0
     return cfg, w
 
 
@@ -58,18 +58,18 @@ class TestCaAsDynamicConv:
         x = rng.standard_normal((c, 5, 5)).astype(np.float32)
         cfg, w = identity_attention_weights(c)
         for name in ("q_weight", "k_weight", "v_weight"):
-            getattr(w, name).data[:] = rng.standard_normal((c, c)).astype(np.float32) * 0.4
+            w[name].data[:] = rng.standard_normal((c, c)).astype(np.float32) * 0.4
         _, fx = bl.eoc_attention(bl.FeatureMap(eg.tensor(z)), bl.FeatureMap(eg.tensor(x)),
                                  bl.CA, cfg, w, pre_norm=False)
         attn_delta = fx.tensor.data - x
 
         project = lambda m, p: np.einsum("io,ihw->ohw", p, m)
         oracle_out = orc.ca_as_dynamic_conv(
-            project(z, w.k_weight.data),
-            project(x, w.q_weight.data),
-            z_values=project(z, w.v_weight.data),
+            project(z, w["k_weight"].data),
+            project(x, w["q_weight"].data),
+            z_values=project(z, w["v_weight"].data),
         )
-        oracle_delta = oracle_out - project(x, w.q_weight.data)
+        oracle_delta = oracle_out - project(x, w["q_weight"].data)
         assert np.abs(attn_delta - oracle_delta).max() < 1e-5
 
     def test_two_filter_applications_by_construction(self, rng):
@@ -211,11 +211,9 @@ class TestSerialHierarchy:
     def test_zero_weight_blocks_snapshots_equal_input(self, three_level_model, rng):
         model, cfg = three_level_model
         model = md.build_model(cfg, seed=4)  # fresh copy we may mutate
-        for bw in model.stages[2].blocks:
-            bw.out_weight.data[:] = 0
-            bw.out_bias.data[:] = 0
-            bw.fc2_weight.data[:] = 0
-            bw.fc2_bias.data[:] = 0
+        for bi in range(1, cfg.stages[2].depth + 1):
+            for name in ("out_weight", "out_bias", "fc2_weight", "fc2_bias"):
+                model.params[f"stage3.block{bi}.{name}"].data[:] = 0
         z = rng.random((3, 64, 64), dtype=np.float32)
         x = rng.random((3, 128, 128), dtype=np.float32)
         trace: dict = {}

@@ -40,6 +40,28 @@ def meets(a, b):
     return min(a.x2, b.x2) > max(a.x1, b.x1) and min(a.y2, b.y2) > max(a.y1, b.y1)
 
 
+class TestSceneConfig:
+    @pytest.mark.parametrize("kw, field", [
+        (dict(length=0), "length"),
+        (dict(target_size=(30, 18)), "target_size"),
+        (dict(target_size=(0, 18)), "target_size"),
+        (dict(frame_size=16), "frame_size"),
+        (dict(frame_size=37), "frame_size"),  # 30 px target + 2 * 4 px margin needs 38
+        (dict(speed=(2.0, 0.5)), "speed"),
+        (dict(speed=(-1.0, 1.0)), "speed"),
+        (dict(motion_sigma=-0.1), "motion_sigma"),
+    ])
+    def test_unrunnable_config_raises(self, kw, field):
+        with pytest.raises(ValueError, match=field):
+            scenes.SceneConfig(**kw)
+
+    def test_tightest_runnable_config_generates(self):
+        cfg = scenes.SceneConfig(frame_size=38, length=2, target_size=(30, 30), speed=(0.0, 0.0),
+                                 motion_sigma=0.0, distractors=0)
+        seq = scenes.generate_sequence(cfg, 0)
+        assert len(seq.frames) == 2 and seq.frames[0].shape == (3, 38, 38)
+
+
 class TestPushApart:
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("side", [1, -1])
@@ -121,3 +143,38 @@ class TestDiskFormats:
         assert len(back.distractors) == len(seq.distractors)
         for got, want in zip(back.distractors, seq.distractors):
             assert_boxes_close(got, want, tol)
+
+    def test_frames_of_differing_sizes_raise(self, tmp_path):
+        rng = np.random.default_rng(0)
+        scenes.write_ppm(rng.random((3, 8, 8)), tmp_path / "000000.ppm")
+        scenes.write_ppm(rng.random((3, 5, 6)), tmp_path / "000001.ppm")
+        (tmp_path / "groundtruth.txt").write_text("1,1,2,2\n1,1,2,2\n")
+        with pytest.raises(ValueError, match=r"000001\.ppm: frame is 6x5, but 000000\.ppm is 8x8"):
+            scenes.read_sequence(tmp_path)
+
+    @pytest.mark.parametrize("bad, why", [
+        ("1,2,3", "expected 4 finite numbers, got 3"),
+        ("1,2,3,4,5", "got 5"),
+        ("1,2,x,4", "could not convert"),
+        ("1,2,nan,4", "expected 4 finite numbers"),
+        ("1,2,0,4", "degenerate box"),
+        ("1,2,-3,4", "degenerate box"),
+    ])
+    def test_bad_groundtruth_line_names_file_and_line(self, tmp_path, bad, why):
+        seq = scenes.generate_sequence(SHORT, 2)
+        scenes.write_sequence(seq, tmp_path)
+        lines = (tmp_path / "groundtruth.txt").read_text().splitlines()
+        lines[2] = bad
+        (tmp_path / "groundtruth.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"groundtruth\.txt:3: bad box .*{why}"):
+            scenes.read_sequence(tmp_path)
+
+    @pytest.mark.parametrize("bad, why", [("1,2,3", "got 3"), ("1,2,0,4", "degenerate box")])
+    def test_bad_distractor_cell_names_file_and_line(self, tmp_path, bad, why):
+        seq = scenes.generate_sequence(SHORT, 2)
+        scenes.write_sequence(seq, tmp_path)
+        lines = (tmp_path / "distractors.txt").read_text().splitlines()
+        lines[1] = lines[1].split(";")[0] + ";" + bad
+        (tmp_path / "distractors.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"distractors\.txt:2: bad box .*{why}"):
+            scenes.read_sequence(tmp_path)

@@ -172,7 +172,7 @@ class TestRunTracker:
 
     def test_non_finite_network_keeps_previous_box(self, short_sequence):
         m = md.build_model(md.tiny_config(), seed=1)
-        m.cls_head.out_bias.data[:] = np.nan
+        m.params["head.cls.out_bias"].data[:] = np.nan
         boxes = tk.run_tracker(m, short_sequence)
         assert boxes == [short_sequence.gt[0]] * len(short_sequence.frames)
 

@@ -165,17 +165,33 @@ class TestTotalLoss:
         assert out.item() == pytest.approx(12 * 0.5 + 5 * 0.25 + 7 * 0.125)
 
     def test_gradient_reaches_both_heads(self, rng):
-        model = md.build_model(md.tiny_config(), seed=0)
+        """Every entry of the parameter table is read by the forward pass:
+        the tracking loss gives each one a nonzero gradient, in both heads
+        and in every backbone block, for each head input and with or
+        without cross-attention."""
+        configs = {"tiny": md.tiny_config(), "dwcorr": md.tiny_config(head_input="dwcorr"),
+                   "no-ca": md.without_cross_attention(md.tiny_config())}
         z = rng.random((3, 64, 64), dtype=np.float32)
         x = rng.random((3, 128, 128), dtype=np.float32)
-        cls, reg = md.forward(model, z, x)
-        tm = tr.assign_targets(Box(40, 40, 90, 90), model.config.search_grid(), 128.0)
-        loss = tr.total_loss(tr.cls_loss(cls, tm.labels),
-                             *tr.reg_loss_terms(reg, tm.reg, tm.labels))
-        loss.backward()
-        named = model.named_parameters()
-        assert np.abs(named["head.cls.out_weight"].grad).sum() > 0
-        assert np.abs(named["head.reg.out_weight"].grad).sum() > 0
+        for label, cfg in configs.items():
+            model = md.build_model(cfg, seed=0)
+            cls, reg = md.forward(model, z, x)
+            tm = tr.assign_targets(Box(40, 40, 90, 90), cfg.search_grid(), 128.0)
+            loss = tr.total_loss(tr.cls_loss(cls, tm.labels),
+                                 *tr.reg_loss_terms(reg, tm.reg, tm.labels))
+            loss.backward()
+            assert _without_gradient(model) == [], label
+
+    def test_gradient_reaches_every_classifier_parameter(self, rng):
+        model = md.build_model(md.classifier_config("tiny", 5, 64), seed=0)
+        logits = md.forward_classification(model, rng.random((3, 64, 64), dtype=np.float32))
+        eg.sum_(eg.mul(logits, eg.tensor(rng.standard_normal(5)))).backward()
+        assert _without_gradient(model) == []
+
+
+def _without_gradient(model) -> list[str]:
+    return [n for n, t in model.named_parameters().items()
+            if t.grad is None or not np.abs(t.grad).sum() > 0]
 
 
 class TestAdamW:
@@ -268,6 +284,17 @@ class TestTrainLoop:
         header = (tmp_path / "log.csv").read_text().splitlines()[0]
         assert header == "step,loss_cls,loss_giou,loss_l1,loss_total,lr,probe_iou"
         assert len(log.rows) == 2
+
+    def test_non_finite_gradient_raises_before_any_update(self, rng):
+        good = _toy_dataset(rng, n=1)[0]
+        bad = tr.TrainExample(good.template.copy(), good.search, good.gt)
+        bad.template[0, 5, 7] = np.nan
+        m = md.build_model(md.tiny_config(), seed=1)
+        before = {n: t.data.copy() for n, t in m.named_parameters().items()}
+        with pytest.raises(ValueError, match=r"step 0: gradient of stage1\.patch\.weight"):
+            tr.train(m, [bad], tr.TrainConfig(steps=1, batch=1, probe_every=100), probe=[good])
+        for n, t in m.named_parameters().items():
+            np.testing.assert_array_equal(t.data, before[n], err_msg=n)
 
     def test_single_batch_overfit(self, rng):
         """Loss on one fixed example collapses well below its start.
