@@ -318,9 +318,11 @@ def _read_box(cell: str, where: str) -> Box:
 
 
 def read_sequence(directory) -> Sequence:
-    """Read what `write_sequence` writes.  Frames of differing sizes and box
-    lines with the wrong count, a non-number or a degenerate box raise
-    `ValueError` naming the file (and the line)."""
+    """Read what `write_sequence` writes.  Frames of differing sizes, a box
+    file whose line count is not the frame count, and box lines with the
+    wrong count, a non-number or a degenerate box raise `ValueError` naming
+    the file (and the line).  `distractors.txt` holds one line per frame,
+    empty for a frame without distractors."""
     names = sorted(n for n in os.listdir(directory) if n.endswith(".ppm"))
     if not names:
         raise ValueError(f"{directory}: no PPM frames found")
@@ -341,9 +343,10 @@ def read_sequence(directory) -> Sequence:
     distractors: list[list[Box]] = [[] for _ in frames]
     if os.path.exists(dist_path):
         with open(dist_path, "r", encoding="ascii") as fh:
-            for i, line in enumerate(fh):
-                if i >= len(frames):
-                    break
-                cells = [c for c in line.strip().split(";") if c]
-                distractors[i] = [_read_box(c, f"{dist_path}:{i + 1}") for c in cells]
+            lines = fh.read().splitlines()
+        if len(lines) != len(frames):
+            raise ValueError(f"{dist_path}: {len(frames)} frames but {len(lines)} lines")
+        for i, line in enumerate(lines):
+            cells = [c for c in line.strip().split(";") if c]
+            distractors[i] = [_read_box(c, f"{dist_path}:{i + 1}") for c in cells]
     return Sequence(frames=frames, gt=gt, distractors=distractors)

@@ -1,6 +1,10 @@
 """Tensor engine tests: forward oracles and finite-difference gradients."""
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -490,7 +494,7 @@ class TestLayouts:
         np.testing.assert_array_equal(out.data, x.data.transpose(1, 2, 0))
 
     @staticmethod
-    def _depthwise_tap_loop(x, w, b, pad):
+    def _depthwise_tap_loop(x, w, pad):
         """The channels-first tap loop the engine's depthwise kernel replaced."""
         c, kh, kw = w.shape
         xp = pad_spatial(x, pad)
@@ -499,16 +503,27 @@ class TestLayouts:
         for ki in range(kh):
             for kj in range(kw):
                 out += xp[:, ki : ki + ho, kj : kj + wo] * w[:, ki, kj][:, None, None]
-        return out + b[:, None, None]
+        return out
 
     @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode.circular(1), PadMode.valid()])
     def test_depthwise_bit_equal_to_tap_loop(self, rng, pad):
-        x = rng.standard_normal((16, 9, 7)).astype(np.float32)
-        w = rng.standard_normal((16, 3, 3)).astype(np.float32)
-        b = rng.standard_normal(16).astype(np.float32)
-        want = self._depthwise_tap_loop(x, w, b, pad)
+        # [640, 32, 32] and [64, 45, 37] span several row blocks of the
+        # kernel, the last one short
+        for c, h, w in [(16, 9, 7), (640, 32, 32), (64, 45, 37)]:
+            x = rng.standard_normal((c, h, w)).astype(np.float32)
+            k = rng.standard_normal((c, 3, 3)).astype(np.float32)
+            b = rng.standard_normal(c).astype(np.float32)
+            want = self._depthwise_tap_loop(x, k, pad) + b[:, None, None]
+            for xin in (x, _other_layout(x)):
+                got = eg.depthwise_conv2d(eg.tensor(xin), eg.tensor(k), eg.tensor(b), pad=pad).data
+                np.testing.assert_array_equal(got, want, err_msg=f"shape {(c, h, w)}")
+
+    def test_depthwise_xcorr_bit_equal_to_tap_loop(self, rng):
+        z = rng.standard_normal((160, 8, 8)).astype(np.float32)
+        x = rng.standard_normal((160, 32, 32)).astype(np.float32)
+        want = self._depthwise_tap_loop(x, z, PadMode.valid())
         for xin in (x, _other_layout(x)):
-            got = eg.depthwise_conv2d(eg.tensor(xin), eg.tensor(w), eg.tensor(b), pad=pad).data
+            got = eg.depthwise_xcorr(eg.tensor(z), eg.tensor(xin)).data
             np.testing.assert_array_equal(got, want)
 
 
@@ -550,3 +565,49 @@ class TestRecording:
             want = gf.sum(axis=tuple(range(extra)))
             want = want.sum(axis=tuple(i for i, s in enumerate(a.shape) if s == 1), keepdims=True)
             np.testing.assert_allclose(g, want.reshape(a.shape), rtol=1e-12, atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# memory policy: freed heap memory stays in the process between frames
+# --------------------------------------------------------------------------
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    return True
+
+
+class TestMemoryPolicy:
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_repeated_frames_fault_in_no_fresh_memory(self):
+        resource = pytest.importorskip("resource")
+        from sbtrack import model as md
+
+        model = md.build_model(md.tiny_config(), seed=0)
+        r = np.random.default_rng(0)
+        z = eg.tensor(r.standard_normal((3, 64, 64)))
+        x = eg.tensor(r.standard_normal((3, 128, 128)))
+        with eg.no_grad():
+            for _ in range(2):
+                md.forward(model, z, x)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                md.forward(model, z, x)
+            faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
+        # about 2000 per frame when glibc trims the freed heap between frames
+        assert faults < 100
+
+    @pytest.mark.parametrize("cdll", [
+        "def CDLL(*args, **kwargs):\n    raise OSError('no C library')",
+        "def CDLL(*args, **kwargs):\n    return object()",
+    ], ids=["no_library", "no_mallopt"])
+    def test_import_without_mallopt(self, cdll):
+        code = f"import ctypes\n{cdll}\nctypes.CDLL = CDLL\nimport sbtrack.engine\n"
+        src = os.path.dirname(os.path.dirname(eg.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -144,6 +144,23 @@ class TestDiskFormats:
         for got, want in zip(back.distractors, seq.distractors):
             assert_boxes_close(got, want, tol)
 
+    def test_round_trip_keeps_trailing_frames_without_distractors(self, tmp_path):
+        seq = scenes.generate_sequence(SHORT, 2)
+        seq.distractors[2:] = [[], []]
+        scenes.write_sequence(seq, tmp_path)
+        assert (tmp_path / "distractors.txt").read_text().splitlines()[2:] == ["", ""]
+        back = scenes.read_sequence(tmp_path)
+        assert [len(d) for d in back.distractors] == [SHORT.distractors] * 2 + [0, 0]
+
+    @pytest.mark.parametrize("n_lines", [2, 8])
+    def test_distractor_line_count_must_match_frames(self, tmp_path, n_lines):
+        seq = scenes.generate_sequence(SHORT, 2)
+        scenes.write_sequence(seq, tmp_path)
+        lines = (tmp_path / "distractors.txt").read_text().splitlines()
+        (tmp_path / "distractors.txt").write_text("\n".join((lines * 2)[:n_lines]) + "\n")
+        with pytest.raises(ValueError, match=rf"distractors\.txt: 4 frames but {n_lines} lines"):
+            scenes.read_sequence(tmp_path)
+
     def test_frames_of_differing_sizes_raise(self, tmp_path):
         rng = np.random.default_rng(0)
         scenes.write_ppm(rng.random((3, 8, 8)), tmp_path / "000000.ppm")
