@@ -5,16 +5,17 @@ verification) and record the operations applied to them.  The arrays may
 have any strides: `transpose` and `reshape` return views of their input
 where numpy can, so a channels-first map and its token matrix can share one
 channels-last buffer.  An op therefore writes in place only into arrays it
-allocated itself, never into an input's data.  Calling ``backward`` on a
-scalar walks the recorded graph once in reverse topological order and
-accumulates gradients into every reachable tensor that asked for them.
+allocated itself, never into an input's data.
 
 An op is its forward array plus one partial per operand: a function from
-the output gradient to that operand's gradient.  The op hands both to
-`_op`, which alone decides whether the op is recorded (grad enabled and
-some operand requires grad), which operands receive a gradient (those that
-require grad) and how each gradient is summed back over the axes its
-operand was broadcast along.
+the output gradient to that operand's gradient.  `_op` records both on the
+output when grad is enabled and some operand requires grad.  ``backward``
+on a scalar walks the graph once in reverse topological order, runs the
+partial of each operand that requires grad and sums the result back over
+the axes that operand was broadcast along.  Then it releases the op: its
+gradient, operands and partials are dropped, so after the sweep only leaves
+hold a gradient.  A second ``backward`` through a released op raises
+``ValueError``; build the loss again.
 
 Thread-safety contract: a single forward/backward graph is owned by one
 thread; tensors that do not require grad are never mutated by the engine
@@ -128,7 +129,7 @@ def no_grad():
 class Tensor:
     """Dense n-d float array with an optional same-shape gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_inputs", "_partials")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -137,8 +138,8 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._grad_fn = None
+        # a recorded op's operands and partials; () on a leaf, None once released
+        self._inputs = self._partials = ()
 
     @property
     def shape(self):
@@ -157,7 +158,7 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -215,34 +216,26 @@ def _op(data: np.ndarray, operands, *partials):
     """The result of an op with forward array `data`.
 
     ``partials[i](g)`` maps the output gradient `g` to the gradient of
-    ``operands[i]`` at the output's shape; it runs only for an operand that
-    requires grad, and its result is summed back to that operand's shape.
-    A None operand (an absent bias) is skipped with its partial.
+    ``operands[i]`` at the output's shape; `backward` runs it only for an
+    operand that requires grad, and sums its result back to that operand's
+    shape.  A None operand (an absent bias) is skipped with its partial.
     """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.requires_grad = False
-    out._parents = ()
-    out._grad_fn = None
+    out._inputs = out._partials = ()
     if not _grad_enabled():
         return out
-    parents = operands if None not in operands else tuple([t for t in operands if t is not None])
     # a loop rather than any() over a generator: this runs once per op
-    for t in parents:
-        if t.requires_grad:
+    for t in operands:
+        if t is not None and t.requires_grad:
             break
     else:
         return out
-
-    def grad_fn(g):
-        for t, partial in zip(operands, partials):
-            if t is not None and t.requires_grad:
-                t._accumulate(_unbroadcast(partial(g), t.shape))
-
     out.requires_grad = True
-    out._parents = parents
-    out._grad_fn = grad_fn
+    out._inputs = operands
+    out._partials = partials
     return out
 
 
@@ -721,11 +714,14 @@ def _topo_order(root: Tensor) -> list:
             continue
         if id(node) in seen:
             continue
+        if node._inputs is None:
+            raise ValueError("backward reached a tensor whose graph an earlier backward "
+                             "released; build the loss again")
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+        for t in node._inputs:
+            if t is not None and t.requires_grad and id(t) not in seen:
+                stack.append((t, False))
     return order
 
 
@@ -733,8 +729,10 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar; accumulates into `.grad` fields.
 
     Leaf tensors keep their gradient across calls (so per-example losses in
-    a batch may be backpropagated one after another); intermediate nodes are
-    discarded with the graph.
+    a batch may be backpropagated one after another).  Every other tensor
+    is released right after its partials run: its `.grad`, operands and
+    partials are dropped.  A sweep that reaches a released tensor raises
+    `ValueError` before it touches any gradient: build the loss again.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -742,9 +740,15 @@ def backward(loss: Tensor) -> None:
         return
     order = _topo_order(loss)
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(order):
-        if node._grad_fn is not None and node.grad is not None:
-            node._grad_fn(node.grad)
+    while order:
+        node = order.pop()  # popped, so a released tensor's data can go at once
+        if not node._inputs:
+            continue  # a leaf keeps its gradient
+        g = node.grad
+        for t, partial in zip(node._inputs, node._partials):
+            if t is not None and t.requires_grad:
+                t._accumulate(_unbroadcast(partial(g), t.shape))
+        node.grad = node._inputs = node._partials = None
 
 
 def zero_grads(params) -> None:

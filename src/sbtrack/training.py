@@ -29,7 +29,6 @@ __all__ = [
     "TargetMap",
     "assign_targets",
     "cls_loss",
-    "reg_loss",
     "reg_loss_terms",
     "total_loss",
     "adamw_step",
@@ -173,19 +172,10 @@ def reg_loss_terms(pred: Tensor, target: np.ndarray, mask: np.ndarray,
     return giou_term, l1_term
 
 
-def reg_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray,
-             weights: LossWeights = LossWeights()) -> Tensor:
-    """Weighted box loss: giou_weight * (1 - GIoU) + l1_weight * L1."""
-    g, l1 = reg_loss_terms(pred, target, mask)
-    return eg.add(eg.mul(g, weights.giou), eg.mul(l1, weights.l1))
-
-
-def total_loss(cls_term, giou_term, l1_term, weights: LossWeights = LossWeights()):
-    """cls_weight * BCE + giou_weight * (1 - GIoU) + l1_weight * L1."""
-    if any(isinstance(t, Tensor) for t in (cls_term, giou_term, l1_term)):
-        return eg.add(eg.add(eg.mul(cls_term, weights.cls), eg.mul(giou_term, weights.giou)),
-                      eg.mul(l1_term, weights.l1))
-    return weights.cls * cls_term + weights.giou * giou_term + weights.l1 * l1_term
+def total_loss(cls_term, giou_term, l1_term, weights: LossWeights = LossWeights()) -> Tensor:
+    """cls_weight * BCE + giou_weight * (1 - GIoU) + l1_weight * L1; a term may be a number."""
+    return eg.add(eg.add(eg.mul(cls_term, weights.cls), eg.mul(giou_term, weights.giou)),
+                  eg.mul(l1_term, weights.l1))
 
 
 # -- optimizer ---------------------------------------------------------------------

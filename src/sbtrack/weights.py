@@ -141,7 +141,8 @@ def load_weights_into(model: Model, path) -> LoadReport:
 
     Partial loads are fine (a 3-stage tracker can pick up the shared stages
     of a 4-stage classifier file); a shape clash on a matching name is an
-    error.  Returns what was loaded / skipped / left at init.
+    error, raised before any parameter is changed.  Returns what was loaded /
+    skipped / left at init.
     """
     _, tensors = read_weight_file(path)
     params = model.named_parameters()
@@ -150,11 +151,12 @@ def load_weights_into(model: Model, path) -> LoadReport:
         t = params.get(name)
         if t is None:
             report.skipped.append(name)
-            continue
-        if arr.shape != t.shape:
+        elif arr.shape != t.shape:
             raise LoadError(f"shape mismatch for {name}: file {arr.shape} vs model {t.shape}")
-        t.data[:] = arr
-        report.loaded.append(name)
+        else:
+            report.loaded.append(name)
+    for name in report.loaded:
+        params[name].data[:] = tensors[name]
     report.missing = [n for n in params if n not in tensors]
     return report
 

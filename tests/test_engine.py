@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbtrack import engine as eg
+from sbtrack import model as md
+from sbtrack import training as tr
+from sbtrack.boxes import Box
 from sbtrack.engine import PadMode
 
 from oracle_helpers import conv2d_loops, depthwise_loops, matmul_loops, pad_spatial
@@ -278,7 +282,53 @@ class TestBackward:
         x = eg.parameter([2.0])
         with eg.no_grad():
             y = eg.mul(x, x)
-        assert not y.requires_grad and y._grad_fn is None
+        assert not y.requires_grad and y._inputs == () and y._partials == ()
+
+    def test_second_backward_through_released_graph_raises(self):
+        x = eg.parameter([3.0], dtype=np.float64)
+        y = eg.mul(x, x)
+        loss = eg.sum_(eg.mul(y, 2.0))
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [12.0])
+        with pytest.raises(ValueError, match="build the loss again"):
+            loss.backward()
+        with pytest.raises(ValueError, match="build the loss again"):
+            eg.sum_(eg.mul(y, 2.0)).backward()  # a new loss over the released y
+        np.testing.assert_array_equal(x.grad, [12.0])
+
+    def test_backward_releases_interior_gradients(self):
+        w = eg.parameter([[1.0, 2.0], [3.0, 4.0]], dtype=np.float64)
+        b = eg.parameter([3.0, 0.5], dtype=np.float64)
+        c = eg.tensor([2.0, 3.0], dtype=np.float64)
+        h = eg.relu(eg.linear(eg.tensor([[1.0, -1.0]], dtype=np.float64), w, b))
+        interior = [h, eg.mul(h, c)]
+        loss = eg.sum_(interior[-1])
+        loss.backward()
+        for t in interior + [loss]:
+            assert t.grad is None and t._inputs is None and t._partials is None
+        np.testing.assert_array_equal(w.grad, [[2.0, 0.0], [-2.0, 0.0]])
+        np.testing.assert_array_equal(b.grad, [2.0, 0.0])
+        assert c.grad is None
+
+    def test_held_loss_keeps_no_graph(self):
+        """After backward, a held tiny training loss keeps its parameters'
+        gradients and little else."""
+        model = md.build_model(md.tiny_config(), seed=0)
+        r = np.random.default_rng(0)
+        z = r.random((3, 64, 64), dtype=np.float32)
+        x = r.random((3, 128, 128), dtype=np.float32)
+        tm = tr.assign_targets(Box(40, 40, 90, 90), model.config.search_grid(), 128.0)
+        param_bytes = sum(t.data.nbytes for t in model.named_parameters().values())
+        tracemalloc.start()
+        try:
+            cls, reg = md.forward(model, z, x)
+            loss = tr.total_loss(tr.cls_loss(cls, tm.labels),
+                                 *tr.reg_loss_terms(reg, tm.reg, tm.labels))
+            loss.backward()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * param_bytes, (held, param_bytes)
 
     def test_composed_chain_matches_finite_differences(self, rng):
         w1 = eg.parameter(rng.standard_normal((4, 5)) * 0.5, dtype=np.float64)
@@ -301,6 +351,12 @@ class TestGradCheck:
         x = rng.standard_normal((4, 3))
         fn = lambda: eg.sum_(eg.abs_(eg.linear(eg.tensor(x, dtype=np.float64), w, b)))
         assert eg.grad_check(fn, {"w": w, "b": b}, tol=1e-4).ok
+
+    def test_one_element_loss_of_any_rank(self):
+        assert eg.tensor([1.5]).item() == 1.5
+        w = eg.parameter([[0.5, -1.0]], dtype=np.float64)
+        fn = lambda: eg.matmul(w, eg.tensor([[2.0], [3.0]], dtype=np.float64))  # [1, 1]
+        assert eg.grad_check(fn, {"w": w}).ok
 
     def test_corrupted_backward_fails(self, rng):
         # Negative control: an op with a deliberately wrong gradient rule.
@@ -541,7 +597,7 @@ class TestRecording:
         with eg.no_grad():
             out = fn(*params)
         assert not out.requires_grad
-        assert out._grad_fn is None and out._parents == ()
+        assert out._inputs == () and out._partials == ()
 
     @pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((3, 1), (1, 4)), ((2, 3, 4), (3, 1)),
                                         ((), (3, 4))])

@@ -562,9 +562,12 @@ class TestWeightFiles:
     def test_other_search_size_raises_load_error(self, tmp_path):
         path = tmp_path / "m.sbtw"
         wio.save_weights(md.build_model(md.tiny_config(), seed=0), path)
-        other = md.build_model(md.tiny_config(search_size=96), seed=0)
+        other = md.build_model(md.tiny_config(search_size=96), seed=1)
+        before = {n: t.data.copy() for n, t in other.named_parameters().items()}
         with pytest.raises(wio.LoadError, match="spatial_weight"):
             wio.load_weights_into(other, path)
+        for n, t in other.named_parameters().items():
+            np.testing.assert_array_equal(t.data, before[n], err_msg=n)
 
     def test_load_weights_parses_the_file_once(self, tmp_path, monkeypatch):
         path = tmp_path / "m.sbtw"

@@ -119,7 +119,7 @@ class TestRegLoss:
     def test_weighting_is_5g_plus_7l1(self, rng):
         tm, pred = self._setup(rng)
         g, l1 = tr.reg_loss_terms(pred, tm.reg, tm.labels)
-        total = tr.reg_loss(pred, tm.reg, tm.labels)
+        total = tr.total_loss(0.0, g, l1)
         assert total.item() == pytest.approx(5 * g.item() + 7 * l1.item(), rel=1e-6)
 
     def test_empty_mask_is_zero(self, rng):
@@ -147,17 +147,17 @@ class TestRegLoss:
     def test_gradients_pass_finite_differences(self, rng):
         tm, pred0 = self._setup(rng)
         pred = eg.parameter(pred0.data.copy(), dtype=np.float64)
-        fn = lambda: tr.reg_loss(pred, tm.reg, tm.labels)
+        fn = lambda: tr.total_loss(0.0, *tr.reg_loss_terms(pred, tm.reg, tm.labels))
         report = eg.grad_check(fn, {"pred": pred}, tol=1e-4, max_entries=40, rng=rng)
         assert report.ok, report.summary()
 
 
 class TestTotalLoss:
     def test_zero_components(self):
-        assert tr.total_loss(0.0, 0.0, 0.0) == 0.0
+        assert tr.total_loss(0.0, 0.0, 0.0).item() == 0.0
 
     def test_unit_components_equal_24(self):
-        assert tr.total_loss(1.0, 1.0, 1.0) == 24.0
+        assert tr.total_loss(1.0, 1.0, 1.0).item() == 24.0
 
     def test_tensor_path_matches(self):
         t = lambda v: eg.tensor(np.asarray(v, dtype=np.float64), dtype=np.float64)
