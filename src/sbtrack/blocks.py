@@ -16,6 +16,12 @@ of its channels: training can push that token's pre-activation below zero in
 every channel at once, and under a plain ReLU nothing upstream of it would
 then get a gradient again.
 
+A block takes and returns each branch's features as a plain [c, h, w]
+Tensor, whose grid is `shape[1:]`; it flattens them to [h*w, c] tokens
+(`tokens_of`) for the per-token linears and back (`map_of`) for the
+convolutions and the residuals.  `attend` is the attention update without
+its layer norm, which is the paper's cross-attention (eq. 8) on its own.
+
 A block's weights are a plain dict: its entries of the model's parameter
 table, keyed by the names of its shape table below (`w["q_weight"]`).  The
 shape tables are the only place that knows a block's parameter layout.
@@ -54,39 +60,23 @@ class AttnConfig:
         return self.dim // self.heads
 
 
-@dataclass
-class FeatureMap:
-    """One branch's features on a token grid: tensor [c, h, w]."""
-
-    tensor: Tensor
-
-    def __post_init__(self):
-        if self.tensor.ndim != 3 or min(self.tensor.shape) < 1:
-            raise ShapeError(f"feature map must be a non-empty [c, h, w], got {self.tensor.shape}")
-
-    @property
-    def grid(self) -> tuple[int, int]:
-        return self.tensor.shape[1:]
-
-    @property
-    def channels(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def token_count(self) -> int:
-        return self.grid[0] * self.grid[1]
+def _grid(f: Tensor) -> tuple[int, int]:
+    """The token grid (h, w) of a [c, h, w] feature map."""
+    if f.ndim != 3 or min(f.shape) < 1:
+        raise ShapeError(f"feature map must be a non-empty [c, h, w], got {f.shape}")
+    return f.shape[1:]
 
 
-def tokens_of(f: FeatureMap) -> Tensor:
+def tokens_of(f: Tensor) -> Tensor:
     """Row-major flatten of the grid: [c, h, w] -> [h*w, c]."""
-    c = f.channels
-    return eg.transpose(eg.reshape(f.tensor, (c, f.token_count)), (1, 0))
+    h, w = _grid(f)
+    return eg.transpose(eg.reshape(f, (f.shape[0], h * w)), (1, 0))
 
 
-def map_of(tokens: Tensor, grid: tuple[int, int]) -> FeatureMap:
+def map_of(tokens: Tensor, grid: tuple[int, int]) -> Tensor:
     h, w = grid
     c = tokens.shape[-1]
-    return FeatureMap(eg.reshape(eg.transpose(tokens, (1, 0)), (c, h, w)))
+    return eg.reshape(eg.transpose(tokens, (1, 0)), (c, h, w))
 
 
 # -- parameter tables ({field: shape} in field order) and initialization ------
@@ -139,28 +129,26 @@ def init_params(rng, shapes: dict[str, tuple[int, ...]], dtype=np.float32) -> di
 # -- operations ---------------------------------------------------------------
 
 
-def patch_embed(img: Tensor, w: dict[str, Tensor], stride: int, pad_kind: str = "zeros") -> FeatureMap:
+def patch_embed(img: Tensor, w: dict[str, Tensor], stride: int, pad_kind: str = "zeros") -> Tensor:
     """Overlapping-patch embedding: strided conv then per-position layer norm."""
     pad = PadMode.same(pad_kind, w["weight"].shape[-1])
     h, wd = img.shape[1], img.shape[2]
     if h % stride or wd % stride:
         raise ShapeError(f"input {h}x{wd} not divisible by stride {stride}")
     out = eg.conv2d(img, w["weight"], w["bias"], stride=stride, pad=pad)
-    out = eg.layer_norm(out, w["gamma"], w["beta"], axis=0)
-    return FeatureMap(out)
+    return eg.layer_norm(out, w["gamma"], w["beta"], axis=0)
 
 
-def _kv_tokens(f: FeatureMap, cfg: AttnConfig, w: dict[str, Tensor]) -> Tensor:
+def _kv_tokens(f: Tensor, cfg: AttnConfig, w: dict[str, Tensor]) -> Tensor:
     """Key/value source tokens, spatially reduced when cfg.reduction > 1."""
     r = cfg.reduction
     if r == 1:
         return tokens_of(f)
-    h, wd = f.grid
+    h, wd = _grid(f)
     if h % r or wd % r:
-        raise ShapeError(f"reduction {r} does not divide grid {f.grid}")
-    red = eg.conv2d(f.tensor, w["reduce_weight"], w["reduce_bias"], stride=r, pad=PadMode.valid())
-    tok = tokens_of(FeatureMap(red))
-    return eg.layer_norm(tok, w["reduce_gamma"], w["reduce_beta"], axis=-1)
+        raise ShapeError(f"reduction {r} does not divide grid {(h, wd)}")
+    red = eg.conv2d(f, w["reduce_weight"], w["reduce_bias"], stride=r, pad=PadMode.valid())
+    return eg.layer_norm(tokens_of(red), w["reduce_gamma"], w["reduce_beta"], axis=-1)
 
 
 def _split_heads(tok: Tensor, cfg: AttnConfig) -> Tensor:
@@ -173,13 +161,13 @@ def _merge_heads(att: Tensor, cfg: AttnConfig) -> Tensor:
     return eg.reshape(eg.transpose(att, (1, 0, 2)), (t, cfg.dim))
 
 
-def qkv_project(f: FeatureMap, which: str, cfg: AttnConfig, w: dict[str, Tensor]) -> Tensor:
+def qkv_project(f: Tensor, which: str, cfg: AttnConfig, w: dict[str, Tensor]) -> Tensor:
     """Project one branch's features to per-head tokens [heads, tokens, head_dim].
 
     Queries keep the full grid; keys/values see the reduced grid.
     """
-    if f.channels != cfg.dim:
-        raise ShapeError(f"feature dim {f.channels} != config dim {cfg.dim}")
+    if f.shape[0] != cfg.dim:
+        raise ShapeError(f"feature dim {f.shape[0]} != config dim {cfg.dim}")
     if which not in ("q", "k", "v"):
         raise ValueError(f"which must be q/k/v, got {which!r}")
     tok = tokens_of(f) if which == "q" else _kv_tokens(f, cfg, w)
@@ -187,85 +175,69 @@ def qkv_project(f: FeatureMap, which: str, cfg: AttnConfig, w: dict[str, Tensor]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int) -> Tensor:
-    """Scaled dot-product attention; accepts [t, d] or [heads, t, d]."""
+    """Scaled dot-product attention over [heads, t, d] queries, keys and values."""
     if q.shape[-1] != head_dim or k.shape[-1] != head_dim or v.shape[-1] != head_dim:
         raise ShapeError(f"head dim mismatch: {q.shape}, {k.shape}, {v.shape} vs {head_dim}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError("key/value token counts differ")
-    squeeze = q.ndim == 2
-    if squeeze:
-        q = eg.reshape(q, (1, *q.shape))
-        k = eg.reshape(k, (1, *k.shape))
-        v = eg.reshape(v, (1, *v.shape))
     scores = eg.mul(eg.matmul(q, eg.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(head_dim))
-    out = eg.matmul(eg.softmax_last_dim(scores), v)
-    if squeeze:
-        out = eg.reshape(out, out.shape[1:])
-    return out
+    return eg.matmul(eg.softmax_last_dim(scores), v)
 
 
-def _norm1(f: FeatureMap, w: dict[str, Tensor]) -> FeatureMap:
-    return FeatureMap(eg.layer_norm(f.tensor, w["norm1_gamma"], w["norm1_beta"], axis=0))
-
-
-def _attended_residual(f_raw: FeatureMap, f_q: FeatureMap, f_kv: FeatureMap,
-                       cfg: AttnConfig, w: dict[str, Tensor]) -> FeatureMap:
-    """f_raw + out_proj(Attn(q(f_q), k(f_kv), v(f_kv))) on f_q's grid."""
+def attend(f: Tensor, f_q: Tensor, f_kv: Tensor, cfg: AttnConfig, w: dict[str, Tensor]) -> Tensor:
+    """f + out_proj(Attn(q(f_q), k(f_kv), v(f_kv))) on f_q's grid: the
+    attention update without its layer norm (eq. 8 of the paper when the
+    projections are identities)."""
     q = qkv_project(f_q, "q", cfg, w)
     k = qkv_project(f_kv, "k", cfg, w)
     v = qkv_project(f_kv, "v", cfg, w)
     att = attention(q, k, v, cfg.head_dim)
     out_tok = eg.linear(_merge_heads(att, cfg), w["out_weight"], w["out_bias"])
-    delta = map_of(out_tok, f_q.grid)
-    return FeatureMap(eg.add(f_raw.tensor, delta.tensor))
+    return eg.add(f, map_of(out_tok, f_q.shape[1:]))
 
 
-def eoc_attention(f_z: FeatureMap | None, f_x: FeatureMap | None, mode: str, cfg: AttnConfig,
-                  w: dict[str, Tensor], pre_norm: bool = True,
-                  ) -> tuple[FeatureMap | None, FeatureMap | None]:
+def eoc_attention(f_z: Tensor | None, f_x: Tensor | None, mode: str, cfg: AttnConfig,
+                  w: dict[str, Tensor]) -> tuple[Tensor | None, Tensor | None]:
     """Attention sub-layer updating both branches with shared weights.
 
     SA lets each branch attend to itself; CA takes queries from one branch
-    and keys/values from the other.  Both updates read the pre-update
-    features and add the attended values back as a residual.  In SA mode
-    either branch may be None, and is returned as None: the other branch's
-    update does not read it.  `pre_norm` can be dropped to expose the bare
-    update (used by the dynamic-conv equivalence checks).
+    and keys/values from the other.  Both updates read the layer-normed
+    pre-update features and add the attended values back as a residual
+    (`attend`).  In SA mode either branch may be None, and is returned as
+    None: the other branch's update does not read it.
     """
     if mode not in (SA, CA):
         raise ValueError(f"mode must be '{SA}' or '{CA}'")
     if mode == CA and (f_z is None or f_x is None):
         raise ValueError("cross-attention needs both branches")
-    if f_z is not None and f_x is not None and f_z.channels != f_x.channels:
-        raise ShapeError(f"branch channels differ: {f_z.channels} vs {f_x.channels}")
+    if f_z is not None and f_x is not None and f_z.shape[0] != f_x.shape[0]:
+        raise ShapeError(f"branch channels differ: {f_z.shape[0]} vs {f_x.shape[0]}")
 
-    nz = _norm1(f_z, w) if pre_norm and f_z is not None else f_z
-    nx = _norm1(f_x, w) if pre_norm and f_x is not None else f_x
+    nz, nx = (None if f is None else eg.layer_norm(f, w["norm1_gamma"], w["norm1_beta"], axis=0)
+              for f in (f_z, f_x))
     if mode == SA:
-        return tuple(None if f is None else _attended_residual(f, n, n, cfg, w)
+        return tuple(None if f is None else attend(f, n, n, cfg, w)
                      for f, n in ((f_z, nz), (f_x, nx)))
-    return (_attended_residual(f_z, nz, nx, cfg, w),
-            _attended_residual(f_x, nx, nz, cfg, w))
+    return attend(f_z, nz, nx, cfg, w), attend(f_x, nx, nz, cfg, w)
 
 
-def mlp_cond_pe(f: FeatureMap, w: dict[str, Tensor], pad_kind: str = "zeros") -> FeatureMap:
+def mlp_cond_pe(f: Tensor, w: dict[str, Tensor], pad_kind: str = "zeros") -> Tensor:
     """Token MLP with a 3x3 depthwise conv injecting position before GELU."""
-    hidden = eg.linear(tokens_of(f), w["fc1_weight"], w["fc1_bias"])
-    hmap = map_of(hidden, f.grid)
-    hmap = FeatureMap(eg.depthwise_conv2d(hmap.tensor, w["pe_weight"], w["pe_bias"],
-                                          pad=PadMode.same(pad_kind, 3)))
-    out = eg.linear(tokens_of(FeatureMap(eg.gelu(hmap.tensor))), w["fc2_weight"], w["fc2_bias"])
-    return map_of(out, f.grid)
+    grid = _grid(f)
+    hidden = map_of(eg.linear(tokens_of(f), w["fc1_weight"], w["fc1_bias"]), grid)
+    hidden = eg.depthwise_conv2d(hidden, w["pe_weight"], w["pe_bias"], pad=PadMode.same(pad_kind, 3))
+    out = eg.linear(tokens_of(eg.gelu(hidden)), w["fc2_weight"], w["fc2_bias"])
+    return map_of(out, grid)
 
 
-def _mlp_residual(f: FeatureMap, w: dict[str, Tensor], pad_kind: str) -> FeatureMap:
-    n = FeatureMap(eg.layer_norm(f.tensor, w["norm2_gamma"], w["norm2_beta"], axis=0))
-    return FeatureMap(eg.add(f.tensor, mlp_cond_pe(n, w, pad_kind).tensor))
+def _mlp_residual(f: Tensor, w: dict[str, Tensor], pad_kind: str) -> Tensor:
+    n = eg.layer_norm(f, w["norm2_gamma"], w["norm2_beta"], axis=0)
+    return eg.add(f, mlp_cond_pe(n, w, pad_kind))
 
 
-def eoc_block(f_z: FeatureMap | None, f_x: FeatureMap | None, mode: str, cfg: AttnConfig,
+def eoc_block(f_z: Tensor | None, f_x: Tensor | None, mode: str, cfg: AttnConfig,
               w: dict[str, Tensor], pad_kind: str = "zeros",
-              ) -> tuple[FeatureMap | None, FeatureMap | None]:
+              ) -> tuple[Tensor | None, Tensor | None]:
     """Full extract-or-correlate block: attention then conditional-PE MLP.
 
     In SA mode a branch given as None is skipped and returned as None, so
@@ -276,11 +248,12 @@ def eoc_block(f_z: FeatureMap | None, f_x: FeatureMap | None, mode: str, cfg: At
                  for f in eoc_attention(f_z, f_x, mode, cfg, w))
 
 
-def mix_mlp_block(f: FeatureMap, w: dict[str, Tensor]) -> FeatureMap:
+def mix_mlp_block(f: Tensor, w: dict[str, Tensor]) -> Tensor:
     """Prediction-head block: channel mixing (linear+ReLU), then spatial mixing
     (linear+leaky ReLU, so that a token negative in every channel still passes
     a gradient to its spatial weights and bias and to everything upstream)."""
-    n_tokens = f.token_count
+    grid = _grid(f)
+    n_tokens = grid[0] * grid[1]
     expected = w["spatial_weight"].shape[0]
     if expected != n_tokens:
         raise ShapeError(f"spatial mixing weight expects {expected} tokens, got {n_tokens}")
@@ -289,14 +262,14 @@ def mix_mlp_block(f: FeatureMap, w: dict[str, Tensor]) -> FeatureMap:
     by_channel = eg.transpose(mixed_c, (1, 0))  # [c, n_tokens]
     mixed_s = eg.leaky_relu(eg.linear(by_channel, w["spatial_weight"], w["spatial_bias"]),
                             SPATIAL_LEAK)
-    return map_of(eg.transpose(mixed_s, (1, 0)), f.grid)
+    return map_of(eg.transpose(mixed_s, (1, 0)), grid)
 
 
-def head_forward(f: FeatureMap, blocks: list[dict[str, Tensor]], out: dict[str, Tensor]) -> Tensor:
+def head_forward(f: Tensor, blocks: list[dict[str, Tensor]], out: dict[str, Tensor]) -> Tensor:
     """Stacked mix-MLP blocks then the per-token linear map `out` (its
     `out_weight` and `out_bias`); returns [out_c, h, w]."""
     cur = f
     for w in blocks:
         cur = mix_mlp_block(cur, w)
     out_tok = eg.linear(tokens_of(cur), out["out_weight"], out["out_bias"])
-    return map_of(out_tok, f.grid).tensor
+    return map_of(out_tok, _grid(f))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import blocks as bl
 from . import engine as eg
-from .blocks import CA, SA, AttnConfig, FeatureMap
+from .blocks import CA, SA, AttnConfig
 from .engine import ShapeError, Tensor
 
 
@@ -263,8 +263,6 @@ def _check_image(img, size: int, what: str) -> None:
 
 def _as_input(f) -> Tensor:
     """A patch embedding's input as a tensor: an image, or the previous stage's features."""
-    if isinstance(f, FeatureMap):
-        return f.tensor
     if isinstance(f, Tensor):
         return f
     return eg.tensor(np.asarray(f))
@@ -282,10 +280,10 @@ def _schedule(model: Model):
 
 @dataclass(frozen=True)
 class BranchState:
-    """One branch part-way through the backbone: its features right after
-    step `after` = (stage, block) of the schedule."""
+    """One branch part-way through the backbone: its [c, h, w] features
+    `tensor` right after step `after` = (stage, block) of the schedule."""
 
-    features: FeatureMap
+    tensor: Tensor
     after: tuple[int, int]
 
 
@@ -299,8 +297,8 @@ def _walk(model: Model, z, x=None, trace: dict | None = None,
     each branch's state after the last step it ran (None for an absent `x`).
     """
     pad = model.config.pad_mode
-    fz, z_after = (z.features, z.after) if isinstance(z, BranchState) else (z, (0, 0))
-    fx, x_after = (x.features, x.after) if isinstance(x, BranchState) else (x, (0, 0))
+    fz, z_after = (z.tensor, z.after) if isinstance(z, BranchState) else (z, (0, 0))
+    fx, x_after = (x.tensor, x.after) if isinstance(x, BranchState) else (x, (0, 0))
     for si, bi, st, w in _schedule(model):
         run_z, run_x = (si, bi) > z_after, x is not None and (si, bi) > x_after
         if not (run_z or run_x):
@@ -323,9 +321,9 @@ def _walk(model: Model, z, x=None, trace: dict | None = None,
             key = ("block", si, bi)
         if trace is not None:
             if run_z:
-                trace[(*key, "z")] = fz.tensor.data.copy(order="K")
+                trace[(*key, "z")] = fz.data.copy(order="K")
             if run_x:
-                trace[(*key, "x")] = fx.tensor.data.copy(order="K")
+                trace[(*key, "x")] = fx.data.copy(order="K")
         z_after = (si, bi) if run_z else z_after
         x_after = (si, bi) if run_x else x_after
     return BranchState(fz, z_after), None if x is None else BranchState(fx, x_after)
@@ -339,35 +337,38 @@ def template_prefix(model: Model, z) -> BranchState:
     return _walk(model, z)[0]
 
 
-def run_backbone(model: Model, z, x, trace: dict | None = None) -> tuple[FeatureMap, FeatureMap]:
+def run_backbone(model: Model, z, x, trace: dict | None = None,
+                 ) -> tuple[BranchState, BranchState]:
     """Run the template and search branches through the stage/block schedule.
 
     Each branch is an image or a `BranchState`, which runs only the steps
     after its `after`: a `template_prefix`, or snapshots of both branches
     taken after one step (block 0 being the stage's patch embedding).  A CA
-    block that only one branch would run raises `ValueError`.  `trace`, when
-    given, receives a copy of the output of every step that ran, keyed by
-    ('embed', stage, branch) or ('block', stage, block, branch).
+    block that only one branch would run raises `ValueError`.  Returns both
+    branches' states after the last step; their `tensor`s feed `run_heads`.
+    `trace`, when given, receives a copy of the output of every step that
+    ran, keyed by ('embed', stage, branch) or ('block', stage, block, branch).
     """
-    z, x = _walk(model, z, x, trace)
-    return z.features, x.features
+    return _walk(model, z, x, trace)
 
 
-def _crop_template_odd(fz: FeatureMap, max_side: int = 7) -> FeatureMap:
+def _crop_template_odd(fz: Tensor, max_side: int = 7) -> Tensor:
     """Center-crop template features to an odd spatial extent (<= max_side)
     so the correlation head can pad symmetrically."""
-    h, w = fz.grid
+    h, w = fz.shape[1:]
     side = min(max_side, h if h % 2 else h - 1, w if w % 2 else w - 1)
     r0 = (h - side) // 2
     c0 = (w - side) // 2
-    return FeatureMap(fz.tensor[:, r0 : r0 + side, c0 : c0 + side])
+    return fz[:, r0 : r0 + side, c0 : c0 + side]
 
 
-def run_heads(model: Model, fz: FeatureMap, fx: FeatureMap) -> tuple[Tensor, Tensor]:
+def run_heads(model: Model, fz: Tensor, fx: Tensor) -> tuple[Tensor, Tensor]:
+    """Both heads on the search features `fx` (or, for `head_input="dwcorr"`,
+    on their depthwise correlation with the template features `fz`)."""
     if model.config.head_input == "dwcorr":
         zc = _crop_template_odd(fz)
-        pad = eg.PadMode.zeros((zc.grid[0] - 1) // 2)
-        head_in = FeatureMap(eg.depthwise_xcorr(zc.tensor, fx.tensor, pad=pad))
+        pad = eg.PadMode.zeros((zc.shape[1] - 1) // 2)
+        head_in = eg.depthwise_xcorr(zc, fx, pad=pad)
     else:
         head_in = fx
 
@@ -391,7 +392,8 @@ def forward(model: Model, z, x) -> tuple[Tensor, Tensor]:
     if not isinstance(z, BranchState):
         _check_image(z, cfg.template_size, "template")
     _check_image(x, cfg.search_size, "search")
-    return run_heads(model, *run_backbone(model, z, x))
+    fz, fx = run_backbone(model, z, x)
+    return run_heads(model, fz.tensor, fx.tensor)
 
 
 def forward_classification(model: Model, img) -> Tensor:
@@ -405,10 +407,11 @@ def forward_classification(model: Model, img) -> Tensor:
     img = _as_input(img)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected a (3, H, W) image, got {tuple(img.shape)}")
-    f = _walk(model, img)[0].features  # a classifier has no CA block, so every step runs
-    pooled = eg.mean_(eg.reshape(f.tensor, (f.channels, f.token_count)), axis=1)
+    f = _walk(model, img)[0].tensor  # a classifier has no CA block, so every step runs
+    c, h, wd = f.shape
+    pooled = eg.mean_(eg.reshape(f, (c, h * wd)), axis=1)
     w = model.by_owner["classifier"]
-    return eg.linear(eg.reshape(pooled, (1, f.channels)), w["weight"], w["bias"])[0, :]
+    return eg.linear(eg.reshape(pooled, (1, c)), w["weight"], w["bias"])[0, :]
 
 
 # -- config serialization ------------------------------------------------------
@@ -425,16 +428,26 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     return d
 
 
+def _as_int(value, field: str) -> int:
+    """A config integer: an int or an integral float; bools and fractions raise."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{field} must be an integer, got {value!r}")
+
+
 def config_from_dict(d: dict) -> ModelConfig:
     try:
         stages = tuple(
-            StageConfig(**{k: int(s[k]) for k in _STAGE_INTS},
-                        ca_positions=tuple(int(p) for p in s.get("ca_positions", ())))
-            for s in d["stages"]
+            StageConfig(**{k: _as_int(s[k], f"stage {i} {k}") for k in _STAGE_INTS},
+                        ca_positions=tuple(_as_int(p, f"stage {i} ca_positions")
+                                           for p in s.get("ca_positions", ())))
+            for i, s in enumerate(d["stages"], 1)
         )
-        # a field left out keeps its default, and the default's type converts a given value
-        rest = {f.name: type(f.default)(d[f.name]) for f in fields(ModelConfig)
-                if f.name not in ("name", "stages") and f.name in d}
+        # a field left out keeps its default, and the default's type says how to read a given value
+        rest = {f.name: _as_int(d[f.name], f.name) if isinstance(f.default, int) else str(d[f.name])
+                for f in fields(ModelConfig) if f.name not in ("name", "stages") and f.name in d}
         cfg = ModelConfig(name=str(d.get("name", "custom")), stages=stages, **rest)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed model config: {exc}") from exc

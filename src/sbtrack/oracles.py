@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model as md
-from .blocks import FeatureMap
 from .engine import ShapeError, no_grad
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
 
 
 def _as_array(f) -> np.ndarray:
-    if isinstance(f, FeatureMap):
-        return np.asarray(f.tensor.data)
     if hasattr(f, "data"):
         return np.asarray(f.data)
     return np.asarray(f)
@@ -167,14 +164,14 @@ def serial_hierarchy_trace(model, z, x) -> SerialTrace:
     trace: dict = {}
     with no_grad():
         fz, fx = md.run_backbone(model, z, x, trace=trace)
-        cls_ref, reg_ref = md.run_heads(model, fz, fx)
+        cls_ref, reg_ref = md.run_heads(model, fz.tensor, fx.tensor)
         residual = 0.0
         for si, bi in ca_blocks:
             snap_z, snap_x = (
-                md.BranchState(FeatureMap(eg.tensor(trace[("block", si, bi, b)])), (si, bi))
+                md.BranchState(eg.tensor(trace[("block", si, bi, b)]), (si, bi))
                 for b in ("z", "x"))
             rz, rx = md.run_backbone(model, snap_z, snap_x)
-            cls2, reg2 = md.run_heads(model, rz, rx)
+            cls2, reg2 = md.run_heads(model, rz.tensor, rx.tensor)
             residual = max(residual,
                            float(np.abs(cls2.data - cls_ref.data).max()),
                            float(np.abs(reg2.data - reg_ref.data).max()))
@@ -220,10 +217,9 @@ def _eq8_equivalence(rng, trials: int) -> OracleResult:
             w[f"{proj}_weight"].data[:] = np.eye(c)
             w[f"{proj}_bias"].data[:] = 0
         with no_grad():
-            _, fx = bl.eoc_attention(bl.FeatureMap(eg.tensor(z)), bl.FeatureMap(eg.tensor(x)),
-                                     bl.CA, cfg, w, pre_norm=False)
+            fx = bl.attend(eg.tensor(x), eg.tensor(x), eg.tensor(z), cfg, w)
         want = ca_as_dynamic_conv(z, x)
-        worst = max(worst, float(np.abs(fx.tensor.data - want).max()))
+        worst = max(worst, float(np.abs(fx.data - want).max()))
     return OracleResult("cross-attention == two dynamic convs", worst < 1e-5, worst,
                         "< 1e-5", f"{trials} random pairs")
 

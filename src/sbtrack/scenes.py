@@ -275,12 +275,15 @@ def read_ppm(path) -> np.ndarray:
 
 
 def write_pgm(img: np.ndarray, path) -> None:
-    """Binary P5 grayscale; img [H, W], rescaled to full range."""
+    """Binary P5 grayscale; img [H, W], its finite pixels rescaled to full
+    range.  Non-finite pixels (NaN, +-inf) are written as 0."""
     arr = np.asarray(img, dtype=np.float64)
-    span = arr.max() - arr.min()
-    if span > 0:
-        arr = (arr - arr.min()) / span
-    out = np.clip(arr * 255.0 + 0.5, 0, 255).astype(np.uint8)
+    finite = np.isfinite(arr)
+    arr = np.where(finite, arr, 0.0)
+    lo, hi = (arr[finite].min(), arr[finite].max()) if finite.any() else (0.0, 0.0)
+    if hi > lo:
+        arr = (arr - lo) / (hi - lo)
+    out = np.where(finite, np.clip(arr * 255.0 + 0.5, 0, 255), 0).astype(np.uint8)
     h, w = out.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

@@ -66,6 +66,10 @@ class TrainConfig:
     probe_every: int = 25
 
     def __post_init__(self):
+        if not all(v >= 0 for v in (self.lr_head, self.lr_backbone, self.weight_decay)):
+            raise ValueError(f"learning rates and weight decay must be >= 0, got lr_head "
+                             f"{self.lr_head}, lr_backbone {self.lr_backbone}, weight_decay "
+                             f"{self.weight_decay}")
         if self.lr_backbone > self.lr_head:
             raise ValueError("backbone lr must not exceed head lr")
         if self.batch < 1 or self.steps < 0:

@@ -16,7 +16,7 @@ def rng():
 
 
 def fmap(rng, c, h, w, dtype=np.float32):
-    return bl.FeatureMap(eg.tensor(rng.standard_normal((c, h, w)), dtype=dtype))
+    return eg.tensor(rng.standard_normal((c, h, w)), dtype=dtype)
 
 
 def make_cfg(c=8, heads=2, r=2):
@@ -31,17 +31,17 @@ class TestPatchEmbed:
     def test_template_shape(self, rng):
         w = bl.init_params(rng, bl.patch_embed_shapes(3, 64, 7))
         out = bl.patch_embed(eg.tensor(rng.standard_normal((3, 128, 128))), w, stride=4)
-        assert out.tensor.shape == (64, 32, 32)
+        assert out.shape == (64, 32, 32)
 
     def test_search_shape(self, rng):
         w = bl.init_params(rng, bl.patch_embed_shapes(3, 64, 7))
         out = bl.patch_embed(eg.tensor(rng.standard_normal((3, 256, 256))), w, stride=4)
-        assert out.tensor.shape == (64, 64, 64)
+        assert out.shape == (64, 64, 64)
 
     def test_zero_image_zero_output(self, rng):
         w = bl.init_params(rng, bl.patch_embed_shapes(3, 16, 7))
         out = bl.patch_embed(eg.tensor(np.zeros((3, 32, 32))), w, stride=4)
-        np.testing.assert_allclose(out.tensor.data, 0.0, atol=1e-7)
+        np.testing.assert_allclose(out.data, 0.0, atol=1e-7)
 
     def test_indivisible_extent_rejected(self, rng):
         w = bl.init_params(rng, bl.patch_embed_shapes(3, 16, 7))
@@ -79,7 +79,7 @@ class TestQkvProject:
         f = fmap(rng, 4, 4, 6, dtype=np.float64)
         got = bl.qkv_project(f, "k", cfg, w).data[0]
 
-        red = conv2d_loops(f.tensor.data, w["reduce_weight"].data, w["reduce_bias"].data,
+        red = conv2d_loops(f.data, w["reduce_weight"].data, w["reduce_bias"].data,
                            stride=2, pad=PadMode.valid())
         tok = red.reshape(4, -1).T
         mu = tok.mean(axis=1, keepdims=True)
@@ -90,51 +90,56 @@ class TestQkvProject:
         assert np.abs(got - want).max() < 1e-5
 
 
+def one_head(q, k, v, head_dim):
+    """`bl.attention` on [t, d] arrays as a single head (float32)."""
+    head = lambda a: eg.tensor(np.asarray(a)[None])
+    return bl.attention(head(q), head(k), head(v), head_dim).data[0]
+
+
 class TestAttention:
     def test_single_key_returns_value(self, rng):
-        q = eg.tensor(rng.standard_normal((5, 4)))
-        k = eg.tensor(rng.standard_normal((1, 4)))
-        v = eg.tensor(rng.standard_normal((1, 4)))
-        out = bl.attention(q, k, v, 4)
-        np.testing.assert_allclose(out.data, np.repeat(v.data, 5, axis=0), atol=1e-6)
+        q = rng.standard_normal((5, 4))
+        k = rng.standard_normal((1, 4))
+        v = rng.standard_normal((1, 4)).astype(np.float32)
+        out = one_head(q, k, v, 4)
+        np.testing.assert_allclose(out, np.repeat(v, 5, axis=0), atol=1e-6)
 
     def test_identical_keys_average_values(self, rng):
-        q = eg.tensor(rng.standard_normal((3, 4)))
+        q = rng.standard_normal((3, 4))
         key = rng.standard_normal(4)
-        k = eg.tensor(np.stack([key, key]))
-        v = eg.tensor(rng.standard_normal((2, 4)))
-        out = bl.attention(q, k, v, 4)
-        np.testing.assert_allclose(out.data, np.repeat(v.data.mean(axis=0, keepdims=True), 3, axis=0),
+        k = np.stack([key, key])
+        v = rng.standard_normal((2, 4)).astype(np.float32)
+        out = one_head(q, k, v, 4)
+        np.testing.assert_allclose(out, np.repeat(v.mean(axis=0, keepdims=True), 3, axis=0),
                                    atol=1e-6)
 
     def test_against_double_loop_oracle(self, rng):
         q = rng.standard_normal((6, 4)).astype(np.float32)
         k = rng.standard_normal((9, 4)).astype(np.float32)
         v = rng.standard_normal((9, 4)).astype(np.float32)
-        got = bl.attention(eg.tensor(q), eg.tensor(k), eg.tensor(v), 4).data
+        got = one_head(q, k, v, 4)
         assert np.abs(got - attention_loops(q, k, v, 4)).max() < 1e-5
 
     def test_head_dim_mismatch(self, rng):
         with pytest.raises(eg.ShapeError):
-            bl.attention(eg.tensor(np.zeros((2, 4))), eg.tensor(np.zeros((2, 3))),
-                         eg.tensor(np.zeros((2, 3))), 4)
+            one_head(np.zeros((2, 4)), np.zeros((2, 3)), np.zeros((2, 3)), 4)
 
     def test_key_value_permutation_invariance(self, rng):
-        q = eg.tensor(rng.standard_normal((5, 4)))
+        q = rng.standard_normal((5, 4))
         k = rng.standard_normal((7, 4)).astype(np.float32)
         v = rng.standard_normal((7, 4)).astype(np.float32)
         perm = rng.permutation(7)
-        a = bl.attention(q, eg.tensor(k), eg.tensor(v), 4).data
-        b = bl.attention(q, eg.tensor(k[perm]), eg.tensor(v[perm]), 4).data
+        a = one_head(q, k, v, 4)
+        b = one_head(q, k[perm], v[perm], 4)
         assert np.abs(a - b).max() < 1e-6
 
     def test_query_permutation_equivariance(self, rng):
         q = rng.standard_normal((5, 4)).astype(np.float32)
-        k = eg.tensor(rng.standard_normal((7, 4)))
-        v = eg.tensor(rng.standard_normal((7, 4)))
+        k = rng.standard_normal((7, 4))
+        v = rng.standard_normal((7, 4))
         perm = rng.permutation(5)
-        a = bl.attention(eg.tensor(q), k, v, 4).data
-        b = bl.attention(eg.tensor(q[perm]), k, v, 4).data
+        a = one_head(q, k, v, 4)
+        b = one_head(q[perm], k, v, 4)
         np.testing.assert_array_equal(a[perm], b)
 
 
@@ -146,8 +151,8 @@ class TestEocAttention:
         fz, fx = fmap(rng, 8, 4, 4), fmap(rng, 8, 8, 8)
         for mode in (bl.SA, bl.CA):
             oz, ox = bl.eoc_attention(fz, fx, mode, cfg, w)
-            np.testing.assert_array_equal(oz.tensor.data, fz.tensor.data)
-            np.testing.assert_array_equal(ox.tensor.data, fx.tensor.data)
+            np.testing.assert_array_equal(oz.data, fz.data)
+            np.testing.assert_array_equal(ox.data, fx.data)
 
     def test_sa_branches_are_isolated(self, rng):
         cfg = make_cfg()
@@ -156,7 +161,7 @@ class TestEocAttention:
         fx1, fx2 = fmap(rng, 8, 8, 8), fmap(rng, 8, 8, 8)
         oz1, _ = bl.eoc_attention(fz, fx1, bl.SA, cfg, w)
         oz2, _ = bl.eoc_attention(fz, fx2, bl.SA, cfg, w)
-        np.testing.assert_array_equal(oz1.tensor.data, oz2.tensor.data)
+        np.testing.assert_array_equal(oz1.data, oz2.data)
 
     def test_ca_crosses_branches(self, rng):
         cfg = make_cfg()
@@ -165,7 +170,7 @@ class TestEocAttention:
         fx1, fx2 = fmap(rng, 8, 8, 8), fmap(rng, 8, 8, 8)
         oz1, _ = bl.eoc_attention(fz, fx1, bl.CA, cfg, w)
         oz2, _ = bl.eoc_attention(fz, fx2, bl.CA, cfg, w)
-        assert np.abs(oz1.tensor.data - oz2.tensor.data).max() > 0
+        assert np.abs(oz1.data - oz2.data).max() > 0
 
     def test_channel_mismatch(self, rng):
         cfg = make_cfg()
@@ -181,8 +186,8 @@ class TestEocAttention:
         z_only = bl.eoc_attention(fz, None, bl.SA, cfg, w)
         x_only = bl.eoc_attention(None, fx, bl.SA, cfg, w)
         assert z_only[1] is None and x_only[0] is None
-        np.testing.assert_array_equal(z_only[0].tensor.data, oz.tensor.data)
-        np.testing.assert_array_equal(x_only[1].tensor.data, ox.tensor.data)
+        np.testing.assert_array_equal(z_only[0].data, oz.data)
+        np.testing.assert_array_equal(x_only[1].data, ox.data)
 
     def test_ca_needs_both_branches(self, rng):
         cfg = make_cfg()
@@ -200,7 +205,7 @@ class TestMlpCondPe:
         for name in ("fc1_weight", "fc1_bias", "pe_weight", "pe_bias", "fc2_weight", "fc2_bias"):
             w[name].data[:] = 0
         out = bl.mlp_cond_pe(fmap(rng, 8, 4, 4), w)
-        np.testing.assert_array_equal(out.tensor.data, 0)
+        np.testing.assert_array_equal(out.data, 0)
 
     def test_hidden_width_is_4c(self, rng):
         cfg = bl.AttnConfig(dim=64, heads=1, reduction=1)
@@ -211,7 +216,7 @@ class TestMlpCondPe:
         cfg = make_cfg(c=8, heads=1, r=1)
         w = make_weights(rng, cfg)
         f = rng.standard_normal((8, 6, 6)).astype(np.float32)
-        run = lambda arr: bl.mlp_cond_pe(bl.FeatureMap(eg.tensor(arr)), w, pad_kind="circular").tensor.data
+        run = lambda arr: bl.mlp_cond_pe(eg.tensor(arr), w, pad_kind="circular").data
         shifted = np.roll(f, (1, 2), axis=(1, 2))
         assert np.abs(run(shifted) - np.roll(run(f), (1, 2), axis=(1, 2))).max() < 1e-5
 
@@ -224,8 +229,8 @@ class TestEocBlock:
         w["fc2_weight"].data[:] = 0
         fz, fx = fmap(rng, 8, 4, 4), fmap(rng, 8, 8, 8)
         oz, ox = bl.eoc_block(fz, fx, bl.CA, cfg, w)
-        np.testing.assert_array_equal(oz.tensor.data, fz.tensor.data)
-        np.testing.assert_array_equal(ox.tensor.data, fx.tensor.data)
+        np.testing.assert_array_equal(oz.data, fz.data)
+        np.testing.assert_array_equal(ox.data, fx.data)
 
     def test_matches_manual_composition(self, rng):
         cfg = make_cfg()
@@ -235,9 +240,9 @@ class TestEocBlock:
 
         az, ax = bl.eoc_attention(fz, fx, bl.CA, cfg, w)
         for a, o in ((az, oz), (ax, ox)):
-            normed = bl.FeatureMap(eg.layer_norm(a.tensor, w["norm2_gamma"], w["norm2_beta"], axis=0))
-            manual = a.tensor.data + bl.mlp_cond_pe(normed, w).tensor.data
-            assert np.abs(manual - o.tensor.data).max() < 1e-6
+            normed = eg.layer_norm(a, w["norm2_gamma"], w["norm2_beta"], axis=0)
+            manual = a.data + bl.mlp_cond_pe(normed, w).data
+            assert np.abs(manual - o.data).max() < 1e-6
 
     def test_sa_swap_symmetry(self, rng):
         cfg = make_cfg()
@@ -245,8 +250,8 @@ class TestEocBlock:
         fz, fx = fmap(rng, 8, 4, 4), fmap(rng, 8, 8, 8)
         oz, ox = bl.eoc_block(fz, fx, bl.SA, cfg, w)
         sx, sz = bl.eoc_block(fx, fz, bl.SA, cfg, w)
-        np.testing.assert_array_equal(oz.tensor.data, sz.tensor.data)
-        np.testing.assert_array_equal(ox.tensor.data, sx.tensor.data)
+        np.testing.assert_array_equal(oz.data, sz.data)
+        np.testing.assert_array_equal(ox.data, sx.data)
 
     @pytest.mark.parametrize("pad_kind", ["zeros", "circular"])
     def test_single_branch_matches_sa_template_output(self, rng, pad_kind):
@@ -257,7 +262,7 @@ class TestEocBlock:
         oz, _ = bl.eoc_block(f, g, bl.SA, cfg, w, pad_kind)
         single, none = bl.eoc_block(f, None, bl.SA, cfg, w, pad_kind)
         assert none is None
-        np.testing.assert_array_equal(single.tensor.data, oz.tensor.data)
+        np.testing.assert_array_equal(single.data, oz.data)
 
     def test_translation_equivariance_circular_r1(self, rng):
         cfg = make_cfg(c=8, heads=2, r=1)
@@ -266,8 +271,8 @@ class TestEocBlock:
         x = rng.standard_normal((8, 6, 6)).astype(np.float32)
 
         def run(arr):
-            _, ox = bl.eoc_block(fz, bl.FeatureMap(eg.tensor(arr)), bl.CA, cfg, w, pad_kind="circular")
-            return ox.tensor.data
+            _, ox = bl.eoc_block(fz, eg.tensor(arr), bl.CA, cfg, w, pad_kind="circular")
+            return ox.data
 
         shifted = np.roll(x, (2, 1), axis=(1, 2))
         assert np.abs(run(shifted) - np.roll(run(x), (2, 1), axis=(1, 2))).max() < 1e-4
@@ -283,8 +288,8 @@ class TestMixMlp:
             "spatial_bias": eg.parameter(np.zeros(n, dtype=np.float32)),
         }
         x = np.abs(rng.standard_normal((c, 4, 4))).astype(np.float32)
-        out = bl.mix_mlp_block(bl.FeatureMap(eg.tensor(x)), w)
-        np.testing.assert_allclose(out.tensor.data, x, atol=1e-6)
+        out = bl.mix_mlp_block(eg.tensor(x), w)
+        np.testing.assert_allclose(out.data, x, atol=1e-6)
 
     def test_channel_mix_commutes_with_position_permutation(self, rng):
         c, n = 6, 16
@@ -293,7 +298,7 @@ class TestMixMlp:
         perm = rng.permutation(n)
 
         def run(arr):
-            return bl.mix_mlp_block(bl.FeatureMap(eg.tensor(arr)), w).tensor.data
+            return bl.mix_mlp_block(eg.tensor(arr), w).data
 
         flat = x.reshape(c, n)[:, perm].reshape(c, 4, 4)
         np.testing.assert_array_equal(run(flat), run(x).reshape(c, n)[:, perm].reshape(c, 4, 4))
@@ -305,9 +310,9 @@ class TestMixMlp:
         w = bl.init_params(rng, bl.mix_mlp_shapes(c, n))
         w["spatial_bias"].data[dead] = -100.0
         x = eg.tensor(rng.standard_normal((c, 4, 4)).astype(np.float32))
-        out = bl.mix_mlp_block(bl.FeatureMap(x), w)
-        assert (out.tensor.data.reshape(c, n)[:, dead] < 0).all()
-        eg.backward(eg.sum_(out.tensor))
+        out = bl.mix_mlp_block(x, w)
+        assert (out.data.reshape(c, n)[:, dead] < 0).all()
+        eg.backward(eg.sum_(out))
         assert w["spatial_bias"].grad[dead] != 0.0
 
     def test_grid_mismatch_rejected(self, rng):
@@ -331,10 +336,10 @@ class TestBlockGradients:
 
         def loss():
             oz, ox = bl.eoc_block(
-                bl.FeatureMap(eg.tensor(fz, dtype=np.float64)),
-                bl.FeatureMap(eg.tensor(fx, dtype=np.float64)),
+                eg.tensor(fz, dtype=np.float64),
+                eg.tensor(fx, dtype=np.float64),
                 bl.CA, cfg, w)
-            return eg.add(eg.sum_(eg.mul(oz.tensor, probe_z)), eg.sum_(eg.mul(ox.tensor, probe_x)))
+            return eg.add(eg.sum_(eg.mul(oz, probe_z)), eg.sum_(eg.mul(ox, probe_x)))
 
         report = eg.grad_check(loss, w, tol=1e-4, max_entries=6, rng=rng)
         assert report.ok, report.summary()
@@ -346,8 +351,8 @@ class TestBlockGradients:
         probe = eg.tensor(rng.standard_normal((4, 3, 3)), dtype=np.float64)
 
         def loss():
-            out = bl.mix_mlp_block(bl.FeatureMap(eg.tensor(x, dtype=np.float64)), w)
-            return eg.sum_(eg.mul(out.tensor, probe))
+            out = bl.mix_mlp_block(eg.tensor(x, dtype=np.float64), w)
+            return eg.sum_(eg.mul(out, probe))
 
         report = eg.grad_check(loss, w, tol=1e-4, max_entries=8, rng=rng)
         assert report.ok, report.summary()

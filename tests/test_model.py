@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sbtrack import blocks as bl
 from sbtrack import engine as eg
 from sbtrack import model as md
 from sbtrack import weights as wio
@@ -20,7 +19,7 @@ def rng():
 
 def snapshot(trace, si, bi, branch):
     """A branch's state right after block (si, bi) of a traced pass."""
-    return md.BranchState(bl.FeatureMap(eg.tensor(trace[("block", si, bi, branch)])), (si, bi))
+    return md.BranchState(eg.tensor(trace[("block", si, bi, branch)]), (si, bi))
 
 
 def tiny_inputs(rng, cfg=None):
@@ -89,6 +88,19 @@ class TestConfigValidation:
         d[field] = value
         with pytest.raises(md.ConfigError, match=field.split("_")[0]):
             md.config_from_dict(d)
+
+    @pytest.mark.parametrize("path,value", [
+        (("stages", 0, "channels"), 16.7), (("template_size",), 64.9), (("stages", 0, "stride"), True),
+        (("head_depth",), 2.5), (("stages", 2, "ca_positions"), [2.5, 4])])
+    def test_bool_or_fraction_rejected(self, path, value):
+        top = md.config_to_dict(md.tiny_config())
+        *outer, field = path
+        holder = top
+        for key in outer:
+            holder = holder[key]
+        holder[field] = value
+        with pytest.raises(md.ConfigError, match=field):
+            md.config_from_dict(top)
 
     @pytest.mark.parametrize("num_classes", [0, -3])
     def test_classifier_needs_a_class(self, num_classes):
@@ -347,7 +359,7 @@ class TestTemplatePrefix:
         md.run_backbone(m, z, x, trace=trace)
         prefix = md.template_prefix(m, z)
         assert prefix.after == (3, 1)
-        assert np.array_equal(prefix.features.tensor.data, trace[("block", 3, 1, "z")])
+        assert np.array_equal(prefix.tensor.data, trace[("block", 3, 1, "z")])
         no_ca = md.build_model(PREFIX_CONFIGS["no_ca"], seed=0)
         assert md.template_prefix(no_ca, z).after == (3, 4)  # every step
 
@@ -548,6 +560,7 @@ class TestWeightFiles:
     @pytest.mark.parametrize("config_text", [
         "stages: [",
         "stages:\n  - {kernel: 3, channels: 6, stride: 1, depth: 1, heads: 4, reduction: 1}\n",
+        "stages:\n  - {kernel: 7, channels: 16.7, stride: 4, depth: 1, heads: 1, reduction: 4}\n",
     ])
     def test_bad_config_header_raises_format_error(self, tmp_path, config_text):
         path = tmp_path / "m.sbtw"

@@ -46,10 +46,9 @@ class TestCaAsDynamicConv:
             z = rng.standard_normal((c, 4, 4)).astype(np.float32)
             x = rng.standard_normal((c, 6, 6)).astype(np.float32)
             cfg, w = identity_attention_weights(c)
-            _, fx = bl.eoc_attention(bl.FeatureMap(eg.tensor(z)), bl.FeatureMap(eg.tensor(x)),
-                                     bl.CA, cfg, w, pre_norm=False)
+            fx = bl.attend(eg.tensor(x), eg.tensor(x), eg.tensor(z), cfg, w)
             got = orc.ca_as_dynamic_conv(z, x)
-            assert np.abs(fx.tensor.data - got).max() < 1e-5
+            assert np.abs(fx.data - got).max() < 1e-5
 
     def test_projected_variant_matches_attention_delta(self, rng):
         """Arbitrary projections fold into the filter-generating features."""
@@ -59,9 +58,8 @@ class TestCaAsDynamicConv:
         cfg, w = identity_attention_weights(c)
         for name in ("q_weight", "k_weight", "v_weight"):
             w[name].data[:] = rng.standard_normal((c, c)).astype(np.float32) * 0.4
-        _, fx = bl.eoc_attention(bl.FeatureMap(eg.tensor(z)), bl.FeatureMap(eg.tensor(x)),
-                                 bl.CA, cfg, w, pre_norm=False)
-        attn_delta = fx.tensor.data - x
+        fx = bl.attend(eg.tensor(x), eg.tensor(x), eg.tensor(z), cfg, w)
+        attn_delta = fx.data - x
 
         project = lambda m, p: np.einsum("io,ihw->ohw", p, m)
         oracle_out = orc.ca_as_dynamic_conv(

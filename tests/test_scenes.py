@@ -130,6 +130,15 @@ class TestDiskFormats:
         with pytest.raises(ValueError, match="short.ppm: 59 bytes"):
             scenes.read_ppm(path)
 
+    def test_pgm_rescales_finite_pixels_and_zeroes_the_rest(self, tmp_path):
+        img = np.array([[0.0, 1.0, np.nan], [0.5, np.inf, -np.inf]])
+        scenes.write_pgm(img, tmp_path / "m.pgm")
+        header = b"P5\n3 2\n255\n"
+        data = (tmp_path / "m.pgm").read_bytes()
+        assert data[: len(header)] == header
+        np.testing.assert_array_equal(np.frombuffer(data[len(header):], dtype=np.uint8),
+                                      [0, 255, 0, 128, 0, 0])
+
     def test_sequence_round_trip(self, tmp_path):
         seq = scenes.generate_sequence(SHORT, 2)
         scenes.write_sequence(seq, tmp_path / "seq")

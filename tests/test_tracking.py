@@ -176,6 +176,12 @@ class TestRunTracker:
         boxes = tk.run_tracker(m, short_sequence)
         assert boxes == [short_sequence.gt[0]] * len(short_sequence.frames)
 
+    def test_evaluate_sequences_scores_tracked_frames(self, short_sequence):
+        m = md.build_model(md.tiny_config(), seed=1)
+        seqs = [short_sequence, scenes.generate_sequence(scenes.SceneConfig(length=4), 12)]
+        want = [tk.compute_metrics(tk.run_tracker(m, s)[1:], s.gt[1:]) for s in seqs]
+        assert tk.evaluate_sequences(m, seqs) == want
+
 
 def uncached_tracker(model, seq):
     """run_tracker's loop with the template image passed to every forward."""

@@ -238,6 +238,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tr.TrainConfig(lr_head=1e-4, lr_backbone=1e-3)
 
+    @pytest.mark.parametrize("value", [-1e-3, float("nan")])
+    @pytest.mark.parametrize("field", ["lr_head", "lr_backbone", "weight_decay"])
+    def test_negative_rates_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: value})
+
+    def test_zero_rates_accepted(self):
+        tc = tr.TrainConfig(lr_head=0.0, lr_backbone=0.0, weight_decay=0.0)
+        assert (tc.lr_head, tc.lr_backbone, tc.weight_decay) == (0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("every", [0, -1])
     def test_probe_every_must_be_positive(self, every):
         with pytest.raises(ValueError, match="probe_every"):
