@@ -277,25 +277,28 @@ class PadMode:
         return PadMode(kind, (kernel - 1) // 2)
 
 
-def _pad_spatial(x: np.ndarray, pad: PadMode, axes=(-2, -1)) -> np.ndarray:
-    if pad.amount == 0:
-        return x
-    width = [(0, 0)] * x.ndim
-    for a in axes:
-        width[a] = (pad.amount, pad.amount)
-    mode = "wrap" if pad.kind == "circular" else "constant"
-    return np.pad(x, width, mode=mode)
+def _channels_last(x: np.ndarray, pad: PadMode) -> np.ndarray:
+    """The [c, h, w] map `x` padded by `pad`, as a C-contiguous channels-last
+    [h + 2p, w + 2p, c] buffer."""
+    xl = x.transpose(1, 2, 0)
+    p = pad.amount
+    if p:
+        if pad.kind == "circular" and p > min(xl.shape[:2]):
+            # np.pad would wrap more than once, which `_unpad_adjoint` cannot fold back
+            raise ShapeError("circular pad wider than the input is unsupported")
+        mode = "wrap" if pad.kind == "circular" else "constant"
+        xl = np.pad(xl, ((p, p), (p, p), (0, 0)), mode=mode)
+    return np.ascontiguousarray(xl)
 
 
 def _unpad_adjoint(gp: np.ndarray, pad: PadMode, h: int, w: int) -> np.ndarray:
-    """Adjoint of `_pad_spatial`: fold padded-border gradient back inside."""
+    """Adjoint of the padding in `_channels_last`, on a channels-first
+    [..., h + 2p, w + 2p] gradient: fold the padded border back inside."""
     p = pad.amount
     if p == 0:
         return gp
     if pad.kind == "zeros":
         return gp[..., p : p + h, p : p + w]
-    if p > min(h, w):
-        raise ShapeError("circular pad wider than the input is unsupported")
     g = gp[..., p : p + h, :].copy()
     g[..., h - p :, :] += gp[..., :p, :]
     g[..., :p, :] += gp[..., p + h :, :]
@@ -539,12 +542,23 @@ def _conv_out_extent(size: int, k: int, stride: int, p: int) -> int:
     return (size + 2 * p - k) // stride + 1
 
 
+def _windows(xl: np.ndarray, kh: int, kw: int, ho: int, wo: int, stride: int = 1) -> np.ndarray:
+    """Read-only view [kh, kw, ho, wo, c] of a channels-last [hp, wp, c]
+    buffer: element [i, j, y, x] is pixel (y * stride + i, x * stride + j),
+    the one that tap (i, j) of output position (y, x) reads."""
+    sh, sw, sc = xl.strides
+    return np.lib.stride_tricks.as_strided(
+        xl, (kh, kw, ho, wo, xl.shape[2]), (sh, sw, sh * stride, sw * stride, sc), writeable=False)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
            pad: PadMode = PadMode.valid()) -> Tensor:
     """2-d convolution (cross-correlation) on a CHW map, im2col-backed.
 
     x: [c_in, h, w]; weight: [c_out, c_in, k, k]; output [c_out, h', w'] with
-    h' = floor((h + 2p - k)/stride) + 1.
+    h' = floor((h + 2p - k)/stride) + 1.  The im2col rows are copied from the
+    padded channels-last input in its memory order, (ki, kj, c_in), and the
+    weight is permuted to match.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight, x)
@@ -560,13 +574,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     if h + 2 * p < k or w + 2 * p < k:
         raise ShapeError(f"kernel {k} larger than padded input {h + 2 * p}x{w + 2 * p}")
 
-    xp = _pad_spatial(x.data, pad)
+    xl = _channels_last(x.data, pad)
     ho = _conv_out_extent(h, k, stride, p)
     wo = _conv_out_extent(w, k, stride, p)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # [c_in, ho, wo, k, k]
-    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(ho * wo, c_in * k * k)
-    wmat = weight.data.reshape(c_out, c_in * k * k)
+    cols = _windows(xl, k, k, ho, wo, stride).transpose(2, 3, 0, 1, 4).reshape(ho * wo, k * k * c_in)
+    wmat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, k * k * c_in)
     out = cols @ wmat.T
     if bias is not None:
         bias = _as_tensor(bias, x)
@@ -576,24 +588,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         return g.reshape(c_out, ho * wo).T
 
     def grad_x(g):
-        gcols = (rows(g) @ wmat).reshape(ho, wo, c_in, k, k).transpose(2, 0, 1, 3, 4)
-        gxp = np.zeros_like(xp)
+        gcols = (rows(g) @ wmat).reshape(ho, wo, k, k, c_in)
+        gxl = np.zeros_like(xl)
         for ki in range(k):
             for kj in range(k):
-                gxp[:, ki : ki + (ho - 1) * stride + 1 : stride,
-                    kj : kj + (wo - 1) * stride + 1 : stride] += gcols[:, :, :, ki, kj]
-        return _unpad_adjoint(gxp, pad, h, w)
+                gxl[ki : ki + (ho - 1) * stride + 1 : stride,
+                    kj : kj + (wo - 1) * stride + 1 : stride] += gcols[:, :, ki, kj]
+        return _unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, w)
 
     # the output is a channels-last view of the GEMM output
     return _op(out.T.reshape(c_out, ho, wo), (x, weight, bias), grad_x,
-               lambda g: (rows(g).T @ cols).reshape(weight.shape),
+               lambda g: (rows(g).T @ cols).reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2),
                lambda g: rows(g).sum(axis=0))
-
-
-# bytes of output rows one block of the depthwise forward covers.  Per call,
-# 128-256 KiB ran fastest of 32-512 KiB on a CPU with a 2 MiB L2 cache; whole
-# `light` frames did not tell 64-512 KiB apart.
-_BLOCK_BYTES = 256 << 10
 
 
 def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
@@ -603,17 +609,15 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
     Returns the [c, h + 2p - kh + 1, w + 2p - kw + 1] output and the partials
     of `x` and of `kernel`.
 
-    The padded input is held channels-last as a flat [hp * wp, c] buffer, in
-    which tap (ki, kj) of every output position is the same row shifted by
-    ki * wp + kj, so each tap is one contiguous multiply-add over all
-    channels.  Output rows run over the padded width: the last wp - wo
-    columns of each row wrap into the next image row and are never read.
-
-    The forward runs every tap over one block of output rows (about
-    `_BLOCK_BYTES` of them) before it moves to the next block, so the rows a
-    block reads stay in cache across its taps instead of streaming the
-    whole buffer once per tap.  Each output row still sums its taps from
-    zero in the same order, so blocking does not change a bit of the output.
+    Output position (y, x) sums xl[y + i, x + j] * kernel[:, i, j] over the
+    taps (i, j), where xl is the padded input held channels-last.
+    `_windows` views those pixels as [kh, kw, ho, wo, c], so the forward and
+    both partials are einsums over that view.  With every operand
+    C-contiguous and channels innermost, numpy's einsum keeps the axes in
+    the order written: it starts each output element from zero and adds one
+    rounded product per tap, (0, 0) first and then in row-major order.  That
+    is the sum a tap-by-tap loop computes, so the forward and the input
+    gradient are bit-equal to one.
     """
     c, kh, kw = kernel.shape
     h, w = x.shape[1:]
@@ -621,47 +625,27 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
     ho, wo = hp - kh + 1, wp - kw + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError("kernel larger than padded input")
-    xl = _pad_spatial(x.data.transpose(1, 2, 0), pad, axes=(0, 1))
-    xflat = np.ascontiguousarray(xl).reshape(hp * wp, c)
-    wk = kernel.data
-    n = (ho - 1) * wp + wo  # flat rows that hold some output position
-    shifts = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
-    wcols = np.ascontiguousarray(wk.reshape(c, kh * kw).T)  # row t: tap t's weight per channel
-    block = max(16, _BLOCK_BYTES // (c * xflat.itemsize))
-    acc = np.zeros((ho * wp, c), dtype=xflat.dtype)
-    scratch = np.empty((min(block, n), c), dtype=xflat.dtype)
-    for r0 in range(0, n, block):
-        r1 = min(r0 + block, n)
-        rows, tmp = acc[r0:r1], scratch[: r1 - r0]
-        for (_, _, s), wcol in zip(shifts, wcols):
-            np.multiply(xflat[r0 + s : r1 + s], wcol, out=tmp)
-            rows += tmp
-    out_data = acc.reshape(ho, wp, c)[:, :wo].transpose(2, 0, 1)
-
-    def flat(g):
-        """The output gradient in the flat output rows, and a scratch buffer."""
-        gl = np.zeros((ho, wp, c), dtype=xflat.dtype)
-        gl[:, :wo] = g.transpose(1, 2, 0)  # wrap columns stay zero
-        return gl.reshape(ho * wp, c)[:n], np.empty((n, c), dtype=xflat.dtype)
+    xl = _channels_last(x.data, pad)
+    taps = np.ascontiguousarray(kernel.data.transpose(1, 2, 0))  # [kh, kw, c]
+    out = np.einsum("ijyxc,ijc->yxc", _windows(xl, kh, kw, ho, wo), taps)
 
     def grad_x(g):
-        gflat, scratch = flat(g)
-        gxflat = np.zeros((hp * wp, c), dtype=xflat.dtype)
-        for ki, kj, s in shifts:
-            np.multiply(gflat, wk[:, ki, kj], out=scratch)
-            gxflat[s : s + n] += scratch
-        gxp = gxflat.reshape(hp, wp, c).transpose(2, 0, 1)
-        return _unpad_adjoint(gxp, pad, h, w)
+        # tap (i, j) carries g[y, x] to xl[y + i, x + j]: pixel (y', x') of
+        # xl gathers g[y' - i, x' - j], the windows of g zero-padded by k - 1
+        # and read backwards, which keeps the taps in forward order
+        gl = np.zeros((ho + 2 * (kh - 1), wo + 2 * (kw - 1), c), dtype=xl.dtype)
+        gl[kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = g.transpose(1, 2, 0)
+        gxl = np.einsum("ijyxc,ijc->yxc", _windows(gl, kh, kw, hp, wp)[::-1, ::-1], taps)
+        return _unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, w)
 
     def grad_kernel(g):
-        gflat, scratch = flat(g)
-        gw = np.empty((c, kh, kw), dtype=xflat.dtype)
-        for ki, kj, s in shifts:
-            np.multiply(xflat[s : s + n], gflat, out=scratch)
-            gw[:, ki, kj] = scratch.sum(axis=0)
-        return gw
+        # each output row first, then the rows: two short float32 sums stay
+        # closer to the exact one than a single sum over all ho * wo terms
+        gl = np.ascontiguousarray(g.transpose(1, 2, 0))
+        per_row = np.einsum("ijyxc,yxc->ijyc", _windows(xl, kh, kw, ho, wo), gl)
+        return per_row.sum(axis=2).transpose(2, 0, 1)
 
-    return out_data, grad_x, grad_kernel
+    return out.transpose(2, 0, 1), grad_x, grad_kernel
 
 
 def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -680,9 +664,7 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_data, grad_x, grad_weight = _per_channel_xcorr(x, weight, pad)
     if bias is not None:
         bias = _as_tensor(bias, x)
-        # a new array rather than in place: the kernel's output is a view
-        # with gaps, and the ops that read this one run faster on a compact one
-        out_data = out_data + bias.data[:, None, None]
+        out_data += bias.data[:, None, None]  # the kernel's own compact output
     return _op(out_data, (x, weight, bias), grad_x, grad_weight, lambda g: g.sum(axis=(1, 2)))
 
 

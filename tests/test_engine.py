@@ -139,23 +139,36 @@ class TestConv2d:
         out = eg.conv2d(eg.tensor(x), eg.tensor(w), stride=4, pad=PadMode.zeros(3))
         assert out.shape == (8, 64, 64)
 
-    @pytest.mark.parametrize("stride,pad", [
-        (1, PadMode.valid()),
-        (2, PadMode.zeros(1)),
-        (1, PadMode.circular(1)),
+    @pytest.mark.parametrize("k,stride,pad", [
+        pytest.param(3, 1, PadMode.valid(), id="1-pad0"),
+        pytest.param(3, 2, PadMode.zeros(1), id="2-pad1"),
+        pytest.param(3, 1, PadMode.circular(1), id="1-pad2"),
+        # the model's K/V reduction convs and its stage-1 patch embedding
+        pytest.param(2, 2, PadMode.valid(), id="k2-s2-valid"),
+        pytest.param(4, 4, PadMode.valid(), id="k4-s4-valid"),
+        pytest.param(8, 8, PadMode.valid(), id="k8-s8-valid"),
+        pytest.param(7, 4, PadMode.zeros(3), id="k7-s4-zeros3"),
     ])
-    def test_against_sliding_window_oracle(self, rng, stride, pad):
-        x = rng.standard_normal((4, 9, 8)).astype(np.float32)
-        w = rng.standard_normal((5, 4, 3, 3)).astype(np.float32)
+    def test_against_sliding_window_oracle(self, rng, k, stride, pad):
+        x = rng.standard_normal((4, 17, 16)).astype(np.float32)
+        w = rng.standard_normal((5, 4, k, k)).astype(np.float32)
         b = rng.standard_normal(5).astype(np.float32)
-        got = eg.conv2d(eg.tensor(x), eg.tensor(w), eg.tensor(b), stride=stride, pad=pad).data
         want = conv2d_loops(x, w, b, stride, pad)
-        assert np.abs(got - want).max() < 1e-5
+        for xin in (x, _other_layout(x)):
+            got = eg.conv2d(eg.tensor(xin), eg.tensor(w), eg.tensor(b), stride=stride, pad=pad).data
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-5
 
     def test_kernel_too_large(self):
         with pytest.raises(eg.ShapeError):
             eg.conv2d(eg.tensor(np.zeros((1, 4, 4))), eg.tensor(np.zeros((1, 1, 7, 7))),
                       stride=1, pad=PadMode.zeros(1))
+
+    def test_circular_pad_wider_than_input_fails_in_forward(self):
+        # np.pad would wrap twice and return a [1, 6, 6] map
+        with pytest.raises(eg.ShapeError, match="circular pad wider"):
+            eg.conv2d(eg.tensor(np.ones((2, 2, 2))), eg.tensor(np.ones((1, 2, 1, 1))),
+                      pad=PadMode.circular(3))
 
     def test_circular_translation_equivariance(self, rng):
         x = rng.standard_normal((2, 8, 8)).astype(np.float32)
@@ -184,6 +197,12 @@ class TestDepthwise:
         w = rng.standard_normal((3, 3, 3)).astype(np.float32)
         got = eg.depthwise_conv2d(eg.tensor(x), eg.tensor(w), pad=PadMode.zeros(1)).data
         assert np.abs(got - depthwise_loops(x, w, PadMode.zeros(1))).max() < 1e-5
+
+    def test_circular_pad_wider_than_input_fails_in_forward(self):
+        # np.pad would wrap twice and return a [2, 6, 6] map
+        with pytest.raises(eg.ShapeError, match="circular pad wider"):
+            eg.depthwise_conv2d(eg.tensor(np.ones((2, 2, 2))), eg.tensor(np.ones((2, 1, 1))),
+                                pad=PadMode.circular(3))
 
 
 class TestDepthwiseXcorr:
@@ -561,11 +580,43 @@ class TestLayouts:
                 out += xp[:, ki : ki + ho, kj : kj + wo] * w[:, ki, kj][:, None, None]
         return out
 
+    @staticmethod
+    def _depthwise_scatter_loop(g, w, pad, h, wid):
+        """The scatter loop the engine's depthwise input gradient replaced,
+        channels-first: tap (i, j) adds g * w[:, i, j] at offset (i, j) of the
+        padded gradient, taps in row-major order from zero, and the padding
+        is then folded back in."""
+        c, kh, kw = w.shape
+        p = pad.amount
+        ho, wo = g.shape[1:]
+        gp = np.zeros((c, h + 2 * p, wid + 2 * p), dtype=g.dtype)
+        for ki in range(kh):
+            for kj in range(kw):
+                gp[:, ki : ki + ho, kj : kj + wo] += g * w[:, ki, kj][:, None, None]
+        if pad.kind == "valid":
+            return gp
+        if pad.kind == "zeros":
+            return gp[:, p : p + h, p : p + wid]
+        rows = gp[:, p : p + h].copy()
+        rows[:, h - p :] += gp[:, :p]
+        rows[:, :p] += gp[:, p + h :]
+        out = rows[:, :, p : p + wid].copy()
+        out[:, :, wid - p :] += rows[:, :, :p]
+        out[:, :, :p] += rows[:, :, p + wid :]
+        return out
+
+    @staticmethod
+    def _depthwise_grads(x, k, g, pad):
+        xt, kt = eg.parameter(x), eg.parameter(k)
+        out = eg.depthwise_conv2d(xt, kt, pad=pad)
+        eg.backward(eg.sum_(eg.mul(out, eg.tensor(g, dtype=g.dtype))))
+        return xt.grad, kt.grad
+
+    DEPTHWISE_SHAPES = [(16, 9, 7), (640, 32, 32), (64, 45, 37)]
+
     @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode.circular(1), PadMode.valid()])
     def test_depthwise_bit_equal_to_tap_loop(self, rng, pad):
-        # [640, 32, 32] and [64, 45, 37] span several row blocks of the
-        # kernel, the last one short
-        for c, h, w in [(16, 9, 7), (640, 32, 32), (64, 45, 37)]:
+        for c, h, w in self.DEPTHWISE_SHAPES:
             x = rng.standard_normal((c, h, w)).astype(np.float32)
             k = rng.standard_normal((c, 3, 3)).astype(np.float32)
             b = rng.standard_normal(c).astype(np.float32)
@@ -573,6 +624,35 @@ class TestLayouts:
             for xin in (x, _other_layout(x)):
                 got = eg.depthwise_conv2d(eg.tensor(xin), eg.tensor(k), eg.tensor(b), pad=pad).data
                 np.testing.assert_array_equal(got, want, err_msg=f"shape {(c, h, w)}")
+
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode.circular(1), PadMode.valid()])
+    def test_depthwise_input_grad_bit_equal_to_scatter_loop(self, rng, pad):
+        for c, h, w in self.DEPTHWISE_SHAPES:
+            x = rng.standard_normal((c, h, w)).astype(np.float32)
+            k = rng.standard_normal((c, 3, 3)).astype(np.float32)
+            g = rng.standard_normal((c, h + 2 * pad.amount - 2, w + 2 * pad.amount - 2)).astype(np.float32)
+            want = self._depthwise_scatter_loop(g, k, pad, h, w)
+            for xin in (x, _other_layout(x)):
+                got, _ = self._depthwise_grads(xin, k, g, pad)
+                np.testing.assert_array_equal(got, want, err_msg=f"shape {(c, h, w)}")
+
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode.circular(1), PadMode.valid()])
+    def test_depthwise_kernel_grad_near_float64(self, rng, pad):
+        for c, h, w in self.DEPTHWISE_SHAPES:
+            x = rng.standard_normal((c, h, w)).astype(np.float32)
+            k = rng.standard_normal((c, 3, 3)).astype(np.float32)
+            g = rng.standard_normal((c, h + 2 * pad.amount - 2, w + 2 * pad.amount - 2)).astype(np.float32)
+            xp, g64 = pad_spatial(x.astype(np.float64), pad), g.astype(np.float64)
+            ho, wo = g.shape[1:]
+            want = np.empty((c, 3, 3))
+            for i in range(3):
+                for j in range(3):
+                    want[:, i, j] = (xp[:, i : i + ho, j : j + wo] * g64).sum(axis=(1, 2))
+            for xin in (x, _other_layout(x)):
+                _, got = self._depthwise_grads(xin, k, g, pad)
+                assert got.dtype == np.float32
+                rel = np.abs(got - want).max() / np.abs(want).max()
+                assert rel < 5e-7, f"shape {(c, h, w)}: {rel:.2e}"
 
     def test_depthwise_xcorr_bit_equal_to_tap_loop(self, rng):
         z = rng.standard_normal((160, 8, 8)).astype(np.float32)
