@@ -560,6 +560,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     padded channels-last input in its memory order, (ki, kj, c_in), and the
     weight is permuted to match.
     """
+    if stride < 1:
+        raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
     x = _as_tensor(x)
     weight = _as_tensor(weight, x)
     if x.ndim != 3 or weight.ndim != 4:

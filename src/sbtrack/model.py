@@ -352,11 +352,14 @@ def run_backbone(model: Model, z, x, trace: dict | None = None,
     return _walk(model, z, x, trace)
 
 
-def _crop_template_odd(fz: Tensor, max_side: int = 7) -> Tensor:
-    """Center-crop template features to an odd spatial extent (<= max_side)
-    so the correlation head can pad symmetrically."""
+_TEMPLATE_SIDE = 7  # largest template extent the dwcorr head correlates with
+
+
+def _crop_template_odd(fz: Tensor) -> Tensor:
+    """Center-crop template features to an odd spatial extent (at most
+    `_TEMPLATE_SIDE`) so the correlation head can pad symmetrically."""
     h, w = fz.shape[1:]
-    side = min(max_side, h if h % 2 else h - 1, w if w % 2 else w - 1)
+    side = min(_TEMPLATE_SIDE, h if h % 2 else h - 1, w if w % 2 else w - 1)
     r0 = (h - side) // 2
     c0 = (w - side) // 2
     return fz[:, r0 : r0 + side, c0 : c0 + side]

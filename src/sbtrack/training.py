@@ -7,7 +7,11 @@ distances.  The total objective is
     12 * BCE(foreground) + 5 * (1 - GIoU) + 7 * L1
 
 with the box terms averaged over positive cells only and all losses
-mean-reduced, so the weights stay comparable across grid sizes.
+mean-reduced, so the weights stay comparable across grid sizes.  The box
+terms need only the distances: predicted and target boxes share the cell
+center as anchor, and GIoU is invariant to translation and scale, so
+widths, heights and overlaps come straight from sums of l/t/r/b (as in the
+IoU loss of FCOS) with no decoding into absolute edges.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .engine import Tensor, no_grad
 from .tracking import CropMeta, crop_region, predict_box
 
 __all__ = [
-    "LossWeights",
     "TrainConfig",
     "TargetMap",
     "assign_targets",
@@ -40,17 +43,10 @@ __all__ = [
 ]
 
 _PROB_CLAMP = 1e-7
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    giou: float = 5.0
-    l1: float = 7.0
-    cls: float = 12.0
-
-    def __post_init__(self):
-        if min(self.giou, self.l1, self.cls) <= 0:
-            raise ValueError("loss weights must be positive")
+# pair sampling in make_training_examples
+_FRAME_GAP = 6  # search frame within this many frames of the template frame
+_FLIP_PROB = 0.5
+_BRIGHTNESS = 0.15  # pair-wide brightness factor drawn from 1 +- this
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ class TrainConfig:
     steps: int = 300
     decay_steps: tuple[int, ...] = ()  # lr drops by 10x at each
     seed: int = 0
-    clip_norm: float = 10.0
+    clip_norm: float = 10.0  # bound on the global gradient norm; inf: no clipping
     probe_every: int = 25
 
     def __post_init__(self):
@@ -74,6 +70,8 @@ class TrainConfig:
             raise ValueError("backbone lr must not exceed head lr")
         if self.batch < 1 or self.steps < 0:
             raise ValueError("batch must be >= 1 and steps >= 0")
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be > 0 (inf for no clipping), got {self.clip_norm}")
         if self.probe_every < 1:
             raise ValueError(f"probe_every must be >= 1, got {self.probe_every}")
 
@@ -115,10 +113,8 @@ def assign_targets(gt_box: Box, grid: tuple[int, int], crop_size: float) -> Targ
 # -- losses -----------------------------------------------------------------------
 
 
-def cls_loss(p, labels: np.ndarray) -> Tensor:
+def cls_loss(p: Tensor, labels: np.ndarray) -> Tensor:
     """Mean binary cross-entropy; probabilities clamped away from 0 and 1."""
-    if not isinstance(p, Tensor):
-        p = eg.tensor(p)
     flat = eg.reshape(p, (-1,))
     y = eg.tensor(np.asarray(labels, dtype=flat.dtype).reshape(-1), dtype=flat.dtype)
     pc = eg.clip(flat, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
@@ -127,17 +123,17 @@ def cls_loss(p, labels: np.ndarray) -> Tensor:
     return eg.mul(eg.mean_(eg.add(pos, neg)), -1.0)
 
 
-def _decode_edges(reg, grid):
-    """Box edges per cell in crop-fraction units; reg channels carry
-    distances in half-crop units, hence the 0.5 factor."""
-    hs, ws = grid
-    cx = np.broadcast_to(((np.arange(ws) + 0.5) / ws)[None, :], (hs, ws)).astype(reg.dtype)
-    cy = np.broadcast_to(((np.arange(hs) + 0.5) / hs)[:, None], (hs, ws)).astype(reg.dtype)
-    left, top, right, bottom = (eg.mul(reg[i], 0.5) for i in range(4))
-    return (eg.sub(eg.tensor(cx, dtype=reg.dtype), left),
-            eg.sub(eg.tensor(cy, dtype=reg.dtype), top),
-            eg.add(eg.tensor(cx, dtype=reg.dtype), right),
-            eg.add(eg.tensor(cy, dtype=reg.dtype), bottom))
+def _area(d: Tensor) -> Tensor:
+    """Per-cell area (l + r) * (t + b) of a [4, hs, ws] l/t/r/b map.
+
+    Each side is clamped at 0.  A masked cell can hold a target lying
+    outside its box (negative distances); the clamp keeps its intersection
+    at 0 and so its union > 0, so no `NaN * 0` from `inter / union` can
+    reach the loss.
+    """
+    hs, ws = d.shape[1:]
+    sides = eg.relu(eg.sum_(eg.reshape(d, (2, 2, hs, ws)), axis=0))  # [l + r, t + b]
+    return eg.mul(sides[0], sides[1])
 
 
 def reg_loss_terms(pred: Tensor, target: np.ndarray, mask: np.ndarray,
@@ -152,22 +148,12 @@ def reg_loss_terms(pred: Tensor, target: np.ndarray, mask: np.ndarray,
     if n_pos == 0:
         zero = eg.tensor(np.zeros((), dtype=pred.dtype), dtype=pred.dtype)
         return zero, zero
-    grid = mask.shape
     m = eg.tensor(np.asarray(mask, dtype=pred.dtype), dtype=pred.dtype)
     tgt = eg.tensor(np.asarray(target, dtype=pred.dtype), dtype=pred.dtype)
 
-    px1, py1, px2, py2 = _decode_edges(pred, grid)
-    tx1, ty1, tx2, ty2 = _decode_edges(tgt, grid)
-
-    iw = eg.relu(eg.sub(eg.minimum(px2, tx2), eg.maximum(px1, tx1)))
-    ih = eg.relu(eg.sub(eg.minimum(py2, ty2), eg.maximum(py1, ty1)))
-    inter = eg.mul(iw, ih)
-    area_p = eg.mul(eg.sub(px2, px1), eg.sub(py2, py1))
-    area_t = eg.mul(eg.sub(tx2, tx1), eg.sub(ty2, ty1))
-    union = eg.sub(eg.add(area_p, area_t), inter)
-    ew = eg.sub(eg.maximum(px2, tx2), eg.minimum(px1, tx1))
-    eh = eg.sub(eg.maximum(py2, ty2), eg.minimum(py1, ty1))
-    enclose = eg.mul(ew, eh)
+    inter = _area(eg.minimum(pred, tgt))
+    union = eg.sub(eg.add(_area(pred), _area(tgt)), inter)
+    enclose = _area(eg.maximum(pred, tgt))
     giou_map = eg.sub(eg.div(inter, union), eg.div(eg.sub(enclose, union), enclose))
 
     giou_term = eg.mul(eg.sum_(eg.mul(eg.sub(1.0, giou_map), m)), 1.0 / n_pos)
@@ -176,10 +162,9 @@ def reg_loss_terms(pred: Tensor, target: np.ndarray, mask: np.ndarray,
     return giou_term, l1_term
 
 
-def total_loss(cls_term, giou_term, l1_term, weights: LossWeights = LossWeights()) -> Tensor:
-    """cls_weight * BCE + giou_weight * (1 - GIoU) + l1_weight * L1; a term may be a number."""
-    return eg.add(eg.add(eg.mul(cls_term, weights.cls), eg.mul(giou_term, weights.giou)),
-                  eg.mul(l1_term, weights.l1))
+def total_loss(cls_term, giou_term, l1_term) -> Tensor:
+    """12 * BCE + 5 * (1 - GIoU) + 7 * L1; a term may be a number."""
+    return eg.add(eg.add(eg.mul(cls_term, 12.0), eg.mul(giou_term, 5.0)), eg.mul(l1_term, 7.0))
 
 
 # -- optimizer ---------------------------------------------------------------------
@@ -238,9 +223,7 @@ class TrainExample:
 
 
 def make_training_examples(sequences, count: int, template_size: int, search_size: int,
-                           rng, frame_gap: int = 6, center_jitter: float = 0.12,
-                           flip_prob: float = 0.5, brightness: float = 0.15,
-                           ) -> list[TrainExample]:
+                           rng, center_jitter: float = 0.12) -> list[TrainExample]:
     """Sample (template, search, box) triples from sequences.
 
     Template: factor-2 crop at the ground truth of one frame.  Search:
@@ -253,18 +236,18 @@ def make_training_examples(sequences, count: int, template_size: int, search_siz
         seq = sequences[int(rng.integers(len(sequences)))]
         n = len(seq.frames)
         i = int(rng.integers(n))
-        j = int(np.clip(i + rng.integers(-frame_gap, frame_gap + 1), 0, n - 1))
+        j = int(np.clip(i + rng.integers(-_FRAME_GAP, _FRAME_GAP + 1), 0, n - 1))
         template, _ = crop_region(seq.frames[i], seq.gt[i], 2.0, template_size)
         ref = seq.gt[j]
         side = 4.0 * float(np.sqrt(ref.w * ref.h))
         dx, dy = rng.uniform(-center_jitter, center_jitter, size=2) * side
         search, meta = crop_region(seq.frames[j], ref.shifted(dx, dy), 4.0, search_size)
         gt = meta.to_crop(seq.gt[j])
-        if rng.random() < flip_prob:
+        if rng.random() < _FLIP_PROB:
             template = template[:, :, ::-1].copy()
             search = search[:, :, ::-1].copy()
             gt = Box(search_size - gt.x2, gt.y1, search_size - gt.x1, gt.y2)
-        factor = 1.0 + rng.uniform(-brightness, brightness)
+        factor = 1.0 + rng.uniform(-_BRIGHTNESS, _BRIGHTNESS)
         template = np.clip(template * factor, 0.0, 1.0).astype(np.float32)
         search = np.clip(search * factor, 0.0, 1.0).astype(np.float32)
         examples.append(TrainExample(template=template, search=search, gt=gt))
@@ -301,8 +284,7 @@ def _probe_iou(model, probe: list[TrainExample]) -> float:
 
 
 def train(model, dataset: list[TrainExample], tc: TrainConfig,
-          probe: list[TrainExample] | None = None, log_path=None,
-          weights: LossWeights = LossWeights()) -> TrainLog:
+          probe: list[TrainExample] | None = None, log_path=None) -> TrainLog:
     """Fine-tune on (template, search, box) triples.
 
     Gradients accumulate over the batch one pair at a time, get clipped at
@@ -344,7 +326,7 @@ def train(model, dataset: list[TrainExample], tc: TrainConfig,
             cls, reg = md.forward(model, ex.template, ex.search)
             c_term = cls_loss(cls, tm.labels)
             g_term, l1_term = reg_loss_terms(reg, tm.reg, tm.labels)
-            loss = total_loss(c_term, g_term, l1_term, weights)
+            loss = total_loss(c_term, g_term, l1_term)
             eg.mul(loss, 1.0 / tc.batch).backward()
             acc += (c_term.item(), g_term.item(), l1_term.item(), loss.item())
         acc /= tc.batch

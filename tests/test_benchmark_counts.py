@@ -10,6 +10,7 @@ an output that drifts fails the test suite too.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
@@ -55,3 +56,29 @@ def test_correctness_gate_passes(selftest):
 
     failed = [r for r in gate.check(sb) if not r["ok"]]
     assert failed == []
+
+
+def test_train_step_fires_every_training_span(selftest):
+    """One traced batch-1 step of `train` runs every span a traced
+    `train_tiny` run must show, the loss functions included; the traced runs
+    of `selftest.py` check this too, but they take seconds."""
+    import layers
+    import loops
+    from tracer import Tracer
+
+    _, sb = selftest
+    cfg = sb.model.tiny_config()
+    model = sb.model.build_model(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    t, s = cfg.template_size, cfg.search_size
+    ex = sb.training.TrainExample(rng.random((3, t, t), dtype=np.float32),
+                                  rng.random((3, s, s), dtype=np.float32),
+                                  sb.boxes.Box(40, 40, 90, 90))
+    tracer = Tracer(sb, loops._stage_map(cfg))
+    tracer.install()
+    try:
+        sb.training.train(model, [ex], sb.training.TrainConfig(steps=1, batch=1), probe=[ex])
+    finally:
+        tracer.uninstall()
+    calls = tracer.summarize()["calls"]
+    assert [n for n in layers.MUST_FIRE["any"] + layers.MUST_FIRE["train"] if not calls[n]] == []

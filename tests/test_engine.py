@@ -164,6 +164,12 @@ class TestConv2d:
             eg.conv2d(eg.tensor(np.zeros((1, 4, 4))), eg.tensor(np.zeros((1, 1, 7, 7))),
                       stride=1, pad=PadMode.zeros(1))
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_non_positive_stride_rejected(self, stride):
+        with pytest.raises(eg.ShapeError, match=f"stride must be >= 1, got {stride}"):
+            eg.conv2d(eg.tensor(np.ones((1, 4, 4))), eg.tensor(np.ones((1, 1, 2, 2))),
+                      stride=stride)
+
     def test_circular_pad_wider_than_input_fails_in_forward(self):
         # np.pad would wrap twice and return a [1, 6, 6] map
         with pytest.raises(eg.ShapeError, match="circular pad wider"):

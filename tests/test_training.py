@@ -1,6 +1,7 @@
 """Loss, target-assignment, optimizer, and training-loop tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,82 @@ class TestRegLoss:
         assert report.ok, report.summary()
 
 
+    def test_masked_target_outside_its_box_keeps_loss_finite(self):
+        """A masked cell may carry distances to a box it lies outside of.
+        Cell 1's target meets the prediction in a zero-area overlap whose
+        unclamped sides would make its union exactly 0, and 0 / 0 there
+        would reach the loss as NaN * 0."""
+        pred = eg.parameter(np.full((4, 1, 2), 0.5), dtype=np.float64)
+        target = np.array([[0.5, 2.5], [0.5, 2.5], [0.5, -1.75], [0.5, -1.75]]).reshape(4, 1, 2)
+        mask = np.array([[1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = tr.total_loss(0.0, *tr.reg_loss_terms(pred, target, mask))
+            loss.backward()
+        assert np.isfinite(loss.item())
+        assert np.isfinite(pred.grad).all()
+
+    @pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_matches_edge_decoding_form(self, rng, dtype, rel):
+        """GIoU straight from l/t/r/b distances equals GIoU of the boxes
+        decoded around each cell center, in value and gradient; the L1 term
+        is the same computation, bit for bit."""
+        for grid in ((4, 4), (5, 9), (8, 8), (16, 11), (16, 16)):
+            for _ in range(3):
+                x1, y1 = rng.uniform(-20, 100, size=2)
+                w, h = rng.uniform(4, 90, size=2)
+                tm = tr.assign_targets(Box(x1, y1, x1 + w, y1 + h), grid, 128.0)
+                mask = np.maximum(tm.labels, rng.random(grid) < 0.2)
+                start = rng.uniform(0.01, 0.99, size=tm.reg.shape)
+                terms, grads = [], []
+                for fn in (tr.reg_loss_terms, _reg_loss_by_edges):
+                    pred = eg.parameter(start.astype(dtype), dtype=dtype)
+                    g, l1 = fn(pred, tm.reg, mask)
+                    g.backward()
+                    terms.append((g.item(), l1.item()))
+                    grads.append(pred.grad.astype(np.float64))
+                (g_new, l1_new), (g_ref, l1_ref) = terms
+                assert abs(g_new - g_ref) <= rel * abs(g_ref), grid
+                assert np.abs(grads[0] - grads[1]).max() <= rel * np.abs(grads[1]).max(), grid
+                assert l1_new == l1_ref, grid
+
+
+def _reg_loss_by_edges(pred, target, mask):
+    """`reg_loss_terms` by decoding both maps into absolute box edges around
+    the cell centers (in crop-fraction units, hence the 0.5 on half-crop
+    distances) and taking GIoU of the edges; the reference for the
+    distance-only form."""
+    n_pos = float(np.sum(mask))
+    hs, ws = mask.shape
+    m = eg.tensor(np.asarray(mask, dtype=pred.dtype), dtype=pred.dtype)
+    tgt = eg.tensor(np.asarray(target, dtype=pred.dtype), dtype=pred.dtype)
+    cx = eg.tensor(np.broadcast_to(((np.arange(ws) + 0.5) / ws)[None, :], (hs, ws)),
+                   dtype=pred.dtype)
+    cy = eg.tensor(np.broadcast_to(((np.arange(hs) + 0.5) / hs)[:, None], (hs, ws)),
+                   dtype=pred.dtype)
+
+    def edges(reg):
+        left, top, right, bottom = (eg.mul(reg[i], 0.5) for i in range(4))
+        return eg.sub(cx, left), eg.sub(cy, top), eg.add(cx, right), eg.add(cy, bottom)
+
+    px1, py1, px2, py2 = edges(pred)
+    tx1, ty1, tx2, ty2 = edges(tgt)
+    iw = eg.relu(eg.sub(eg.minimum(px2, tx2), eg.maximum(px1, tx1)))
+    ih = eg.relu(eg.sub(eg.minimum(py2, ty2), eg.maximum(py1, ty1)))
+    inter = eg.mul(iw, ih)
+    area_p = eg.mul(eg.sub(px2, px1), eg.sub(py2, py1))
+    area_t = eg.mul(eg.sub(tx2, tx1), eg.sub(ty2, ty1))
+    union = eg.sub(eg.add(area_p, area_t), inter)
+    ew = eg.sub(eg.maximum(px2, tx2), eg.minimum(px1, tx1))
+    eh = eg.sub(eg.maximum(py2, ty2), eg.minimum(py1, ty1))
+    enclose = eg.mul(ew, eh)
+    giou_map = eg.sub(eg.div(inter, union), eg.div(eg.sub(enclose, union), enclose))
+    giou_term = eg.mul(eg.sum_(eg.mul(eg.sub(1.0, giou_map), m)), 1.0 / n_pos)
+    diff = eg.mean_(eg.abs_(eg.sub(pred, tgt)), axis=0)
+    l1_term = eg.mul(eg.sum_(eg.mul(diff, m)), 1.0 / n_pos)
+    return giou_term, l1_term
+
+
 class TestTotalLoss:
     def test_zero_components(self):
         assert tr.total_loss(0.0, 0.0, 0.0).item() == 0.0
@@ -247,6 +324,17 @@ class TestTrainConfig:
     def test_zero_rates_accepted(self):
         tc = tr.TrainConfig(lr_head=0.0, lr_backbone=0.0, weight_decay=0.0)
         assert (tc.lr_head, tc.lr_backbone, tc.weight_decay) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+    def test_clip_norm_must_be_positive(self, value):
+        with pytest.raises(ValueError, match=f"clip_norm must be > 0.*got {value}"):
+            tr.TrainConfig(clip_norm=value)
+
+    def test_infinite_clip_norm_never_clips(self):
+        p = eg.parameter(np.zeros(2))
+        p.grad = np.array([30.0, 40.0])
+        assert tr.clip_global_norm([p], tr.TrainConfig(clip_norm=math.inf).clip_norm) == 50.0
+        np.testing.assert_array_equal(p.grad, [30.0, 40.0])
 
     @pytest.mark.parametrize("every", [0, -1])
     def test_probe_every_must_be_positive(self, every):
