@@ -104,6 +104,19 @@ def mix_mlp_shapes(c: int, n_tokens: int) -> dict[str, tuple[int, ...]]:
             "spatial_bias": (n_tokens,)}
 
 
+_INIT_STD = 0.02  # std of the truncated-normal weight init
+_INIT_BOUND = 2.0  # its draws beyond this many std are drawn again
+
+
+def _truncated_normal(rng, shape: tuple[int, ...], dtype) -> np.ndarray:
+    out = rng.standard_normal(shape)
+    bad = np.abs(out) > _INIT_BOUND
+    while bad.any():
+        out[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(out) > _INIT_BOUND
+    return (out * _INIT_STD).astype(dtype)
+
+
 def initial_value(rng, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
     """A fresh parameter by its name: truncated normal (std 0.02, clipped at
     two sigma) for weights, ones for layer-norm gains, zeros otherwise.  Only
@@ -117,7 +130,7 @@ def initial_value(rng, name: str, shape: tuple[int, ...], dtype=np.float32) -> n
     if name.endswith("spatial_weight"):
         return np.eye(shape[0], dtype=dtype)
     if name.endswith("weight"):
-        return eg.truncated_normal(rng, shape, std=0.02, dtype=dtype)
+        return _truncated_normal(rng, shape, dtype)
     return (np.ones if name.endswith("gamma") else np.zeros)(shape, dtype=dtype)
 
 

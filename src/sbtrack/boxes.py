@@ -61,11 +61,3 @@ def iou(a: Box, b: Box) -> float:
     inter = intersection_area(a, b)
     union = a.area + b.area - inter
     return inter / union
-
-
-def giou(a: Box, b: Box) -> float:
-    """Generalized overlap in [-1, 1]: IoU minus the enclosing-box slack."""
-    inter = intersection_area(a, b)
-    union = a.area + b.area - inter
-    enclose = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
-    return inter / union - (enclose - union) / enclose

@@ -15,7 +15,8 @@ partial of each operand that requires grad and sums the result back over
 the axes that operand was broadcast along.  Then it releases the op: its
 gradient, operands and partials are dropped, so after the sweep only leaves
 hold a gradient.  A second ``backward`` through a released op raises
-``ValueError``; build the loss again.
+``ValueError``; build the loss again.  The finite-difference check of
+these partials lives with the tests (`tests/oracle_helpers.py`), not here.
 
 Thread-safety contract: a single forward/backward graph is owned by one
 thread; tensors that do not require grad are never mutated by the engine
@@ -40,7 +41,7 @@ import ctypes
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,9 +79,6 @@ __all__ = [
     "depthwise_xcorr",
     "backward",
     "zero_grads",
-    "grad_check",
-    "GradCheckReport",
-    "truncated_normal",
 ]
 
 
@@ -424,6 +422,7 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
 # -- activations ----------------------------------------------------------
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_LN_EPS = 1e-5  # added to layer norm's variance
 
 
 def relu(t: Tensor) -> Tensor:
@@ -481,8 +480,9 @@ def softmax_last_dim(t: Tensor) -> Tensor:
     return _op(s, (t,), grad_t)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: int = -1) -> Tensor:
-    """Normalize `axis` to zero mean / unit population variance, then affine.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
+    """Normalize `axis` to zero mean / unit population variance (plus
+    `_LN_EPS`), then affine.
 
     `gamma`/`beta` are 1-d with the size of `axis` and broadcast across the
     remaining dimensions.
@@ -501,7 +501,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: 
 
     xhat = x.data - x.data.sum(axis=ax, keepdims=True) / c
     out_data = xhat * xhat
-    inv = 1.0 / np.sqrt(out_data.sum(axis=ax, keepdims=True) / c + eps)
+    inv = 1.0 / np.sqrt(out_data.sum(axis=ax, keepdims=True) / c + _LN_EPS)
     xhat *= inv
     np.multiply(xhat, gb, out=out_data)
     out_data += bb
@@ -738,81 +738,3 @@ def backward(loss: Tensor) -> None:
 def zero_grads(params) -> None:
     for p in params:
         p.grad = None
-
-
-# -- verification -----------------------------------------------------------
-
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    max_rel_err: float
-    checked: int
-
-
-@dataclass
-class GradCheckReport:
-    entries: list[GradCheckEntry] = field(default_factory=list)
-    tol: float = 1e-4
-
-    @property
-    def ok(self) -> bool:
-        return all(e.max_rel_err < self.tol for e in self.entries)
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((e.max_rel_err for e in self.entries), default=0.0)
-
-    def summary(self) -> str:
-        lines = [f"grad check tol={self.tol:g} -> {'PASS' if self.ok else 'FAIL'}"]
-        for e in self.entries:
-            lines.append(f"  {e.name}: max rel err {e.max_rel_err:.3e} over {e.checked} entries")
-        return "\n".join(lines)
-
-
-def grad_check(fn, params: dict, tol: float = 1e-4, step: float = 1e-5,
-               max_entries: int | None = None, rng=None) -> GradCheckReport:
-    """Compare analytic grads of `fn()` against central finite differences.
-
-    `fn` rebuilds the scalar loss from the current parameter values each
-    call.  Parameters should be float64 for headroom.  With `max_entries`
-    set, a random subset of each parameter's entries is probed.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    zero_grads(params.values())
-    loss = fn()
-    backward(loss)
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for name, p in params.items()}
-
-    report = GradCheckReport(tol=tol)
-    for name, p in params.items():
-        idxs = np.arange(p.size)
-        if max_entries is not None and p.size > max_entries:
-            idxs = rng.choice(p.size, size=max_entries, replace=False)
-        worst = 0.0
-        for i in idxs:
-            at = np.unravel_index(i, p.shape)  # indexes p.data in place whatever its strides
-            orig = p.data[at]
-            with no_grad():
-                p.data[at] = orig + step
-                f_plus = fn().item()
-                p.data[at] = orig - step
-                f_minus = fn().item()
-            p.data[at] = orig
-            numeric = (f_plus - f_minus) / (2 * step)
-            a = analytic[name].reshape(-1)[i]
-            denom = max(abs(a), abs(numeric), 1e-6)
-            worst = max(worst, abs(a - numeric) / denom)
-        report.entries.append(GradCheckEntry(name, worst, len(idxs)))
-    return report
-
-
-def truncated_normal(rng, shape, std: float = 0.02, bound: float = 2.0, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) with resampling outside +/- bound*std."""
-    out = rng.standard_normal(shape)
-    bad = np.abs(out) > bound
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > bound
-    return (out * std).astype(dtype)

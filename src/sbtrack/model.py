@@ -241,10 +241,6 @@ class Model:
         return list(self.params.values())
 
 
-def parameter_count(model: Model) -> int:
-    return sum(t.size for t in model.parameters())
-
-
 def build_model(config: ModelConfig, seed: int = 0) -> Model:
     """Deterministic construction: every entry of `parameter_shapes(config)`,
     in order, takes `blocks.initial_value` from one rng seeded with `seed`."""
@@ -474,13 +470,3 @@ def config_from_text(text: str) -> ModelConfig:
     if not isinstance(d, dict):
         raise ConfigError("config text must hold a mapping")
     return config_from_dict(d)
-
-
-def load_config(path) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_text(fh.read())
-
-
-def save_config(cfg: ModelConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(cfg))

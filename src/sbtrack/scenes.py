@@ -3,7 +3,9 @@
 One target per sequence plus k distractors.  "easy" distractors differ from
 the target in shape; "hard" ones share the shape and differ only in texture,
 so a tracker has to match appearance against the template rather than find
-"the blob".  Everything is deterministic given (config, seed).
+"the blob".  Distractors never cover the target: each frame pushes any
+distractor that comes near the target clear of it.  Everything is
+deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
 
 _SHAPES = ("rectangle", "ellipse", "triangle")
 _MARGIN = 4  # px between an actor's box and the frame edge
+_GAP = 2.0  # px every distractor keeps clear of the target
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,6 @@ class SceneConfig:
     similarity: str = "hard"  # easy: different shape | hard: same shape, new texture
     speed: tuple[float, float] = (0.5, 2.0)  # per-frame drift, px
     motion_sigma: float = 1.0  # per-frame jitter, px
-    occlusion: bool = False  # allow distractors to cross the target
 
     def __post_init__(self):
         if self.distractors < 0:
@@ -180,19 +182,20 @@ def _paint(frame, actor):
     frame[:, ys0:ys1, xs0:xs1] = np.where(sub[None], tex, region)
 
 
-def _push_apart(actor, target, min_gap=2.0):
-    """Move a distractor off the target when occlusion is disabled: along the
-    axis of least overlap, to `min_gap` past the target's edge on the side of
-    the distractor's centre.  The push may leave it partly outside the frame."""
+def _push_apart(actor, target):
+    """Move a distractor that comes within `_GAP` px of the target off
+    it: along the axis of least overlap, to `_GAP` past the target's edge
+    on the side of the distractor's centre.  The push may leave it partly
+    outside the frame."""
     tb, db = target.box(), actor.box()
-    overlap_x = min(tb.x2, db.x2) - max(tb.x1, db.x1) + min_gap
-    overlap_y = min(tb.y2, db.y2) - max(tb.y1, db.y1) + min_gap
+    overlap_x = min(tb.x2, db.x2) - max(tb.x1, db.x1) + _GAP
+    overlap_y = min(tb.y2, db.y2) - max(tb.y1, db.y1) + _GAP
     if overlap_x <= 0 or overlap_y <= 0:
         return
     if overlap_x < overlap_y:
-        actor.pos[0] += tb.x2 - db.x1 + min_gap if db.cx >= tb.cx else -(db.x2 - tb.x1 + min_gap)
+        actor.pos[0] += tb.x2 - db.x1 + _GAP if db.cx >= tb.cx else -(db.x2 - tb.x1 + _GAP)
     else:
-        actor.pos[1] += tb.y2 - db.y1 + min_gap if db.cy >= tb.cy else -(db.y2 - tb.y1 + min_gap)
+        actor.pos[1] += tb.y2 - db.y1 + _GAP if db.cy >= tb.cy else -(db.y2 - tb.y1 + _GAP)
 
 
 def generate_sequence(cfg: SceneConfig, seed: int) -> Sequence:
@@ -213,9 +216,8 @@ def generate_sequence(cfg: SceneConfig, seed: int) -> Sequence:
             _advance(target, rng, cfg)
             for d in distractors:
                 _advance(d, rng, cfg)
-        if not cfg.occlusion:
-            for d in distractors:
-                _push_apart(d, target)
+        for d in distractors:
+            _push_apart(d, target)
         frame = background.copy()
         for d in distractors:
             _paint(frame, d)

@@ -47,6 +47,9 @@ _PROB_CLAMP = 1e-7
 _FRAME_GAP = 6  # search frame within this many frames of the template frame
 _FLIP_PROB = 0.5
 _BRIGHTNESS = 0.15  # pair-wide brightness factor drawn from 1 +- this
+# AdamW's moment decay rates and the term that keeps its step finite
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,10 +87,6 @@ class TargetMap:
     labels: np.ndarray  # [hs, ws] in {0, 1}
     reg: np.ndarray  # [4, hs, ws] normalized l/t/r/b distances
     positives: int
-
-    @property
-    def skip(self) -> bool:
-        return self.positives == 0
 
 
 def assign_targets(gt_box: Box, grid: tuple[int, int], crop_size: float) -> TargetMap:
@@ -171,7 +170,6 @@ def total_loss(cls_term, giou_term, l1_term) -> Tensor:
 
 
 def adamw_step(params: list[Tensor], grads: list[np.ndarray], state: dict, lr: float,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                weight_decay: float = 0.0) -> list[Tensor]:
     """One decoupled-weight-decay Adam update, in place.
 
@@ -184,7 +182,7 @@ def adamw_step(params: list[Tensor], grads: list[np.ndarray], state: dict, lr: f
         state["v"] = [np.zeros_like(p.data) for p in params]
     state["t"] += 1
     t = state["t"]
-    b1, b2 = betas
+    b1, b2 = _ADAM_BETAS
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
@@ -193,18 +191,22 @@ def adamw_step(params: list[Tensor], grads: list[np.ndarray], state: dict, lr: f
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * (g * g)
-        p.data -= lr * ((m / c1) / (np.sqrt(v / c2) + eps) + weight_decay * p.data)
+        p.data -= lr * ((m / c1) / (np.sqrt(v / c2) + _ADAM_EPS) + weight_decay * p.data)
     return params
 
 
 def clip_global_norm(params: list[Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    """Scale all gradients so their joint L2 norm is at most `max_norm`, and
+    return the norm before scaling.  `max_norm` must be > 0; inf means no
+    clipping, and NaN, 0 or a negative bound raise `ValueError`."""
+    if not max_norm > 0:
+        raise ValueError(f"max_norm must be > 0 (inf for no clipping), got {max_norm}")
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float((p.grad.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(total))
-    if norm > max_norm > 0:
+    if norm > max_norm:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
@@ -284,7 +286,7 @@ def _probe_iou(model, probe: list[TrainExample]) -> float:
 
 
 def train(model, dataset: list[TrainExample], tc: TrainConfig,
-          probe: list[TrainExample] | None = None, log_path=None) -> TrainLog:
+          probe: list[TrainExample] | None = None) -> TrainLog:
     """Fine-tune on (template, search, box) triples.
 
     Gradients accumulate over the batch one pair at a time, get clipped at
@@ -343,6 +345,4 @@ def train(model, dataset: list[TrainExample], tc: TrainConfig,
         if (step + 1) % tc.probe_every == 0 or step + 1 == tc.steps:
             probe_val = _probe_iou(model, probe)
         log.rows.append((step, acc[0], acc[1], acc[2], acc[3], tc.lr_head * lr_scale, probe_val))
-    if log_path is not None:
-        log.to_csv(log_path)
     return log

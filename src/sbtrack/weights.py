@@ -49,10 +49,6 @@ class LoadReport:
     skipped: list[str] = field(default_factory=list)  # in file, not in model
     missing: list[str] = field(default_factory=list)  # in model, not in file
 
-    @property
-    def complete(self) -> bool:
-        return not self.skipped and not self.missing
-
     def summary(self) -> str:
         lines = [f"loaded {len(self.loaded)} tensors"]
         if self.skipped:

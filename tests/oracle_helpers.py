@@ -1,10 +1,15 @@
 """Deliberately naive reference implementations shared by the test suite.
 
 Everything here trades speed for obviousness (explicit loops, float64) and
-stays independent of the library's fast paths.
+stays independent of the library's fast paths.  `grad_check` compares the
+engine's analytic gradients with central finite differences.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
+
+from sbtrack import engine as eg
 
 
 def matmul_loops(a, b):
@@ -92,18 +97,6 @@ def dwcorr_loops(z, x):
     return out
 
 
-def pixcorr_loops(z, x):
-    c, hz, wz = z.shape
-    _, hx, wx = x.shape
-    out = np.zeros((hz * wz, hx, wx), dtype=np.float64)
-    for n in range(hz * wz):
-        a, b = divmod(n, wz)
-        for i in range(hx):
-            for j in range(wx):
-                out[n, i, j] = float(z[:, a, b] @ x[:, i, j])
-    return out
-
-
 def randomize_weights(weights, rng, scale=0.4):
     """Re-draw every tensor of a block's weight dict at O(1) scale.
 
@@ -128,3 +121,58 @@ def bce_loops(p, y, clamp=1e-7):
     for pi, yi in zip(p, y):
         total += -(yi * np.log(pi) + (1 - yi) * np.log(1 - pi))
     return total / p.size
+
+
+@dataclass
+class GradCheckReport:
+    """Per parameter: (name, worst relative error, entries probed)."""
+
+    tol: float
+    entries: list[tuple[str, float, int]] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(err < self.tol for _, err, _ in self.entries)
+
+    def summary(self) -> str:
+        return "\n".join([f"grad check tol={self.tol:g} -> {'PASS' if self.ok else 'FAIL'}"]
+                         + [f"  {name}: max rel err {err:.3e} over {n} entries"
+                            for name, err, n in self.entries])
+
+
+def grad_check(fn, params: dict, tol: float = 1e-4, step: float = 1e-5,
+               max_entries: int | None = None, rng=None) -> GradCheckReport:
+    """Compare analytic grads of `fn()` against central finite differences.
+
+    `fn` rebuilds the scalar loss from the current parameter values each
+    call.  Parameters should be float64 for headroom.  With `max_entries`
+    set, a random subset of each parameter's entries is probed.
+    """
+    rng = rng if rng is not None else np.random.default_rng(0)
+    eg.zero_grads(params.values())
+    loss = fn()
+    eg.backward(loss)
+    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+                for name, p in params.items()}
+
+    report = GradCheckReport(tol=tol)
+    for name, p in params.items():
+        idxs = np.arange(p.size)
+        if max_entries is not None and p.size > max_entries:
+            idxs = rng.choice(p.size, size=max_entries, replace=False)
+        worst = 0.0
+        for i in idxs:
+            at = np.unravel_index(i, p.shape)  # indexes p.data in place whatever its strides
+            orig = p.data[at]
+            with eg.no_grad():
+                p.data[at] = orig + step
+                f_plus = fn().item()
+                p.data[at] = orig - step
+                f_minus = fn().item()
+            p.data[at] = orig
+            numeric = (f_plus - f_minus) / (2 * step)
+            a = analytic[name].reshape(-1)[i]
+            denom = max(abs(a), abs(numeric), 1e-6)
+            worst = max(worst, abs(a - numeric) / denom)
+        report.entries.append((name, worst, len(idxs)))
+    return report

@@ -7,7 +7,7 @@ from sbtrack import blocks as bl
 from sbtrack import engine as eg
 from sbtrack.engine import PadMode
 
-from oracle_helpers import attention_loops, conv2d_loops, randomize_weights
+from oracle_helpers import attention_loops, conv2d_loops, grad_check, randomize_weights
 
 
 @pytest.fixture
@@ -279,17 +279,25 @@ class TestEocBlock:
 
 
 class TestMixMlp:
+    @staticmethod
+    def eye_weights(c, n, spatial_sign):
+        """Identity channel mix, `spatial_sign` times identity spatial mix, zero biases."""
+        return {"channel_weight": eg.parameter(np.eye(c, dtype=np.float32)),
+                "channel_bias": eg.parameter(np.zeros(c, dtype=np.float32)),
+                "spatial_weight": eg.parameter(spatial_sign * np.eye(n, dtype=np.float32)),
+                "spatial_bias": eg.parameter(np.zeros(n, dtype=np.float32))}
+
     def test_identity_weights_pass_nonnegative_input(self, rng):
-        c, n = 6, 16
-        w = {
-            "channel_weight": eg.parameter(np.eye(c, dtype=np.float32)),
-            "channel_bias": eg.parameter(np.zeros(c, dtype=np.float32)),
-            "spatial_weight": eg.parameter(np.eye(n, dtype=np.float32)),
-            "spatial_bias": eg.parameter(np.zeros(n, dtype=np.float32)),
-        }
-        x = np.abs(rng.standard_normal((c, 4, 4))).astype(np.float32)
-        out = bl.mix_mlp_block(eg.tensor(x), w)
+        x = np.abs(rng.standard_normal((6, 4, 4))).astype(np.float32)
+        out = bl.mix_mlp_block(eg.tensor(x), self.eye_weights(6, 16, 1.0))
         np.testing.assert_allclose(out.data, x, atol=1e-6)
+
+    def test_negated_spatial_mix_leaks_a_tenth(self, rng):
+        """With the spatial mix at -I no token is positive, so the output is
+        the leaky branch alone: the channel ReLU times -0.1."""
+        x = rng.standard_normal((6, 4, 4)).astype(np.float32)
+        out = bl.mix_mlp_block(eg.tensor(x), self.eye_weights(6, 16, -1.0))
+        np.testing.assert_allclose(out.data, -0.1 * np.maximum(x, 0.0), rtol=1e-6, atol=0)
 
     def test_channel_mix_commutes_with_position_permutation(self, rng):
         c, n = 6, 16
@@ -346,7 +354,7 @@ class TestBlockGradients:
         # only to about 1e-10 over the 1e-6 denominator floor, so that
         # gradient is checked directly, and every other one by differences.
         others = {name: p for name, p in w.items() if name != "k_bias"}
-        report = eg.grad_check(loss, others, tol=1e-4, max_entries=6, rng=rng)
+        report = grad_check(loss, others, tol=1e-4, max_entries=6, rng=rng)
         assert report.ok, report.summary()
         eg.zero_grads(w.values())
         eg.backward(loss())
@@ -362,5 +370,5 @@ class TestBlockGradients:
             out = bl.mix_mlp_block(eg.tensor(x, dtype=np.float64), w)
             return eg.sum_(eg.mul(out, probe))
 
-        report = eg.grad_check(loss, w, tol=1e-4, max_entries=8, rng=rng)
+        report = grad_check(loss, w, tol=1e-4, max_entries=8, rng=rng)
         assert report.ok, report.summary()

@@ -10,7 +10,7 @@ from sbtrack import engine as eg
 from sbtrack import model as md
 from sbtrack import oracles as orc
 
-from oracle_helpers import dwcorr_loops, pixcorr_loops
+from oracle_helpers import dwcorr_loops
 
 
 @pytest.fixture
@@ -121,26 +121,6 @@ class TestDepthwiseCorrelation:
             for j in range(4):
                 manual[:, i, j] = (z * x[:, i : i + 2, j : j + 2]).sum(axis=(1, 2))
         assert np.abs(manual - orc.depthwise_correlation(z, x)).max() < 1e-5
-
-
-class TestPixelwiseCorrelation:
-    def test_output_channel_count(self, rng):
-        z = rng.standard_normal((4, 3, 5)).astype(np.float32)
-        x = rng.standard_normal((4, 8, 8)).astype(np.float32)
-        assert orc.pixelwise_correlation(z, x).shape == (15, 8, 8)
-
-    def test_one_hot_template_copies_channel(self, rng):
-        x = rng.standard_normal((4, 6, 6)).astype(np.float32)
-        z = np.zeros((4, 1, 1), dtype=np.float32)
-        z[2] = 1.0
-        out = orc.pixelwise_correlation(z, x)
-        np.testing.assert_allclose(out[0], x[2], atol=1e-7)
-
-    def test_against_nested_loops(self, rng):
-        z = rng.standard_normal((3, 2, 3)).astype(np.float32)
-        x = rng.standard_normal((3, 5, 4)).astype(np.float32)
-        got = orc.pixelwise_correlation(z, x)
-        assert np.abs(got - pixcorr_loops(z, x)).max() < 1e-4
 
 
 class TestShiftProbe:

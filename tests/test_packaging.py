@@ -1,5 +1,7 @@
-"""Packaging metadata and module exports name things that exist."""
+"""Packaging metadata and module exports name things that exist, and every
+public definition has a caller."""
 
+import ast
 import importlib
 import pkgutil
 import tomllib
@@ -10,7 +12,21 @@ import pytest
 import sbtrack
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+BENCHMARK = PYPROJECT.parent / "benchmark"
+SRC = Path(sbtrack.__file__).resolve().parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(sbtrack.__path__))
+
+# public definitions that nothing in src/ or benchmark/ calls yet, each with
+# the ROADMAP direction that keeps it
+UNCALLED_BY_DESIGN = {
+    "model.classifier_config": "direction 7: classification pre-training",
+    "model.forward_classification": "direction 7: classification pre-training",
+    "weights.load_weights_into": "direction 7: pre-trained stages into a tracker",
+    "tracking.evaluate_sequences": "direction 7: measuring the paper's claims",
+    "scenes.write_pgm": "direction 6: score maps written for inspection",
+    "scenes.read_sequence": "direction 10: the sequence disk format",
+    "scenes.write_sequence": "direction 10: the sequence disk format",
+}
 
 
 def _resolve(target: str):
@@ -33,3 +49,27 @@ def test_all_names_exist(module):
     mod = importlib.import_module(f"sbtrack.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing
+
+
+def _referenced_names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_has_a_caller():
+    """A public top-level function or class of `sbtrack` is named in `src/` or
+    `benchmark/` outside its own body, or is on `UNCALLED_BY_DESIGN`; an entry
+    there that gained a caller leaves the list."""
+    public = set()
+    refs = []  # (module path, top-level name or None, names referenced there)
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCHMARK.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(node, "name", None)
+            refs.append((path, own, _referenced_names(node)))
+            if (path.parent == SRC and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not own.startswith("_")):
+                public.add((path, own))
+    uncalled = {f"{path.stem}.{name}" for path, name in public
+                if not any(name in names and (p, own) != (path, name) for p, own, names in refs)}
+    assert sorted(uncalled - UNCALLED_BY_DESIGN.keys()) == [], "no caller and not allowlisted"
+    assert sorted(UNCALLED_BY_DESIGN.keys() - uncalled) == [], "allowlisted but has a caller"

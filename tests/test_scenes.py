@@ -76,7 +76,7 @@ class TestPushApart:
                                  pos, np.zeros(2))
 
         target, distractor = actor(10, 30, 0.0), actor(30, 30, 2.0 * side)
-        scenes._push_apart(distractor, target, min_gap=2.0)
+        scenes._push_apart(distractor, target)
         tb, db = target.box(), distractor.box()
         lo, hi = ("x1", "x2") if axis == 0 else ("y1", "y2")
         gap = getattr(db, lo) - getattr(tb, hi) if side > 0 else getattr(tb, lo) - getattr(db, hi)
