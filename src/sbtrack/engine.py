@@ -18,6 +18,19 @@ hold a gradient.  A second ``backward`` through a released op raises
 ``ValueError``; build the loss again.  The finite-difference check of
 these partials lives with the tests (`tests/oracle_helpers.py`), not here.
 
+No-write rule: a partial never writes into its `g`, and an interior node's
+gradient is never written in place.  `backward` relies on it: an interior
+node keeps the first gradient it receives without a copy (`add` hands one
+array to both operands) and adds any later one out of place.  A leaf takes
+a copy of its first gradient and sums later ones into it in place, and
+callers may scale a leaf's gradient in place (`clip_global_norm` does).
+
+The memory-bound ops (GELU, layer norm, softmax) walk their input in its
+own memory order, one block of rows of about `_BLOCK_BYTES` at a time, and
+run all of a block's passes before the next block, so a block's arrays stay
+in cache.  Each row is computed from its own values alone, so the blocking
+changes no bit of the forward.
+
 Thread-safety contract: a single forward/backward graph is owned by one
 thread; tensors that do not require grad are never mutated by the engine
 and may be shared freely; independent graphs may run concurrently.
@@ -42,6 +55,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,10 +173,17 @@ class Tensor:
         return self.data.item()
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+        """Add `g` to the gradient under the module's no-write rule."""
+        dtype = self.data.dtype
+        if not self._inputs:  # a leaf owns its gradient buffer
+            if self.grad is None:
+                self.grad = np.array(g, dtype=dtype)
+            else:
+                self.grad += g
+        elif self.grad is None:
+            self.grad = np.asarray(g, dtype=dtype)
         else:
-            self.grad += g
+            self.grad = (self.grad + g).astype(dtype, copy=False)
 
     def backward(self) -> None:
         backward(self)
@@ -277,16 +298,30 @@ class PadMode:
 
 def _channels_last(x: np.ndarray, pad: PadMode) -> np.ndarray:
     """The [c, h, w] map `x` padded by `pad`, as a C-contiguous channels-last
-    [h + 2p, w + 2p, c] buffer."""
-    xl = x.transpose(1, 2, 0)
+    [h + 2p, w + 2p, c] buffer, filled in place: the input once, then the
+    border.  Unpadded, it may be a view of `x`."""
+    c, h, w = x.shape
     p = pad.amount
-    if p:
-        if pad.kind == "circular" and p > min(xl.shape[:2]):
-            # np.pad would wrap more than once, which `_unpad_adjoint` cannot fold back
-            raise ShapeError("circular pad wider than the input is unsupported")
-        mode = "wrap" if pad.kind == "circular" else "constant"
-        xl = np.pad(xl, ((p, p), (p, p), (0, 0)), mode=mode)
-    return np.ascontiguousarray(xl)
+    if pad.kind == "circular" and p > min(h, w):
+        # the border would wrap more than once, which `_unpad_adjoint` cannot fold back
+        raise ShapeError("circular pad wider than the input is unsupported")
+    if p == 0:  # a channels-last view of a contiguous buffer is not copied
+        return np.ascontiguousarray(x.transpose(1, 2, 0))
+    xl = np.empty((h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    xl[p : p + h, p : p + w] = x.transpose(1, 2, 0)
+    if pad.kind == "circular":
+        # padded row i holds input row (i - p) mod h, which sits at buffer row
+        # i + h above the input and i - h below it; then the same for columns
+        xl[:p, p : p + w] = xl[h : h + p, p : p + w]
+        xl[p + h :, p : p + w] = xl[p : 2 * p, p : p + w]
+        xl[:, :p] = xl[:, w : w + p]
+        xl[:, p + w :] = xl[:, p : 2 * p]
+    else:
+        xl[:p] = 0
+        xl[p + h :] = 0
+        xl[p : p + h, :p] = 0
+        xl[p : p + h, p + w :] = 0
+    return xl
 
 
 def _unpad_adjoint(gp: np.ndarray, pad: PadMode, h: int, w: int) -> np.ndarray:
@@ -342,10 +377,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                lambda g: a.data.swapaxes(-1, -2) @ g)
 
 
+@lru_cache(maxsize=256)
+def _inverse(axes: tuple) -> tuple:
+    """The permutation that undoes ``transpose(axes)``."""
+    inv = [0] * len(axes)
+    for i, a in enumerate(axes):
+        inv[a] = i
+    return tuple(inv)
+
+
 def transpose(t: Tensor, axes=None) -> Tensor:
     t = _as_tensor(t)
     axes = tuple(axes) if axes is not None else tuple(reversed(range(t.ndim)))
-    return _op(t.data.transpose(axes), (t,), lambda g: g.transpose(np.argsort(axes)))
+    return _op(t.data.transpose(axes), (t,), lambda g: g.transpose(_inverse(axes)))
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -423,6 +467,42 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _LN_EPS = 1e-5  # added to layer norm's variance
+# bytes of rows one block of GELU, layer norm or softmax covers: a block's
+# input, output and scratch rows stay in a 1-2 MiB L2 cache across its passes
+_BLOCK_BYTES = 256 << 10
+
+
+def _memory_order(a: np.ndarray, last: int | None = None) -> tuple:
+    """The axes of `a` from the largest stride to the smallest, with axis
+    `last` (if given) moved to the end.  When `a` is a permuted view of a
+    contiguous buffer, ``a.transpose`` of them is that buffer in its order."""
+    return _axes_by_stride(a.strides, last)
+
+
+@lru_cache(maxsize=256)
+def _axes_by_stride(strides: tuple, last: int | None) -> tuple:
+    axes = sorted(range(len(strides)), key=lambda i: -abs(strides[i]))
+    if last is not None:
+        axes.remove(last)
+        axes.append(last)
+    return tuple(axes)
+
+
+def _rows(a: np.ndarray, axes: tuple) -> np.ndarray:
+    """``a.transpose(axes)`` as a C-contiguous [rows, a.shape[axes[-1]]]
+    matrix: a view when `a` is laid out in that order, else a copy."""
+    return np.ascontiguousarray(a.transpose(axes)).reshape(-1, a.shape[axes[-1]] if axes else 1)
+
+
+def _unrows(rows: np.ndarray, shape: tuple, axes: tuple) -> np.ndarray:
+    """The inverse of `_rows`: the [rows, n] matrix as an array of `shape`."""
+    return rows.reshape([shape[i] for i in axes]).transpose(_inverse(axes))
+
+
+def _blocks(rows: np.ndarray) -> list:
+    """Row slices of the [rows, n] matrix `rows`, each about `_BLOCK_BYTES`."""
+    step = max(1, _BLOCK_BYTES // max(1, rows.shape[1] * rows.itemsize))
+    return [slice(i, i + step) for i in range(0, rows.shape[0], step)]
 
 
 def relu(t: Tensor) -> Tensor:
@@ -439,23 +519,49 @@ def leaky_relu(t: Tensor, slope: float) -> Tensor:
 
 
 def gelu(t: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
+    """GELU, tanh approximation: x * (1 + tanh(u)) / 2 with
+    u = c (x + 0.044715 x^3).  The backward keeps tanh(u) alone and derives
+    the rest from x."""
     t = _as_tensor(t)
-    x = t.data
-    x2 = x * x
-    th = x2 * x
-    th *= 0.044715
-    th += x
-    th *= _GELU_C
-    np.tanh(th, out=th)
-    half_1p = th + 1.0
-    half_1p *= 0.5
+    axes = _memory_order(t.data)
+    x = _rows(t.data, axes)
+    th = np.empty_like(x)
+    out = np.empty_like(x)
+    blocks = _blocks(x)
+    for b in blocks:
+        xb, tb, ob = x[b], th[b], out[b]
+        np.multiply(xb, xb, out=ob)
+        np.multiply(ob, xb, out=tb)
+        tb *= 0.044715
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=ob)
+        ob *= 0.5
+        ob *= xb
 
     def grad_x(g):
-        d_inner = _GELU_C * (1.0 + 0.134145 * x2)
-        return g * (half_1p + 0.5 * x * (1.0 - th * th) * d_inner)
+        # d/dx = (1 + tanh) / 2 + x (1 - tanh^2) / 2 * du/dx
+        #      = (1 + tanh) / 2 * (1 + x (1 - tanh) du/dx),  du/dx = c (1 + 3 * 0.044715 x^2)
+        g = _rows(g, axes)
+        dx = np.empty_like(x)
+        for b in blocks:
+            xb, tb, d = x[b], th[b], dx[b]
+            tmp = np.empty_like(xb)
+            np.multiply(xb, xb, out=d)
+            d *= 3 * 0.044715 * _GELU_C
+            d += _GELU_C
+            d *= xb
+            np.subtract(1.0, tb, out=tmp)
+            d *= tmp
+            d += 1.0
+            np.add(tb, 1.0, out=tmp)
+            d *= tmp
+            d *= 0.5
+            d *= g[b]
+        return _unrows(dx, t.shape, axes)
 
-    return _op(x * half_1p, (t,), grad_x)
+    return _op(_unrows(out, t.shape, axes), (t,), grad_x)
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -466,18 +572,39 @@ def sigmoid(t: Tensor) -> Tensor:
     return _op(out_data, (t,), lambda g: g * out_data * (1.0 - out_data))
 
 
+def _row_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """The sum of each row of `a`, or of ``a * b``.
+
+    An einsum sums each row on its own.  A GEMV with a ones vector is
+    faster per pass, but BLAS kernels group rows, and a one-row block came
+    out rounded differently from the same row in a taller block: the
+    blocked forward would have depended on the blocking."""
+    return np.einsum("ij->i", a) if b is None else np.einsum("ij,ij->i", a, b)
+
+
 def softmax_last_dim(t: Tensor) -> Tensor:
     """Softmax over the trailing axis, stabilized by max subtraction."""
     t = _as_tensor(t)
-    s = t.data - t.data.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    axes = _memory_order(t.data, t.ndim - 1)
+    x = _rows(t.data, axes)
+    s = np.empty_like(x)
+    blocks = _blocks(x)
+    for b in blocks:
+        xb, sb = x[b], s[b]
+        np.subtract(xb, xb.max(axis=1, keepdims=True), out=sb)
+        np.exp(sb, out=sb)
+        sb *= (1.0 / _row_sums(sb))[:, None]
 
     def grad_t(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return s * (g - dot)
+        g = _rows(g, axes)
+        dt = np.empty_like(s)
+        for b in blocks:
+            gb, sb, db = g[b], s[b], dt[b]
+            np.subtract(gb, _row_sums(gb, sb)[:, None], out=db)
+            db *= sb
+        return _unrows(dt, t.shape, axes)
 
-    return _op(s, (t,), grad_t)
+    return _op(_unrows(s, t.shape, axes), (t,), grad_t)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
@@ -485,7 +612,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor
     `_LN_EPS`), then affine.
 
     `gamma`/`beta` are 1-d with the size of `axis` and broadcast across the
-    remaining dimensions.
+    remaining dimensions.  The work runs on the [rows, c] matrix of `x` in
+    its memory order, with `axis` last.
     """
     x = _as_tensor(x)
     gamma = _as_tensor(gamma, x)
@@ -494,27 +622,44 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor
     c = x.shape[ax]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm affine must have shape ({c},)")
-    bshape = [1] * x.ndim
-    bshape[ax] = c
-    gb = gamma.data.reshape(bshape)
-    bb = beta.data.reshape(bshape)
+    axes = _memory_order(x.data, ax)
+    xr = _rows(x.data, axes)
+    xhat = np.empty_like(xr)
+    out = np.empty_like(xr)
+    inv = np.empty((len(xr), 1), dtype=xr.dtype)  # 1 / std per row
+    blocks = _blocks(xr)
+    for b in blocks:
+        xb, hb, ob, ib = xr[b], xhat[b], out[b], inv[b]
+        np.subtract(xb, (_row_sums(xb) / c)[:, None], out=hb)
+        np.divide(1.0, np.sqrt(_row_sums(hb, hb) / c + _LN_EPS)[:, None], out=ib)
+        hb *= ib
+        np.multiply(hb, gamma.data, out=ob)
+        ob += beta.data
 
-    xhat = x.data - x.data.sum(axis=ax, keepdims=True) / c
-    out_data = xhat * xhat
-    inv = 1.0 / np.sqrt(out_data.sum(axis=ax, keepdims=True) / c + _LN_EPS)
-    xhat *= inv
-    np.multiply(xhat, gb, out=out_data)
-    out_data += bb
-    red = tuple(i for i in range(x.ndim) if i != ax)
+    shared = [None, None]  # the three partials share one row view of g
+
+    def rows_of(g):
+        if shared[0] is not g:
+            shared[:] = g, _rows(g, axes)
+        return shared[1]
 
     def grad_x(g):
-        dxhat = g * gb
-        m1 = dxhat.mean(axis=ax, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
-        return inv * (dxhat - m1 - xhat * m2)
+        g = rows_of(g)
+        dx = np.empty_like(xr)
+        for b in blocks:
+            hb, d = xhat[b], dx[b]
+            dxhat = np.multiply(g[b], gamma.data)  # the gradient of xhat
+            m1 = _row_sums(dxhat) / c
+            m2 = _row_sums(dxhat, hb) / c
+            dxhat -= m1[:, None]
+            np.multiply(hb, m2[:, None], out=d)
+            np.subtract(dxhat, d, out=d)
+            d *= inv[b]
+        return _unrows(dx, x.shape, axes)
 
-    return _op(out_data, (x, gamma, beta), grad_x, lambda g: (g * xhat).sum(axis=red),
-               lambda g: g.sum(axis=red))
+    return _op(_unrows(out, x.shape, axes), (x, gamma, beta), grad_x,
+               lambda g: np.einsum("ij,ij->j", rows_of(g), xhat),
+               lambda g: rows_of(g).sum(axis=0))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -586,16 +731,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         bias = _as_tensor(bias, x)
         out += bias.data
 
+    hp, wp = xl.shape[:2]
+    dtype = xl.dtype  # the partials keep no reference to the padded input
+
     def rows(g):  # [ho*wo, c_out]
         return g.reshape(c_out, ho * wo).T
 
     def grad_x(g):
-        gcols = (rows(g) @ wmat).reshape(ho, wo, k, k, c_in)
-        gxl = np.zeros_like(xl)
-        for ki in range(k):
-            for kj in range(k):
-                gxl[ki : ki + (ho - 1) * stride + 1 : stride,
-                    kj : kj + (wo - 1) * stride + 1 : stride] += gcols[:, :, ki, kj]
+        # the taps' gradients [k, k, ho, wo, c_in] and the padded input's
+        # gradient [hp, wp, c_in], both stored channels-first when there are
+        # fewer channels than output columns (an image), so that each tap
+        # adds runs of wo values rather than runs of c_in
+        if c_in < wo:
+            gtaps = (wmat.T @ g.reshape(c_out, ho * wo)).reshape(k, k, c_in, ho, wo)
+            gtaps = gtaps.transpose(0, 1, 3, 4, 2)
+            gxl = np.zeros((c_in, hp, wp), dtype=dtype).transpose(1, 2, 0)
+        else:
+            gtaps = (rows(g) @ wmat).reshape(ho, wo, k, k, c_in).transpose(2, 3, 0, 1, 4)
+            gxl = np.zeros((hp, wp, c_in), dtype=dtype)
+        if stride == k:
+            # the windows tile the input, so each pixel takes at most one
+            # tap: one strided assignment
+            gxl[: ho * k, : wo * k].reshape(ho, k, wo, k, c_in)[...] = gtaps.transpose(2, 0, 3, 1, 4)
+        else:
+            for ki in range(k):
+                for kj in range(k):
+                    gxl[ki : ki + (ho - 1) * stride + 1 : stride,
+                        kj : kj + (wo - 1) * stride + 1 : stride] += gtaps[ki, kj]
         return _unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, w)
 
     # the output is a channels-last view of the GEMM output
@@ -608,8 +770,8 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
     """The kernel behind both depthwise ops: channel c of x [c, h, w], padded
     by `pad`, cross-correlated with kernel[c] of kernel [c, kh, kw].
 
-    Returns the [c, h + 2p - kh + 1, w + 2p - kw + 1] output and the partials
-    of `x` and of `kernel`.
+    Returns the output channels-last, [h + 2p - kh + 1, w + 2p - kw + 1, c],
+    and the partials of `x` and of `kernel`.
 
     Output position (y, x) sums xl[y + i, x + j] * kernel[:, i, j] over the
     taps (i, j), where xl is the padded input held channels-last.
@@ -637,7 +799,11 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
         # and read backwards, which keeps the taps in forward order
         gl = np.zeros((ho + 2 * (kh - 1), wo + 2 * (kw - 1), c), dtype=xl.dtype)
         gl[kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = g.transpose(1, 2, 0)
-        gxl = np.einsum("ijyxc,ijc->yxc", _windows(gl, kh, kw, hp, wp)[::-1, ::-1], taps)
+        win = _windows(gl, kh, kw, hp, wp)[::-1, ::-1]
+        if pad.kind == "zeros":  # the border's gradient is dropped: gather the inside only
+            p = pad.amount
+            return np.einsum("ijyxc,ijc->yxc", win[:, :, p : p + h, p : p + w], taps).transpose(2, 0, 1)
+        gxl = np.einsum("ijyxc,ijc->yxc", win, taps)
         return _unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, w)
 
     def grad_kernel(g):
@@ -647,7 +813,7 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
         per_row = np.einsum("ijyxc,yxc->ijyc", _windows(xl, kh, kw, ho, wo), gl)
         return per_row.sum(axis=2).transpose(2, 0, 1)
 
-    return out.transpose(2, 0, 1), grad_x, grad_kernel
+    return out, grad_x, grad_kernel
 
 
 def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -666,8 +832,9 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_data, grad_x, grad_weight = _per_channel_xcorr(x, weight, pad)
     if bias is not None:
         bias = _as_tensor(bias, x)
-        out_data += bias.data[:, None, None]  # the kernel's own compact output
-    return _op(out_data, (x, weight, bias), grad_x, grad_weight, lambda g: g.sum(axis=(1, 2)))
+        out_data += bias.data  # on the kernel's own channels-last buffer
+    return _op(out_data.transpose(2, 0, 1), (x, weight, bias), grad_x, grad_weight,
+               lambda g: g.sum(axis=(1, 2)))
 
 
 def depthwise_xcorr(template: Tensor, search: Tensor, pad: PadMode = PadMode.valid()) -> Tensor:
@@ -681,7 +848,7 @@ def depthwise_xcorr(template: Tensor, search: Tensor, pad: PadMode = PadMode.val
     if template.ndim != 3 or search.ndim != 3 or template.shape[0] != search.shape[0]:
         raise ShapeError(f"xcorr operands disagree: {template.shape} vs {search.shape}")
     out_data, grad_search, grad_template = _per_channel_xcorr(search, template, pad)
-    return _op(out_data, (template, search), grad_template, grad_search)
+    return _op(out_data.transpose(2, 0, 1), (template, search), grad_template, grad_search)
 
 
 # -- backward pass ----------------------------------------------------------

@@ -356,6 +356,63 @@ class TestBackward:
             tracemalloc.stop()
         assert held < 2 * param_bytes, (held, param_bytes)
 
+    def test_partials_never_write_into_g_or_interior_gradients(self, monkeypatch):
+        """The engine's no-write rule, through a full tiny forward, loss and
+        backward: every partial receives a read-only `g` and returns a
+        read-only array, so a partial that writes into its `g`, or an
+        accumulation that adds in place into an interior node's kept
+        gradient, raises.  The parameter gradients equal an unguarded run's."""
+        model = md.build_model(md.tiny_config(), seed=0)
+        r = np.random.default_rng(0)
+        z = r.random((3, 64, 64), dtype=np.float32)
+        x = r.random((3, 128, 128), dtype=np.float32)
+        tm = tr.assign_targets(Box(40, 40, 90, 90), model.config.search_grid(), 128.0)
+        params = model.parameters()
+
+        def grads():
+            eg.zero_grads(params)
+            cls, reg = md.forward(model, z, x)
+            loss = tr.total_loss(tr.cls_loss(cls, tm.labels),
+                                 *tr.reg_loss_terms(reg, tm.reg, tm.labels))
+            eg.mul(loss, 0.25).backward()
+            return [p.grad for p in params]
+
+        def read_only(a):
+            view = np.asarray(a).view()
+            view.flags.writeable = False
+            return view
+
+        op = eg._op
+        calls = []
+
+        def guarded_op(data, operands, *partials):
+            def guard(partial):
+                def run(g):
+                    calls.append(1)
+                    return read_only(partial(read_only(g)))
+                return run
+            return op(data, operands, *map(guard, partials))
+
+        want = grads()
+        monkeypatch.setattr(eg, "_op", guarded_op)
+        got = grads()
+        assert calls
+        for p, a, b in zip(params, want, got):
+            assert b is not None and b.flags.writeable
+            np.testing.assert_array_equal(a, b)
+
+    def test_interior_node_keeps_its_first_gradient_without_a_copy(self):
+        x = eg.parameter([1.0, 2.0], dtype=np.float64)
+        y = eg.mul(x, 3.0)  # an interior node
+        for t, keeps in ((y, True), (x, False)):
+            g1, g2 = np.ones(2), np.full(2, 2.0)
+            t._accumulate(g1)
+            assert (t.grad is g1) == keeps
+            t._accumulate(g2)
+            np.testing.assert_array_equal(t.grad, [3.0, 3.0])
+            np.testing.assert_array_equal(g1, [1.0, 1.0])  # the sum went elsewhere
+            assert t.grad is not g1 and t.grad is not g2
+
     def test_composed_chain_matches_finite_differences(self, rng):
         w1 = eg.parameter(rng.standard_normal((4, 5)) * 0.5, dtype=np.float64)
         b1 = eg.parameter(rng.standard_normal(5) * 0.1, dtype=np.float64)
@@ -668,6 +725,139 @@ class TestLayouts:
         for xin in (x, _other_layout(x)):
             got = eg.depthwise_xcorr(eg.tensor(z), eg.tensor(xin)).data
             np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def _conv_input_grad_tap_loop(g, w, stride, pad, h, wid):
+        """conv2d's input gradient as the engine computed it before: the
+        im2col gradient ``g_rows @ wmat``, added tap by tap from zero into a
+        channels-last padded buffer, then the padding folded back in."""
+        c_out, c_in, k, _ = w.shape
+        p = pad.amount
+        ho, wo = g.shape[1:]
+        wmat = w.transpose(0, 2, 3, 1).reshape(c_out, -1)
+        gcols = (g.reshape(c_out, -1).T @ wmat).reshape(ho, wo, k, k, c_in)
+        gxl = np.zeros((h + 2 * p, wid + 2 * p, c_in), dtype=g.dtype)
+        for ki in range(k):
+            for kj in range(k):
+                gxl[ki : ki + (ho - 1) * stride + 1 : stride,
+                    kj : kj + (wo - 1) * stride + 1 : stride] += gcols[:, :, ki, kj]
+        return eg._unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, wid)
+
+    @staticmethod
+    def _conv_input_grad(x, w, g, stride, pad):
+        xt = eg.parameter(x)
+        out = eg.conv2d(xt, eg.tensor(w), stride=stride, pad=pad)
+        eg.backward(eg.sum_(eg.mul(out, eg.tensor(g))))
+        return xt.grad
+
+    @pytest.mark.parametrize("pad", [PadMode.valid(), PadMode.zeros(1), PadMode.circular(2)],
+                             ids=str)
+    def test_conv2d_tiled_input_grad_bit_equal_to_tap_loop(self, rng, pad):
+        """stride == kernel: the windows tile the input, and the gradient is
+        one strided assignment instead of k * k slice adds."""
+        for c_in, c_out, k, h, wid in ((64, 64, 2, 16, 16), (5, 3, 4, 13, 10), (3, 7, 3, 9, 12)):
+            x = rng.standard_normal((c_in, h, wid)).astype(np.float32)
+            w = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
+            ho = (h + 2 * pad.amount - k) // k + 1
+            wo = (wid + 2 * pad.amount - k) // k + 1
+            g = rng.standard_normal((c_out, ho, wo)).astype(np.float32)
+            want = self._conv_input_grad_tap_loop(g, w, k, pad, h, wid)
+            for xin in (x, _other_layout(x)):
+                got = self._conv_input_grad(xin, w, g, k, pad)
+                np.testing.assert_array_equal(got, want, err_msg=f"shape {(c_in, h, wid)}")
+
+    @pytest.mark.parametrize("c_in,k,stride,pad,size", [
+        (3, 7, 4, PadMode.zeros(3), 128), (16, 3, 2, PadMode.zeros(1), 32),
+        (4, 3, 1, PadMode.circular(1), 9)], ids=str)
+    def test_conv2d_input_grad_matches_tap_loop(self, rng, c_in, k, stride, pad, size):
+        """Overlapping windows, scattered channels-first (fewer channels than
+        output columns) or channels-last, taps in the loop's order.  The
+        channels-first gradient comes from the transposed GEMM, which may
+        round differently, hence a tolerance rather than bit equality."""
+        x = rng.standard_normal((c_in, size, size)).astype(np.float32)
+        w = rng.standard_normal((16, c_in, k, k)).astype(np.float32)
+        ho = (size + 2 * pad.amount - k) // stride + 1
+        g = rng.standard_normal((16, ho, ho)).astype(np.float32)
+        want = self._conv_input_grad_tap_loop(g, w, stride, pad, size, size)
+        got = self._conv_input_grad(x, w, g, stride, pad)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind,mode", [("zeros", "constant"), ("circular", "wrap")])
+    def test_padding_bit_equal_to_np_pad(self, rng, kind, mode):
+        for c, h, wid in ((3, 5, 7), (4, 3, 3), (2, 1, 6)):
+            x = rng.standard_normal((c, h, wid)).astype(np.float32)
+            for p in range(4):
+                if kind == "circular" and p > min(h, wid):
+                    continue
+                want = np.pad(x.transpose(1, 2, 0), ((p, p), (p, p), (0, 0)), mode=mode)
+                for xin in (x, _other_layout(x)):
+                    got = eg._channels_last(xin, PadMode(kind, p))
+                    assert got.shape == want.shape and got.flags.c_contiguous
+                    assert got.tobytes() == want.tobytes(), (kind, p, (c, h, wid))
+
+
+# --------------------------------------------------------------------------
+# blocks: GELU, layer norm and softmax run in row blocks of about
+# eg._BLOCK_BYTES; these inputs span many once the block is shrunk
+# --------------------------------------------------------------------------
+
+BLOCKED_CASES = {
+    "gelu": (eg.gelu, [_normal((6, 9, 7))]),
+    "layer_norm": (lambda x, g, b: eg.layer_norm(x, g, b, axis=0),
+                   [_normal((6, 9, 7)), _normal((6,)), _normal((6,))]),
+    "layer_norm:last": (lambda x, g, b: eg.layer_norm(x, g, b, axis=-1),
+                        [_normal((21, 5)), _normal((5,)), _normal((5,))]),
+    "softmax_last_dim": (eg.softmax_last_dim, [_normal((3, 11, 7))]),
+}
+
+
+class TestBlocks:
+    SMALL = 64  # bytes: one or two rows per block, and a one-row last block
+
+    @staticmethod
+    def _count_blocks(monkeypatch):
+        counts = []
+        blocks = eg._blocks
+
+        def counting(rows):
+            out = blocks(rows)
+            counts.append(len(out))
+            return out
+
+        monkeypatch.setattr(eg, "_blocks", counting)
+        return counts
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_forward_bit_equal_to_one_block(self, case, contiguous, monkeypatch):
+        fn, makers = BLOCKED_CASES[case]
+        r = np.random.default_rng(11)
+        arrays = [m(r).astype(np.float32) for m in makers]
+        if not contiguous:
+            arrays = [_other_layout(a) for a in arrays]
+        counts = self._count_blocks(monkeypatch)
+        want = fn(*(eg.tensor(a) for a in arrays)).data
+        assert counts == [1]
+        monkeypatch.setattr(eg, "_BLOCK_BYTES", self.SMALL)
+        got = fn(*(eg.tensor(a) for a in arrays)).data
+        assert counts[1] > 5
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_grad_check_on_non_contiguous_inputs(self, case, monkeypatch):
+        fn, makers = BLOCKED_CASES[case]
+        monkeypatch.setattr(eg, "_BLOCK_BYTES", self.SMALL)
+        counts = self._count_blocks(monkeypatch)
+        r = np.random.default_rng(12)
+        params = {f"in{i}": eg.parameter(_other_layout(m(r)), dtype=np.float64)
+                  for i, m in enumerate(makers)}
+        with eg.no_grad():
+            out_shape = fn(*params.values()).shape
+        assert min(counts) > 5
+        probe = eg.tensor(r.standard_normal(out_shape), dtype=np.float64)
+        loss = lambda: eg.sum_(eg.mul(fn(*params.values()), probe))
+        report = grad_check(loss, params, tol=1e-4, max_entries=24, rng=r)
+        assert report.ok, report.summary()
 
 
 # --------------------------------------------------------------------------
