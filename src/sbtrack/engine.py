@@ -472,15 +472,12 @@ _LN_EPS = 1e-5  # added to layer norm's variance
 _BLOCK_BYTES = 256 << 10
 
 
-def _memory_order(a: np.ndarray, last: int | None = None) -> tuple:
-    """The axes of `a` from the largest stride to the smallest, with axis
-    `last` (if given) moved to the end.  When `a` is a permuted view of a
-    contiguous buffer, ``a.transpose`` of them is that buffer in its order."""
-    return _axes_by_stride(a.strides, last)
-
-
 @lru_cache(maxsize=256)
-def _axes_by_stride(strides: tuple, last: int | None) -> tuple:
+def _memory_order(strides: tuple, last: int | None = None) -> tuple:
+    """The axes of an array with `strides` from the largest stride to the
+    smallest, with axis `last` (if given) moved to the end.  When the array
+    is a permuted view of a contiguous buffer, transposing it by these axes
+    gives that buffer in its order."""
     axes = sorted(range(len(strides)), key=lambda i: -abs(strides[i]))
     if last is not None:
         axes.remove(last)
@@ -523,7 +520,7 @@ def gelu(t: Tensor) -> Tensor:
     u = c (x + 0.044715 x^3).  The backward keeps tanh(u) alone and derives
     the rest from x."""
     t = _as_tensor(t)
-    axes = _memory_order(t.data)
+    axes = _memory_order(t.data.strides)
     x = _rows(t.data, axes)
     th = np.empty_like(x)
     out = np.empty_like(x)
@@ -585,7 +582,7 @@ def _row_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 def softmax_last_dim(t: Tensor) -> Tensor:
     """Softmax over the trailing axis, stabilized by max subtraction."""
     t = _as_tensor(t)
-    axes = _memory_order(t.data, t.ndim - 1)
+    axes = _memory_order(t.data.strides, t.ndim - 1)
     x = _rows(t.data, axes)
     s = np.empty_like(x)
     blocks = _blocks(x)
@@ -622,7 +619,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor
     c = x.shape[ax]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm affine must have shape ({c},)")
-    axes = _memory_order(x.data, ax)
+    axes = _memory_order(x.data.strides, ax)
     xr = _rows(x.data, axes)
     xhat = np.empty_like(xr)
     out = np.empty_like(xr)
@@ -738,17 +735,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         return g.reshape(c_out, ho * wo).T
 
     def grad_x(g):
-        # the taps' gradients [k, k, ho, wo, c_in] and the padded input's
-        # gradient [hp, wp, c_in], both stored channels-first when there are
-        # fewer channels than output columns (an image), so that each tap
-        # adds runs of wo values rather than runs of c_in
-        if c_in < wo:
-            gtaps = (wmat.T @ g.reshape(c_out, ho * wo)).reshape(k, k, c_in, ho, wo)
-            gtaps = gtaps.transpose(0, 1, 3, 4, 2)
-            gxl = np.zeros((c_in, hp, wp), dtype=dtype).transpose(1, 2, 0)
-        else:
-            gtaps = (rows(g) @ wmat).reshape(ho, wo, k, k, c_in).transpose(2, 3, 0, 1, 4)
-            gxl = np.zeros((hp, wp, c_in), dtype=dtype)
+        gtaps = (rows(g) @ wmat).reshape(ho, wo, k, k, c_in).transpose(2, 3, 0, 1, 4)
+        gxl = np.zeros((hp, wp, c_in), dtype=dtype)
         if stride == k:
             # the windows tile the input, so each pixel takes at most one
             # tap: one strided assignment
@@ -800,7 +788,7 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
         gl = np.zeros((ho + 2 * (kh - 1), wo + 2 * (kw - 1), c), dtype=xl.dtype)
         gl[kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = g.transpose(1, 2, 0)
         win = _windows(gl, kh, kw, hp, wp)[::-1, ::-1]
-        if pad.kind == "zeros":  # the border's gradient is dropped: gather the inside only
+        if pad.kind != "circular":  # no border gradient is kept: gather the inside only
             p = pad.amount
             return np.einsum("ijyxc,ijc->yxc", win[:, :, p : p + h, p : p + w], taps).transpose(2, 0, 1)
         gxl = np.einsum("ijyxc,ijc->yxc", win, taps)

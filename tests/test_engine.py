@@ -770,17 +770,14 @@ class TestLayouts:
         (3, 7, 4, PadMode.zeros(3), 128), (16, 3, 2, PadMode.zeros(1), 32),
         (4, 3, 1, PadMode.circular(1), 9)], ids=str)
     def test_conv2d_input_grad_matches_tap_loop(self, rng, c_in, k, stride, pad, size):
-        """Overlapping windows, scattered channels-first (fewer channels than
-        output columns) or channels-last, taps in the loop's order.  The
-        channels-first gradient comes from the transposed GEMM, which may
-        round differently, hence a tolerance rather than bit equality."""
+        """Overlapping windows: the taps are added in the loop's order."""
         x = rng.standard_normal((c_in, size, size)).astype(np.float32)
         w = rng.standard_normal((16, c_in, k, k)).astype(np.float32)
         ho = (size + 2 * pad.amount - k) // stride + 1
         g = rng.standard_normal((16, ho, ho)).astype(np.float32)
         want = self._conv_input_grad_tap_loop(g, w, stride, pad, size, size)
         got = self._conv_input_grad(x, w, g, stride, pad)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("kind,mode", [("zeros", "constant"), ("circular", "wrap")])
     def test_padding_bit_equal_to_np_pad(self, rng, kind, mode):
