@@ -8,6 +8,10 @@ all others extract within a branch.  The fused search features feed two
 mix-MLP prediction heads: a 1-channel foreground map and a 4-channel
 left/top/right/bottom distance map, both through a sigmoid.
 
+A `ModelConfig` checks itself when it is made, so every config that exists
+describes a buildable model; `weights` stores it in the weight file as the
+JSON of `dataclasses.asdict`, and `config_from_dict` reads it back.
+
 The weights are one parameter table, `parameter_shapes(config)`: each name
 is an owner ("stage2.block1") and a field of that owner's shape table in
 `blocks` ("q_weight").  A block reads its owner's entries as a dict keyed
@@ -16,6 +20,7 @@ by those fields; the weight file, building and loading use the full names.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -62,9 +67,6 @@ class ModelConfig:
     num_classes: int = 0  # > 0 selects the single-branch classification variant
     head_input: str = "search"  # "search" | "dwcorr" (Siamese-style baseline head)
 
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-
     @property
     def total_stride(self) -> int:
         s = 1
@@ -80,7 +82,8 @@ class ModelConfig:
         g = self.search_size // self.total_stride
         return (g, g)
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        object.__setattr__(self, "stages", tuple(self.stages))
         if not self.stages:
             raise ConfigError("at least one stage required")
         if self.pad_mode not in ("zeros", "circular"):
@@ -192,29 +195,33 @@ def classifier_config(name: str, num_classes: int, image_size: int = 224) -> Mod
 # -- model -------------------------------------------------------------------
 
 
-def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Every parameter's name and shape, without allocating any.  The order is
-    the weight file's order and the order in which `build_model` draws."""
-    shapes: dict[str, tuple[int, ...]] = {}
+def iter_parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every parameter's (name, shape), without allocating any, one owner's
+    shape table at a time.  The order is the weight file's order and the
+    order in which `build_model` draws."""
 
-    def add(prefix: str, table: dict[str, tuple[int, ...]]) -> None:
-        shapes.update((f"{prefix}.{name}", shape) for name, shape in table.items())
+    def owned(prefix: str, table: dict[str, tuple[int, ...]]):
+        return ((f"{prefix}.{name}", shape) for name, shape in table.items())
 
     c_in = 3
     for si, st in enumerate(config.stages, 1):
-        add(f"stage{si}.patch", bl.patch_embed_shapes(c_in, st.channels, st.kernel))
+        yield from owned(f"stage{si}.patch", bl.patch_embed_shapes(c_in, st.channels, st.kernel))
         for bi in range(1, st.depth + 1):
-            add(f"stage{si}.block{bi}", bl.block_shapes(st.attn))
+            yield from owned(f"stage{si}.block{bi}", bl.block_shapes(st.attn))
         c_in = st.channels
     if config.is_classifier:
-        add("classifier", {"weight": (c_in, config.num_classes), "bias": (config.num_classes,)})
-        return shapes
+        yield from owned("classifier", {"weight": (c_in, config.num_classes), "bias": (config.num_classes,)})
+        return
     hs, ws = config.search_grid()
     for head, out_channels in (("cls", 1), ("reg", 4)):
         for mi in range(1, config.head_depth + 1):
-            add(f"head.{head}.mmb{mi}", bl.mix_mlp_shapes(c_in, hs * ws))
-        add(f"head.{head}", {"out_weight": (c_in, out_channels), "out_bias": (out_channels,)})
-    return shapes
+            yield from owned(f"head.{head}.mmb{mi}", bl.mix_mlp_shapes(c_in, hs * ws))
+        yield from owned(f"head.{head}", {"out_weight": (c_in, out_channels), "out_bias": (out_channels,)})
+
+
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """`iter_parameter_shapes` as one {name: shape} table."""
+    return dict(iter_parameter_shapes(config))
 
 
 @dataclass
@@ -234,9 +241,6 @@ class Model:
             owner, _, fname = name.rpartition(".")
             self.by_owner.setdefault(owner, {})[fname] = t
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
-
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
@@ -244,7 +248,6 @@ class Model:
 def build_model(config: ModelConfig, seed: int = 0) -> Model:
     """Deterministic construction: every entry of `parameter_shapes(config)`,
     in order, takes `blocks.initial_value` from one rng seeded with `seed`."""
-    config.validate()
     rng = np.random.default_rng(seed)
     return Model(config, bl.init_params(rng, parameter_shapes(config)))
 
@@ -413,18 +416,10 @@ def forward_classification(model: Model, img) -> Tensor:
     return eg.linear(eg.reshape(pooled, (1, c)), w["weight"], w["bias"])[0, :]
 
 
-# -- config serialization ------------------------------------------------------
+# -- config from a stored dict -------------------------------------------------
 
 
 _STAGE_INTS = ("kernel", "channels", "stride", "depth", "heads", "reduction")
-
-
-def config_to_dict(cfg: ModelConfig) -> dict:
-    """Every field in declaration order; the stages as lists of dicts."""
-    d = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "stages"}
-    d["stages"] = [{**{k: getattr(st, k) for k in _STAGE_INTS}, "ca_positions": list(st.ca_positions)}
-                   for st in cfg.stages]
-    return d
 
 
 def _as_int(value, field: str) -> int:
@@ -437,6 +432,11 @@ def _as_int(value, field: str) -> int:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
+    """A config from the dict `dataclasses.asdict` makes of one, read as
+    untrusted input: integers are type-checked, a missing field keeps its
+    default, and every fault raises `ConfigError`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"config must hold a mapping, got {type(d).__name__}")
     try:
         stages = tuple(
             StageConfig(**{k: _as_int(s[k], f"stage {i} {k}") for k in _STAGE_INTS},
@@ -447,26 +447,7 @@ def config_from_dict(d: dict) -> ModelConfig:
         # a field left out keeps its default, and the default's type says how to read a given value
         rest = {f.name: _as_int(d[f.name], f.name) if isinstance(f.default, int) else str(d[f.name])
                 for f in fields(ModelConfig) if f.name not in ("name", "stages") and f.name in d}
-        cfg = ModelConfig(name=str(d.get("name", "custom")), stages=stages, **rest)
+        name = str(d.get("name", "custom"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed model config: {exc}") from exc
-    cfg.validate()
-    return cfg
-
-
-def config_to_text(cfg: ModelConfig) -> str:
-    import yaml
-
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=False)
-
-
-def config_from_text(text: str) -> ModelConfig:
-    import yaml
-
-    try:
-        d = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config text is not valid YAML: {exc}") from exc
-    if not isinstance(d, dict):
-        raise ConfigError("config text must hold a mapping")
-    return config_from_dict(d)
+    return ModelConfig(name=name, stages=stages, **rest)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,9 +232,8 @@ def generate_sequence(cfg: SceneConfig, seed: int) -> Sequence:
 class TrackingSuite:
     """A train/eval split of generated sequences."""
 
-    train: list[Sequence] = field(default_factory=list)
-    eval: list[Sequence] = field(default_factory=list)
-    config: SceneConfig = field(default_factory=SceneConfig)
+    train: list[Sequence]
+    eval: list[Sequence]
 
 
 _EVAL_OFFSET = 10_000
@@ -246,7 +245,7 @@ def make_suite(cfg: SceneConfig, n_train: int, n_eval: int, seed: int = 0) -> Tr
         raise ValueError(f"n_train {n_train} > {_EVAL_OFFSET} would share seeds with the eval split")
     train = [generate_sequence(cfg, seed + i) for i in range(n_train)]
     eval_ = [generate_sequence(cfg, seed + _EVAL_OFFSET + i) for i in range(n_eval)]
-    return TrackingSuite(train=train, eval=eval_, config=cfg)
+    return TrackingSuite(train=train, eval=eval_)
 
 
 # -- disk formats ---------------------------------------------------------------

@@ -45,6 +45,7 @@ __all__ = [
 _PROB_CLAMP = 1e-7
 # pair sampling in make_training_examples
 _FRAME_GAP = 6  # search frame within this many frames of the template frame
+_CENTER_JITTER = 0.12  # search crop centre moved by up to this fraction of its side, per axis
 _FLIP_PROB = 0.5
 _BRIGHTNESS = 0.15  # pair-wide brightness factor drawn from 1 +- this
 # AdamW's moment decay rates and the term that keeps its step finite
@@ -225,7 +226,7 @@ class TrainExample:
 
 
 def make_training_examples(sequences, count: int, template_size: int, search_size: int,
-                           rng, center_jitter: float = 0.12) -> list[TrainExample]:
+                           rng) -> list[TrainExample]:
     """Sample (template, search, box) triples from sequences.
 
     Template: factor-2 crop at the ground truth of one frame.  Search:
@@ -242,7 +243,7 @@ def make_training_examples(sequences, count: int, template_size: int, search_siz
         template, _ = crop_region(seq.frames[i], seq.gt[i], 2.0, template_size)
         ref = seq.gt[j]
         side = 4.0 * float(np.sqrt(ref.w * ref.h))
-        dx, dy = rng.uniform(-center_jitter, center_jitter, size=2) * side
+        dx, dy = rng.uniform(-_CENTER_JITTER, _CENTER_JITTER, size=2) * side
         search, meta = crop_region(seq.frames[j], ref.shifted(dx, dy), 4.0, search_size)
         gt = meta.to_crop(seq.gt[j])
         if rng.random() < _FLIP_PROB:
@@ -286,7 +287,7 @@ def _probe_iou(model, probe: list[TrainExample]) -> float:
 
 
 def train(model, dataset: list[TrainExample], tc: TrainConfig,
-          probe: list[TrainExample] | None = None) -> TrainLog:
+          probe: list[TrainExample]) -> TrainLog:
     """Fine-tune on (template, search, box) triples.
 
     Gradients accumulate over the batch one pair at a time, get clipped at
@@ -300,14 +301,9 @@ def train(model, dataset: list[TrainExample], tc: TrainConfig,
     """
     if not dataset:
         raise ValueError("empty training set")
-    if probe is None:
-        n_probe = max(1, len(dataset) // 10)
-        probe = dataset[-n_probe:]
-        dataset = dataset[:-n_probe] or probe
     rng = np.random.default_rng(tc.seed)
-    named = model.named_parameters()
-    head_params = [t for n, t in named.items() if n.startswith(("head.", "classifier."))]
-    back_params = [t for n, t in named.items() if not n.startswith(("head.", "classifier."))]
+    head_params = [t for n, t in model.params.items() if n.startswith(("head.", "classifier."))]
+    back_params = [t for n, t in model.params.items() if not n.startswith(("head.", "classifier."))]
     all_params = head_params + back_params
     head_state: dict = {}
     back_state: dict = {}
@@ -334,7 +330,7 @@ def train(model, dataset: list[TrainExample], tc: TrainConfig,
         acc /= tc.batch
         norm = clip_global_norm(all_params, tc.clip_norm)
         if not np.isfinite(norm):
-            bad = next((n for n, t in named.items()
+            bad = next((n for n, t in model.params.items()
                         if t.grad is not None and not np.isfinite(t.grad).all()), None)
             raise ValueError(f"step {step}: gradient of {bad} is not finite (global norm {norm}); "
                              f"no parameter was updated")

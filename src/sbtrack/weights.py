@@ -2,13 +2,17 @@
 
 Layout (all integers little-endian u32):
 
-    magic "SBTW" | version 2 | config length | UTF-8 YAML model config
+    magic "SBTW" | version 3 | config length | UTF-8 JSON model config
     | tensor count | per tensor: name length | UTF-8 name | rank
     | extent per axis | float32 payload
 
+The config is `json.dumps(dataclasses.asdict(config))`, read back by
+`model.config_from_dict`.  Version 2 held it in a text format that needs a
+third-party parser; it is not read, and raises `FormatError`.
+
 The config lets ``load_weights(path)`` rebuild the model without a side
-channel: `model.parameter_shapes` of that config names every tensor the file
-must hold and its shape, so the file is checked before any parameter is
+channel: `model.iter_parameter_shapes` of that config names every tensor the
+file must hold and its shape, so the file is checked before any parameter is
 made, and the parameters then wrap the file's own arrays.  A file is read
 into memory once and parsed from that buffer; every declared length
 (config, name, extents, payload) is checked against the bytes left before
@@ -18,19 +22,19 @@ instead of asking for memory it cannot fill.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import yaml
 
 from . import engine as eg
 from . import model as md
 from .model import Model
 
 MAGIC = b"SBTW"
-VERSION = 2
+VERSION = 3
 
 
 class FormatError(ValueError):
@@ -72,14 +76,13 @@ def _write_entry(fh, name: str, arr: np.ndarray) -> None:
 
 def save_weights(model: Model, path) -> None:
     """Write the model config and every named parameter."""
-    params = model.named_parameters()
-    cfg = md.config_to_text(model.config).encode("utf-8")
+    cfg = json.dumps(asdict(model.config)).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(cfg)))
         fh.write(cfg)
-        fh.write(struct.pack("<I", len(params)))
-        for name, t in params.items():
+        fh.write(struct.pack("<I", len(model.params)))
+        for name, t in model.params.items():
             _write_entry(fh, name, t.data)
 
 
@@ -116,8 +119,8 @@ def read_weight_file(path) -> tuple[md.ModelConfig, dict[str, np.ndarray]]:
         raise FormatError(f"unsupported version {version}")
     cfg_text = text("config")
     try:
-        config = md.config_from_text(cfg_text)
-    except (ValueError, yaml.YAMLError) as exc:
+        config = md.config_from_dict(json.loads(cfg_text))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than json parses
         raise FormatError(f"invalid model config: {exc}") from exc
     tensors: dict[str, np.ndarray] = {}
     for i in range(u32("tensor count")):
@@ -141,7 +144,7 @@ def load_weights_into(model: Model, path) -> LoadReport:
     skipped / left at init.
     """
     _, tensors = read_weight_file(path)
-    params = model.named_parameters()
+    params = model.params
     report = LoadReport()
     for name, arr in tensors.items():
         t = params.get(name)
@@ -160,16 +163,18 @@ def load_weights_into(model: Model, path) -> LoadReport:
 def load_weights(path) -> Model:
     """Rebuild the model from a file written by `save_weights`.
 
-    The file's tensors are checked against `model.parameter_shapes` of the
-    file's own config before any parameter is made: a missing tensor or a
-    shape clash raises `LoadError`, and tensors the config does not name are
-    ignored.  The parameters then wrap the file's arrays; nothing is drawn.
+    The file's tensors are checked against `model.iter_parameter_shapes` of
+    the file's own config before any parameter is made: the first missing
+    tensor or shape clash raises `LoadError`, before the rest of the table is
+    built, and tensors the config does not name are ignored.  The parameters
+    then wrap the file's arrays; nothing is drawn.
     """
     config, tensors = read_weight_file(path)
-    shapes = md.parameter_shapes(config)
-    for name, shape in shapes.items():
+    checked: dict[str, np.ndarray] = {}
+    for name, shape in md.iter_parameter_shapes(config):
         if name not in tensors:
             raise LoadError(f"file incomplete for its own config: no {name}")
         if tensors[name].shape != shape:
             raise LoadError(f"shape mismatch for {name}: file {tensors[name].shape} vs config {shape}")
-    return Model(config, {name: eg.parameter(tensors[name]) for name in shapes})
+        checked[name] = tensors[name]
+    return Model(config, {name: eg.parameter(arr) for name, arr in checked.items()})

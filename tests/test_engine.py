@@ -344,7 +344,7 @@ class TestBackward:
         z = r.random((3, 64, 64), dtype=np.float32)
         x = r.random((3, 128, 128), dtype=np.float32)
         tm = tr.assign_targets(Box(40, 40, 90, 90), model.config.search_grid(), 128.0)
-        param_bytes = sum(t.data.nbytes for t in model.named_parameters().values())
+        param_bytes = sum(t.data.nbytes for t in model.params.values())
         tracemalloc.start()
         try:
             cls, reg = md.forward(model, z, x)

@@ -1,6 +1,7 @@
 """Model assembly, config plumbing, and weight-file persistence tests."""
 
 import dataclasses
+import json
 import struct
 import tracemalloc
 
@@ -22,6 +23,25 @@ def rng():
 def snapshot(trace, si, bi, branch):
     """A branch's state right after block (si, bi) of a traced pass."""
     return md.BranchState(eg.tensor(trace[("block", si, bi, branch)]), (si, bi))
+
+
+def tiny_file_with_header(tmp_path, config):
+    """A saved tiny weight file whose config header is replaced by `config`:
+    a `ModelConfig`, stored as `save_weights` stores one, or raw text."""
+    path = tmp_path / "m.sbtw"
+    wio.save_weights(md.build_model(md.tiny_config(), seed=0), path)
+    raw = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", raw, 8)
+    text = config if isinstance(config, str) else json.dumps(dataclasses.asdict(config))
+    text = text.encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + cfg_len :])
+    return path
+
+
+def tiny_with_stage3_depth(depth):
+    cfg = md.tiny_config()
+    return dataclasses.replace(cfg, stages=(*cfg.stages[:2],
+                                            dataclasses.replace(cfg.stages[2], depth=depth)))
 
 
 def tiny_inputs(rng, cfg=None):
@@ -63,30 +83,29 @@ class TestConfigValidation:
         st = md.StageConfig(kernel=3, channels=8, stride=1, depth=2, heads=1,
                             reduction=1, ca_positions=(3,))
         with pytest.raises(md.ConfigError):
-            md.ModelConfig(name="bad", stages=(st,), template_size=8, search_size=16).validate()
+            md.ModelConfig(name="bad", stages=(st,), template_size=8, search_size=16)
 
     def test_reduction_must_divide_grids(self):
         st = md.StageConfig(kernel=3, channels=8, stride=1, depth=1, heads=1, reduction=3)
         with pytest.raises(md.ConfigError):
-            md.ModelConfig(name="bad", stages=(st,), template_size=8, search_size=16).validate()
+            md.ModelConfig(name="bad", stages=(st,), template_size=8, search_size=16)
 
     def test_classifier_rejects_cross_attention(self):
         st = md.StageConfig(kernel=3, channels=8, stride=1, depth=2, heads=1,
                             reduction=1, ca_positions=(1,))
-        cfg = md.ModelConfig(name="bad", stages=(st,) * 4, template_size=16,
-                             search_size=16, num_classes=4)
         with pytest.raises(md.ConfigError):
-            cfg.validate()
+            md.ModelConfig(name="bad", stages=(st,) * 4, template_size=16, search_size=16,
+                           num_classes=4)
 
     def test_dim_heads_mismatch(self):
         st = md.StageConfig(kernel=3, channels=9, stride=1, depth=1, heads=2, reduction=1)
         with pytest.raises(ValueError):
-            md.ModelConfig(name="bad", stages=(st,), template_size=8, search_size=16).validate()
+            md.ModelConfig(name="bad", stages=(st,), template_size=8, search_size=16)
 
     @pytest.mark.parametrize("field,value", [("num_classes", -2), ("template_size", 0),
                                              ("search_size", 0), ("head_depth", -1)])
     def test_out_of_range_sizes_and_counts(self, field, value):
-        d = md.config_to_dict(md.tiny_config())
+        d = dataclasses.asdict(md.tiny_config())
         d[field] = value
         with pytest.raises(md.ConfigError, match=field.split("_")[0]):
             md.config_from_dict(d)
@@ -95,7 +114,7 @@ class TestConfigValidation:
         (("stages", 0, "channels"), 16.7), (("template_size",), 64.9), (("stages", 0, "stride"), True),
         (("head_depth",), 2.5), (("stages", 2, "ca_positions"), [2.5, 4])])
     def test_bool_or_fraction_rejected(self, path, value):
-        top = md.config_to_dict(md.tiny_config())
+        top = dataclasses.asdict(md.tiny_config())
         *outer, field = path
         holder = top
         for key in outer:
@@ -111,17 +130,15 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name", sorted(md.PRESETS))
     def test_presets_and_their_classifiers_validate(self, name):
-        md.PRESETS[name]().validate()
-        cfg = md.classifier_config(name, 10)
-        cfg.validate()
-        assert cfg.is_classifier
+        assert not md.PRESETS[name]().is_classifier
+        assert md.classifier_config(name, 10).is_classifier
 
 
 class TestBuild:
     def test_deterministic_given_seed(self):
         a = md.build_model(md.tiny_config(), seed=5)
         b = md.build_model(md.tiny_config(), seed=5)
-        for (na, ta), (nb, tb) in zip(a.named_parameters().items(), b.named_parameters().items()):
+        for (na, ta), (nb, tb) in zip(a.params.items(), b.params.items()):
             assert na == nb
             np.testing.assert_array_equal(ta.data, tb.data)
 
@@ -176,7 +193,7 @@ class TestParameterTable:
     @pytest.mark.parametrize("name", ALL_CONFIGS)
     def test_shapes_are_the_built_models_in_order(self, name):
         cfg = ALL_CONFIGS[name]()
-        built = md.build_model(cfg, seed=0).named_parameters()
+        built = md.build_model(cfg, seed=0).params
         assert list(md.parameter_shapes(cfg).items()) == [(n, t.shape) for n, t in built.items()]
 
     def test_load_weights_draws_nothing(self, tmp_path, monkeypatch):
@@ -188,9 +205,9 @@ class TestParameterTable:
             raise AssertionError("load_weights drew a random init")
 
         monkeypatch.setattr(bl, "initial_value", no_draws)
-        loaded = wio.load_weights(path).named_parameters()
-        assert list(loaded) == list(m.named_parameters())
-        for name, t in m.named_parameters().items():
+        loaded = wio.load_weights(path).params
+        assert list(loaded) == list(m.params)
+        for name, t in m.params.items():
             np.testing.assert_array_equal(loaded[name].data, t.data)
 
     def test_loaded_parameters_are_writable(self, tmp_path):
@@ -200,19 +217,11 @@ class TestParameterTable:
         for t in m.parameters():
             assert t.requires_grad and t.data.flags.writeable
         m.params["stage1.patch.weight"].data -= 1.0  # an optimizer step updates in place
-        np.testing.assert_array_equal(m.named_parameters()["stage1.patch.weight"].data,
+        np.testing.assert_array_equal(m.params["stage1.patch.weight"].data,
                                       m.by_owner["stage1.patch"]["weight"].data)
 
     def test_header_deeper_than_the_file_raises_before_building(self, tmp_path):
-        cfg = md.tiny_config()
-        path = tmp_path / "m.sbtw"
-        wio.save_weights(md.build_model(cfg, seed=0), path)
-        raw = path.read_bytes()
-        (cfg_len,) = struct.unpack_from("<I", raw, 8)
-        deep_stage3 = dataclasses.replace(cfg.stages[2], depth=40)
-        deep = dataclasses.replace(cfg, stages=(*cfg.stages[:2], deep_stage3))
-        text = md.config_to_text(deep).encode("utf-8")
-        path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + cfg_len :])
+        path = tiny_file_with_header(tmp_path, tiny_with_stage3_depth(40))
         tracemalloc.start()
         try:
             with pytest.raises(wio.LoadError, match="stage3.block5"):
@@ -220,7 +229,18 @@ class TestParameterTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * len(raw)
+        assert peak < 3 * path.stat().st_size
+
+    def test_load_weights_stops_at_the_first_block_the_file_lacks(self, tmp_path, monkeypatch):
+        """The header's parameter table is walked lazily: no block's shape
+        table is built after the first tensor the file does not hold."""
+        path = tiny_file_with_header(tmp_path, tiny_with_stage3_depth(40))
+        calls = []
+        block_shapes = bl.block_shapes
+        monkeypatch.setattr(bl, "block_shapes", lambda cfg: calls.append(cfg) or block_shapes(cfg))
+        with pytest.raises(wio.LoadError, match="stage3.block5"):
+            wio.load_weights(path)
+        assert len(calls) <= 7  # stage1.block1, stage2.block1, stage3.block1 to block5
 
 
 class TestForward:
@@ -439,29 +459,29 @@ class TestClassification:
 
 
 class TestConfigSerialization:
-    def test_yaml_roundtrip(self):
+    def test_json_roundtrip(self):
         cfg = md.tiny_config(pad_mode="circular", head_input="dwcorr")
-        text = md.config_to_text(cfg)
-        back = md.config_from_text(text)
-        assert back == cfg
+        assert md.config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
-    def test_file_roundtrip(self):
-        """The light preset survives the config text a weight file stores."""
+    def test_file_roundtrip(self, tmp_path):
+        """The light preset survives the config header a weight file stores."""
         cfg = md.PRESETS["light"]()
-        assert md.config_from_text(md.config_to_text(cfg)) == cfg
+        assert wio.read_weight_file(tiny_file_with_header(tmp_path, cfg))[0] == cfg
 
     def test_malformed_rejected(self):
         with pytest.raises(md.ConfigError):
-            md.config_from_text("stages: nope")
+            md.config_from_dict({"stages": "nope"})
 
     def test_heads_not_dividing_channels_raises_config_error(self):
-        text = "stages:\n  - {kernel: 3, channels: 6, stride: 1, depth: 1, heads: 4, reduction: 1}\n"
+        stage = {"kernel": 3, "channels": 6, "stride": 1, "depth": 1, "heads": 4, "reduction": 1}
         with pytest.raises(md.ConfigError, match="not divisible"):
-            md.config_from_text(text)
+            md.config_from_dict({"stages": [stage]})
 
-    def test_malformed_yaml_raises_config_error(self):
-        with pytest.raises(md.ConfigError, match="not valid YAML"):
-            md.config_from_text("stages: [")
+    def test_malformed_json_raises_format_error(self, tmp_path):
+        path = tiny_file_with_header(tmp_path, '{"stages": [')
+        with pytest.raises(wio.FormatError, match="invalid model config") as info:
+            wio.read_weight_file(path)
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
 
 
 class TestWeightFiles:
@@ -535,6 +555,8 @@ class TestWeightFiles:
         ("huge_config_length", "config needs"),
         ("huge_tensor_count", "name length needs"),
         ("version_1", "unsupported version 1"),
+        ("version_2", "unsupported version 2"),
+        ("deep_nesting", "invalid model config"),
         ("non_utf8_config", "not UTF-8"),
         ("config_not_mapping", "must hold a mapping"),
         ("duplicate_name", "duplicate tensor"),
@@ -560,8 +582,11 @@ class TestWeightFiles:
             struct.pack_into("<I", raw, 8, huge)
         elif case == "huge_tensor_count":
             struct.pack_into("<I", raw, e0 - 4, huge)
-        elif case == "version_1":
-            struct.pack_into("<I", raw, 4, 1)
+        elif case in ("version_1", "version_2"):
+            struct.pack_into("<I", raw, 4, int(case[-1]))
+        elif case == "deep_nesting":  # nested past the parser's recursion limit
+            text = b"[" * 100_000 + b"]" * 100_000
+            raw[8 : 12 + cfg_len] = struct.pack("<I", len(text)) + text
         elif case == "non_utf8_config":
             raw[12] = 0xFF
         elif case == "config_not_mapping":
@@ -578,28 +603,22 @@ class TestWeightFiles:
             wio.load_weights(path)
 
     @pytest.mark.parametrize("config_text", [
-        "stages: [",
-        "stages:\n  - {kernel: 3, channels: 6, stride: 1, depth: 1, heads: 4, reduction: 1}\n",
-        "stages:\n  - {kernel: 7, channels: 16.7, stride: 4, depth: 1, heads: 1, reduction: 4}\n",
-    ])
+        '{"stages": [',
+        '{"stages": [{"kernel": 3, "channels": 6, "stride": 1, "depth": 1, "heads": 4, "reduction": 1}]}',
+        '{"stages": [{"kernel": 7, "channels": 16.7, "stride": 4, "depth": 1, "heads": 1, "reduction": 4}]}',
+    ], ids=["unclosed", "heads_not_dividing_channels", "fractional_channels"])
     def test_bad_config_header_raises_format_error(self, tmp_path, config_text):
-        path = tmp_path / "m.sbtw"
-        wio.save_weights(md.build_model(md.tiny_config(), seed=0), path)
-        raw = path.read_bytes()
-        (cfg_len,) = struct.unpack_from("<I", raw, 8)
-        text = config_text.encode("utf-8")
-        path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + cfg_len :])
         with pytest.raises(wio.FormatError, match="invalid model config"):
-            wio.read_weight_file(path)
+            wio.read_weight_file(tiny_file_with_header(tmp_path, config_text))
 
     def test_other_search_size_raises_load_error(self, tmp_path):
         path = tmp_path / "m.sbtw"
         wio.save_weights(md.build_model(md.tiny_config(), seed=0), path)
         other = md.build_model(md.tiny_config(search_size=96), seed=1)
-        before = {n: t.data.copy() for n, t in other.named_parameters().items()}
+        before = {n: t.data.copy() for n, t in other.params.items()}
         with pytest.raises(wio.LoadError, match="spatial_weight"):
             wio.load_weights_into(other, path)
-        for n, t in other.named_parameters().items():
+        for n, t in other.params.items():
             np.testing.assert_array_equal(t.data, before[n], err_msg=n)
 
     def test_load_weights_parses_the_file_once(self, tmp_path, monkeypatch):

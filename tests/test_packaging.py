@@ -1,15 +1,21 @@
-"""Packaging metadata and module exports name things that exist, and every
-public definition has a caller."""
+"""Packaging metadata and module exports name things that exist, every
+public definition has a caller, and the package needs nothing beyond its
+declared dependencies."""
 
 import ast
 import importlib
 import pkgutil
+import re
+import sys
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sbtrack
+from sbtrack import model as md
+from sbtrack import weights as wio
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 BENCHMARK = PYPROJECT.parent / "benchmark"
@@ -73,3 +79,35 @@ def test_every_public_definition_has_a_caller():
                 if not any(name in names and (p, own) != (path, name) for p, own, names in refs)}
     assert sorted(uncalled - UNCALLED_BY_DESIGN.keys()) == [], "no caller and not allowlisted"
     assert sorted(UNCALLED_BY_DESIGN.keys() - uncalled) == [], "allowlisted but has a caller"
+
+
+def _imported_top_level_modules(path: Path) -> set[str]:
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.partition(".")[0])
+    return modules
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    """What `sbtrack` imports from outside the standard library is exactly
+    what `pyproject.toml` declares (each distribution here is named as its
+    module is)."""
+    with open(PYPROJECT, "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower() for dep in declared}
+    imported = set().union(*map(_imported_top_level_modules, SRC.glob("*.py")))
+    assert imported - set(sys.stdlib_module_names) - {"sbtrack"} == declared == {"numpy"}
+
+
+def test_weight_file_round_trip_without_yaml(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "yaml", None)  # any `import yaml` now raises ImportError
+    saved = md.build_model(md.tiny_config(), seed=0)
+    wio.save_weights(saved, tmp_path / "m.sbtw")
+    loaded = wio.load_weights(tmp_path / "m.sbtw")
+    assert loaded.config == saved.config
+    assert list(loaded.params) == list(saved.params)
+    for name, t in saved.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, t.data, err_msg=name)

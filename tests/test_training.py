@@ -276,7 +276,7 @@ class TestTotalLoss:
 
 
 def _without_gradient(model) -> list[str]:
-    return [n for n, t in model.named_parameters().items()
+    return [n for n, t in model.params.items()
             if t.grad is None or not np.abs(t.grad).sum() > 0]
 
 
@@ -406,10 +406,10 @@ class TestTrainLoop:
         bad = tr.TrainExample(good.template.copy(), good.search, good.gt)
         bad.template[0, 5, 7] = np.nan
         m = md.build_model(md.tiny_config(), seed=1)
-        before = {n: t.data.copy() for n, t in m.named_parameters().items()}
+        before = {n: t.data.copy() for n, t in m.params.items()}
         with pytest.raises(ValueError, match=r"step 0: gradient of stage1\.patch\.weight"):
             tr.train(m, [bad], tr.TrainConfig(steps=1, batch=1, probe_every=100), probe=[good])
-        for n, t in m.named_parameters().items():
+        for n, t in m.params.items():
             np.testing.assert_array_equal(t.data, before[n], err_msg=n)
 
     def test_single_batch_overfit(self, rng):
