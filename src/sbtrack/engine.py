@@ -31,6 +31,19 @@ run all of a block's passes before the next block, so a block's arrays stay
 in cache.  Each row is computed from its own values alone, so the blocking
 changes no bit of the forward.
 
+Short axes, long loops: numpy pays a fixed cost per row when a reduction,
+or an einsum's inner loop, runs along a trailing axis of tens to hundreds
+of floats, and the attention rows (16-256 keys) and depthwise maps (64-640
+channels) are that short.  So the softmax takes each row's max as the value
+at the row's `argmax`, which costs about a third of ``max`` over the same
+rows and is the same float: `argmax` returns the first NaN of a row that
+has one, and where -0.0 and 0.0 tie for the max, the two differ only in
+the sign of a zero difference, which `exp` maps to 1 either way.
+And the depthwise tap sums run over runs of adjacent output columns merged
+with the channels, about `_TAP_RUN` floats long (`_column_runs`), instead
+of over the channels alone.  Each output element still sums the same
+products in the same order, so both stay bit-equal to the short-axis forms.
+
 Thread-safety contract: a single forward/backward graph is owned by one
 thread; tensors that do not require grad are never mutated by the engine
 and may be shared freely; independent graphs may run concurrently.
@@ -588,7 +601,8 @@ def softmax_last_dim(t: Tensor) -> Tensor:
     blocks = _blocks(x)
     for b in blocks:
         xb, sb = x[b], s[b]
-        np.subtract(xb, xb.max(axis=1, keepdims=True), out=sb)
+        # the row max, taken at its argmax (see the module docstring)
+        np.subtract(xb, np.take_along_axis(xb, xb.argmax(axis=1)[:, None], 1), out=sb)
         np.exp(sb, out=sb)
         sb *= (1.0 / _row_sums(sb))[:, None]
 
@@ -679,6 +693,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 # -- convolutions ----------------------------------------------------------
 
+# floats in the innermost run of a depthwise tap sum (see `_column_runs`)
+_TAP_RUN = 1024
+
 
 def _conv_out_extent(size: int, k: int, stride: int, p: int) -> int:
     return (size + 2 * p - k) // stride + 1
@@ -691,6 +708,15 @@ def _windows(xl: np.ndarray, kh: int, kw: int, ho: int, wo: int, stride: int = 1
     sh, sw, sc = xl.strides
     return np.lib.stride_tricks.as_strided(
         xl, (kh, kw, ho, wo, xl.shape[2]), (sh, sw, sh * stride, sw * stride, sc), writeable=False)
+
+
+def _taps_inside(shift: int, stride: int, n: int, size: int) -> tuple[slice, slice]:
+    """For a tap that output position y reads at pixel y * stride + shift:
+    the slice of positions y < n whose pixel lies in [0, size), and the
+    slice of those pixels."""
+    lo = max(0, -(shift // stride))
+    hi = max(lo, min(n, (size - 1 - shift) // stride + 1))
+    return slice(lo, hi), slice(lo * stride + shift, hi * stride + shift, stride)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
@@ -730,28 +756,61 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
 
     hp, wp = xl.shape[:2]
     dtype = xl.dtype  # the partials keep no reference to the padded input
+    circular = pad.kind == "circular"
 
     def rows(g):  # [ho*wo, c_out]
         return g.reshape(c_out, ho * wo).T
 
     def grad_x(g):
         gtaps = (rows(g) @ wmat).reshape(ho, wo, k, k, c_in).transpose(2, 3, 0, 1, 4)
-        gxl = np.zeros((hp, wp, c_in), dtype=dtype)
-        if stride == k:
+        if circular:  # the border gradient is folded back in below
+            gxl, shift = np.zeros((hp, wp, c_in), dtype=dtype), 0
+        else:  # no border gradient is kept: an unpadded buffer takes the taps that land inside
+            gxl, shift = np.zeros((h, w, c_in), dtype=dtype), -p
+        if stride == k and shift == 0:
             # the windows tile the input, so each pixel takes at most one
             # tap: one strided assignment
             gxl[: ho * k, : wo * k].reshape(ho, k, wo, k, c_in)[...] = gtaps.transpose(2, 0, 3, 1, 4)
         else:
+            across = [_taps_inside(kj + shift, stride, wo, gxl.shape[1]) for kj in range(k)]
             for ki in range(k):
-                for kj in range(k):
-                    gxl[ki : ki + (ho - 1) * stride + 1 : stride,
-                        kj : kj + (wo - 1) * stride + 1 : stride] += gtaps[ki, kj]
-        return _unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, w)
+                ys, rows_in = _taps_inside(ki + shift, stride, ho, gxl.shape[0])
+                for kj, (xs, cols_in) in enumerate(across):
+                    gxl[rows_in, cols_in] += gtaps[ki, kj, ys, xs]
+        if circular:
+            return _unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, w)
+        return gxl.transpose(2, 0, 1)  # compact, so a reshape of it is a view
 
     # the output is a channels-last view of the GEMM output
     return _op(out.T.reshape(c_out, ho, wo), (x, weight, bias), grad_x,
                lambda g: (rows(g).T @ cols).reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2),
                lambda g: rows(g).sum(axis=0))
+
+
+@lru_cache(maxsize=256)
+def _merged_columns(wo: int, c: int) -> int:
+    """The largest divisor g of wo with g * c <= `_TAP_RUN`, or 1."""
+    return max((g for g in range(1, wo + 1) if wo % g == 0 and g * c <= _TAP_RUN), default=1)
+
+
+def _column_runs(win: np.ndarray) -> np.ndarray:
+    """The windows `win` [kh, kw, ho, wo, c] of a channels-last buffer as a
+    view [kh, kw, ho, wo / g, g * c] with g = `_merged_columns` (wo, c): g
+    adjacent output columns merged with the channels into one run.  A
+    window's g columns of c channels are adjacent in the buffer, so the
+    merge copies nothing."""
+    kh, kw, ho, wo, c = win.shape
+    g = _merged_columns(wo, c)
+    return win.reshape(kh, kw, ho, wo // g, g * c)
+
+
+def _tap_sums(win: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """``einsum("ijyxc,ijc->yxc", win, taps)`` for windows `win`
+    [kh, kw, ho, wo, c] and per-channel taps [kh, kw, c], over the column
+    runs of `_column_runs`: the taps are tiled once per merged column."""
+    *_, ho, wo, c = win.shape
+    runs = _column_runs(win)
+    return np.einsum("ijyxc,ijc->yxc", runs, np.tile(taps, runs.shape[-1] // c)).reshape(ho, wo, c)
 
 
 def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
@@ -770,6 +829,18 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
     rounded product per tap, (0, 0) first and then in row-major order.  That
     is the sum a tap-by-tap loop computes, so the forward and the input
     gradient are bit-equal to one.
+
+    The forward and the input gradient run that einsum over `_column_runs`
+    of the view: g output columns of c channels become one inner axis of
+    g * c floats, and the taps [kh, kw, c] are tiled g times to match, so
+    element (y, x', u * c + ch) of the grouped sum reads the pixels and the
+    tap values of element (y, x' * g + u, ch) of the plain one.  Only the
+    length of einsum's inner loop changes, not the terms of any output
+    element or their order: each still starts from zero and adds its
+    kh * kw products in row-major tap order, so the grouped sums are
+    bit-equal to the plain ones.  The kernel gradient sums over output
+    positions, not taps; it keeps the plain view, where grouping measured
+    slower and further from float64.
     """
     c, kh, kw = kernel.shape
     h, w = x.shape[1:]
@@ -779,7 +850,7 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
         raise ShapeError("kernel larger than padded input")
     xl = _channels_last(x.data, pad)
     taps = np.ascontiguousarray(kernel.data.transpose(1, 2, 0))  # [kh, kw, c]
-    out = np.einsum("ijyxc,ijc->yxc", _windows(xl, kh, kw, ho, wo), taps)
+    out = _tap_sums(_windows(xl, kh, kw, ho, wo), taps)
 
     def grad_x(g):
         # tap (i, j) carries g[y, x] to xl[y + i, x + j]: pixel (y', x') of
@@ -790,9 +861,8 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
         win = _windows(gl, kh, kw, hp, wp)[::-1, ::-1]
         if pad.kind != "circular":  # no border gradient is kept: gather the inside only
             p = pad.amount
-            return np.einsum("ijyxc,ijc->yxc", win[:, :, p : p + h, p : p + w], taps).transpose(2, 0, 1)
-        gxl = np.einsum("ijyxc,ijc->yxc", win, taps)
-        return _unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, w)
+            return _tap_sums(win[:, :, p : p + h, p : p + w], taps).transpose(2, 0, 1)
+        return _unpad_adjoint(_tap_sums(win, taps).transpose(2, 0, 1), pad, h, w)
 
     def grad_kernel(g):
         # each output row first, then the rows: two short float32 sums stay

@@ -13,17 +13,19 @@ third-party parser; it is not read, and raises `FormatError`.
 The config lets ``load_weights(path)`` rebuild the model without a side
 channel: `model.iter_parameter_shapes` of that config names every tensor the
 file must hold and its shape, so the file is checked before any parameter is
-made, and the parameters then wrap the file's own arrays.  A file is read
-into memory once and parsed from that buffer; every declared length
-(config, name, extents, payload) is checked against the bytes left before
-anything is taken or allocated, so a corrupt header raises `FormatError`
-instead of asking for memory it cannot fill.
+made, and the parameters then wrap the file's own arrays.  The header is
+read field by field, and each payload straight into its own array, so a
+load holds the file's bytes once.  Every declared length (config, name,
+extents, payload) is checked against the bytes left, from the file's size,
+before anything is read or allocated, so a corrupt header raises
+`FormatError` instead of asking for memory it cannot fill.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -89,49 +91,60 @@ def save_weights(model: Model, path) -> None:
 def read_weight_file(path) -> tuple[md.ModelConfig, dict[str, np.ndarray]]:
     """The model config and the named tensors of a file written by `save_weights`."""
     with open(path, "rb") as fh:
-        buf = memoryview(fh.read())
-    pos = 0
+        size = os.fstat(fh.fileno()).st_size
+        pos = 0
 
-    def take(n: int, what: str) -> memoryview:
-        nonlocal pos
-        if n > len(buf) - pos:
-            raise FormatError(f"truncated file: {what} needs {n} bytes, {len(buf) - pos} left")
-        pos += n
-        return buf[pos - n : pos]
+        def claim(n: int, what: str) -> None:
+            nonlocal pos
+            if n > size - pos:
+                raise FormatError(f"truncated file: {what} needs {n} bytes, {size - pos} left")
+            pos += n
 
-    def u32s(n: int, what: str) -> tuple[int, ...]:
-        return struct.unpack(f"<{n}I", take(4 * n, what))
+        def take(n: int, what: str) -> bytes:
+            claim(n, what)
+            raw = fh.read(n)
+            if len(raw) != n:  # the file shrank while it was read
+                raise FormatError(f"truncated file: {what} needs {n} bytes, {len(raw)} left")
+            return raw
 
-    def u32(what: str) -> int:
-        return u32s(1, what)[0]
+        def u32s(n: int, what: str) -> tuple[int, ...]:
+            return struct.unpack(f"<{n}I", take(4 * n, what))
 
-    def text(what: str) -> str:
-        raw = take(u32(f"{what} length"), what)
+        def u32(what: str) -> int:
+            return u32s(1, what)[0]
+
+        def text(what: str) -> str:
+            raw = take(u32(f"{what} length"), what)
+            try:
+                return str(raw, "utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{what} is not UTF-8: {exc}") from exc
+
+        if take(4, "magic") != MAGIC:
+            raise FormatError("bad magic bytes")
+        version = u32("version")
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version}")
+        cfg_text = text("config")
         try:
-            return str(raw, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{what} is not UTF-8: {exc}") from exc
-
-    if take(4, "magic") != MAGIC:
-        raise FormatError("bad magic bytes")
-    version = u32("version")
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}")
-    cfg_text = text("config")
-    try:
-        config = md.config_from_dict(json.loads(cfg_text))
-    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than json parses
-        raise FormatError(f"invalid model config: {exc}") from exc
-    tensors: dict[str, np.ndarray] = {}
-    for i in range(u32("tensor count")):
-        name = text(f"tensor {i} name")
-        if name in tensors:
-            raise FormatError(f"duplicate tensor {name!r}")
-        shape = u32s(u32(f"{name} rank"), f"{name} extents")
-        payload = take(4 * math.prod(shape), f"{name} payload")
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-    if pos != len(buf):
-        raise FormatError(f"{len(buf) - pos} trailing bytes after last tensor")
+            config = md.config_from_dict(json.loads(cfg_text))
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than json parses
+            raise FormatError(f"invalid model config: {exc}") from exc
+        tensors: dict[str, np.ndarray] = {}
+        for i in range(u32("tensor count")):
+            name = text(f"tensor {i} name")
+            if name in tensors:
+                raise FormatError(f"duplicate tensor {name!r}")
+            shape = u32s(u32(f"{name} rank"), f"{name} extents")
+            n = 4 * math.prod(shape)
+            claim(n, f"{name} payload")
+            arr = np.empty(shape, dtype="<f4")
+            got = fh.readinto(arr.reshape(-1).view(np.uint8))
+            if got != n:
+                raise FormatError(f"truncated file: {name} payload needs {n} bytes, {got} left")
+            tensors[name] = arr
+    if pos != size:
+        raise FormatError(f"{size - pos} trailing bytes after last tensor")
     return config, tensors
 
 

@@ -89,6 +89,48 @@ class TestSoftmax:
         b = eg.softmax_last_dim(eg.tensor(x + shift, dtype=np.float64)).data
         assert np.abs(a - b).max() < 1e-6
 
+    @staticmethod
+    def _softmax_by_max(x):
+        """The forward as it was before the row max came from argmax:
+        subtract ``max``, exponentiate, scale by the inverse einsum row sum."""
+        rows = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
+        s = rows - rows.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        s *= (1.0 / np.einsum("ij->i", s))[:, None]
+        return s.reshape(x.shape)
+
+    @staticmethod
+    def _special_rows(r, n):
+        """Rows of n columns: normal ones, and ones whose max is tied, NaN,
+        +inf, -inf throughout, or a tie of -0.0 and 0.0."""
+        x = r.standard_normal((2, 8, n)).astype(np.float32)
+        rows = x.reshape(-1, n)
+        rows[0, [0, n - 1]] = 9.0  # a tie (the same column when n == 1)
+        rows[1, n // 2] = np.nan
+        rows[2, n - 1] = np.inf
+        rows[3] = -np.inf
+        rows[4] = -np.abs(rows[4])
+        rows[4, 0], rows[4, n - 1] = -0.0, 0.0
+        rows[5, 0] = np.inf
+        rows[5, n - 1] = np.nan
+        return x
+
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("n", [1, 16, 64, 256])
+    def test_bit_equal_to_max_subtraction(self, n, contiguous, small_blocks, monkeypatch):
+        """The row max is the value at the row's argmax: the same float as
+        ``max``, NaN (argmax gives the first NaN) and infinities included."""
+        if small_blocks:
+            monkeypatch.setattr(eg, "_BLOCK_BYTES", TestBlocks.SMALL)
+        x = self._special_rows(np.random.default_rng(n), n)
+        xin = x if contiguous else _other_layout(x)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = self._softmax_by_max(x)
+            got = eg.softmax_last_dim(eg.tensor(xin)).data
+        assert np.isnan(want).any() and np.isfinite(want).any()
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
 
 # --------------------------------------------------------------------------
 # layer norm
@@ -676,7 +718,10 @@ class TestLayouts:
         eg.backward(eg.sum_(eg.mul(out, eg.tensor(g, dtype=g.dtype))))
         return xt.grad, kt.grad
 
-    DEPTHWISE_SHAPES = [(16, 9, 7), (640, 32, 32), (64, 45, 37)]
+    # merged (column, channel) runs of `eg._column_runs`: all columns (16, 9, 7),
+    # none (640 channels; the prime widths of (64, 45, 37)), and 16 or 15
+    # columns of 64 channels (64, 32, 32)
+    DEPTHWISE_SHAPES = [(16, 9, 7), (640, 32, 32), (64, 45, 37), (64, 32, 32)]
 
     @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode.circular(1), PadMode.valid()])
     def test_depthwise_bit_equal_to_tap_loop(self, rng, pad):
@@ -717,6 +762,29 @@ class TestLayouts:
                 assert got.dtype == np.float32
                 rel = np.abs(got - want).max() / np.abs(want).max()
                 assert rel < 5e-7, f"shape {(c, h, w)}: {rel:.2e}"
+
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode.circular(1), PadMode.valid()])
+    def test_depthwise_column_runs_are_views(self, rng, pad, monkeypatch):
+        """Every tap sum, forward and input gradient, reads its merged
+        (column, channel) runs as a view of the padded buffer: a copy would
+        be kh * kw times the input."""
+        runs = []
+        column_runs = eg._column_runs
+        monkeypatch.setattr(eg, "_column_runs", lambda win: runs.append((win, column_runs(win))) or runs[-1][1])
+        x = rng.standard_normal((64, 32, 32)).astype(np.float32)
+        xl = eg._channels_last(x, pad)
+        ho, wo = xl.shape[0] - 2, xl.shape[1] - 2
+        assert np.shares_memory(eg._column_runs(eg._windows(xl, 3, 3, ho, wo)), xl)
+        out = eg.depthwise_conv2d(eg.parameter(x), eg.tensor(rng.standard_normal((64, 3, 3))), pad=pad)
+        eg.backward(eg.sum_(out))
+        assert len(runs) == 3  # the direct call, the forward and the input gradient
+        for win, r in runs:
+            assert np.shares_memory(r, win)
+        fwd, grad = runs[1][1], runs[2][1]
+        # wo = 32 (30 unpadded): 16 (15) columns of 64 channels per run; the
+        # circular input gradient spans the 34 padded columns, so 2
+        assert fwd.shape[-1] == 64 * (15 if pad.kind == "valid" else 16)
+        assert grad.shape[-1] == 64 * (2 if pad.kind == "circular" else 16)
 
     def test_depthwise_xcorr_bit_equal_to_tap_loop(self, rng):
         z = rng.standard_normal((160, 8, 8)).astype(np.float32)
@@ -778,6 +846,18 @@ class TestLayouts:
         want = self._conv_input_grad_tap_loop(g, w, stride, pad, size, size)
         got = self._conv_input_grad(x, w, g, stride, pad)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("stride,k,pad", [(2, 3, PadMode.zeros(1)), (1, 3, PadMode.zeros(1)),
+                                              (4, 7, PadMode.zeros(3)), (2, 2, PadMode.valid())], ids=str)
+    def test_conv2d_input_grad_is_compact(self, rng, stride, k, pad):
+        """Under zero or no padding the input gradient is a channels-first
+        view of an unpadded channels-last buffer, so the reshape to tokens
+        that `blocks.map_of` records takes it without a copy."""
+        x = rng.standard_normal((16, 32, 32)).astype(np.float32)
+        out = eg.conv2d(eg.parameter(x), eg.tensor(rng.standard_normal((8, 16, k, k))), stride=stride, pad=pad)
+        gx = out._partials[0](rng.standard_normal(out.shape).astype(np.float32))
+        assert gx.shape == x.shape and gx.transpose(1, 2, 0).flags.c_contiguous
+        assert np.shares_memory(gx.reshape(16, 32 * 32), gx)
 
     @pytest.mark.parametrize("kind,mode", [("zeros", "constant"), ("circular", "wrap")])
     def test_padding_bit_equal_to_np_pad(self, rng, kind, mode):

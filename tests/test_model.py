@@ -220,6 +220,21 @@ class TestParameterTable:
         np.testing.assert_array_equal(m.params["stage1.patch.weight"].data,
                                       m.by_owner["stage1.patch"]["weight"].data)
 
+    def test_load_holds_the_file_once(self, tmp_path):
+        """Each payload is read straight into its own parameter array: no
+        whole-file buffer is held beside the arrays."""
+        path = tmp_path / "m.sbtw"
+        wio.save_weights(md.build_model(md.tiny_config(), seed=0), path)
+        tracemalloc.start()
+        try:
+            m = wio.load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * path.stat().st_size
+        for t in m.parameters():
+            assert t.data.flags.aligned and t.data.flags.writeable and t.data.flags.c_contiguous
+
     def test_header_deeper_than_the_file_raises_before_building(self, tmp_path):
         path = tiny_file_with_header(tmp_path, tiny_with_stage3_depth(40))
         tracemalloc.start()

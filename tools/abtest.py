@@ -1,6 +1,6 @@
 """In-process A/B timing of two sbtrack checkouts on the benchmark's workloads.
 
-    python3 tools/abtest.py BASE CHANGE --workload train_tiny --rounds 14
+    python3 tools/abtest.py BASE CHANGE --workload train_tiny --rounds 14 [--json BENCH_x.json]
 
 BASE and CHANGE are repository roots.  The script loads ``src/sbtrack`` of
 each as its own package (``sbtrack_base``, ``sbtrack_change``) into one
@@ -13,11 +13,14 @@ runs first switches every round, so that drift of the host (frequency,
 other tenants) falls on both sides alike.  Before each round a side's
 weights are reset to the loaded ones.
 
-A round's figure is the loop's ``throughput_per_cpu_s``: frames, or
-training pairs, per CPU second, with BLAS on one thread.  The output gives
-each side's median and quartiles over the rounds, the median of the
-per-round ratios change/base, the number of rounds the change was faster,
-and each side's failed frames or steps.
+A round gives two figures per side, as ``run.py`` reports them: the
+loop's ``throughput_per_cpu_s`` (frames, or training pairs, per CPU second,
+with BLAS on one thread) and its ``latency_cpu_ms_p50`` (the median CPU time
+per frame or step).  The output gives, per figure, each side's median and
+quartiles over the rounds, the number of rounds the change was better, and
+the verdict of the claim rule (`verdict`); and each side's failed frames or
+steps.  ``--json PATH`` also writes all of it, every round's figures
+included.
 """
 
 from __future__ import annotations
@@ -25,21 +28,37 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import json
 import os
 import statistics
 import sys
 import tempfile
 from types import SimpleNamespace
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "benchmark"))
-import run  # noqa: E402
-
-run.limit_blas_threads()  # before numpy is imported
-import loops  # noqa: E402
+BENCHMARK_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmark")
+# figure -> whether a higher value is better
+FIGURES = {"throughput_per_cpu_s": True, "latency_cpu_ms_p50": False}
 
 
-def load(root: str, name: str) -> SimpleNamespace:
+def quartiles(xs: list) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of `xs`."""
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def verdict(base: list, change: list, higher_is_better: bool) -> dict:
+    """The claim rule on one figure's per-round values, paired by round:
+    the change is better in at least 9 of every 10 rounds, and its median
+    is better than the base's by more than the base's quartile spread."""
+    sign = 1.0 if higher_is_better else -1.0
+    wins = sum(bool(sign * (c - b) > 0) for b, c in zip(base, change))
+    q1, med, q3 = quartiles(base)
+    gap = float(sign * (statistics.median(change) - med))
+    return {"wins": wins, "rounds": len(base), "median_gap": gap, "base_spread": float(q3 - q1),
+            "holds": 10 * wins >= 9 * len(base) and gap > q3 - q1}
+
+
+def load(run, root: str, name: str) -> SimpleNamespace:
     """Import ``root/src/sbtrack`` as package `name`; returns the namespace
     of its modules that the benchmark's loops take."""
     pkg_dir = os.path.join(os.path.abspath(root), "src", "sbtrack")
@@ -53,7 +72,7 @@ def load(root: str, name: str) -> SimpleNamespace:
     return SimpleNamespace(modules=list(mods.values()), **mods)
 
 
-def make_side(sb, w, seed: int, seconds: float):
+def make_side(loops, sb, w, seed: int, seconds: float):
     """Set up and warm up one side; returns a function that runs one round
     and gives its loop result."""
     with tempfile.TemporaryDirectory() as ckpt_dir:
@@ -71,6 +90,12 @@ def make_side(sb, w, seed: int, seconds: float):
 
 
 def main(argv=None) -> int:
+    sys.path.insert(0, BENCHMARK_DIR)
+    import run
+
+    run.limit_blas_threads()  # before numpy is imported
+    import loops
+
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="root of the base checkout")
     ap.add_argument("change", help="root of the changed checkout")
@@ -78,6 +103,7 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=5.0, help="loop window per side and round")
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--json", metavar="PATH", help="also write every round and the verdicts here")
     args = ap.parse_args(argv)
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
@@ -85,30 +111,47 @@ def main(argv=None) -> int:
         ap.error("--seconds must be positive")
 
     w = loops.WORKLOADS[args.workload]
-    sides = {name: make_side(load(root, f"sbtrack_{name}"), w, args.seed, args.seconds)
+    sides = {name: make_side(loops, load(run, root, f"sbtrack_{name}"), w, args.seed, args.seconds)
              for name, root in (("base", args.base), ("change", args.change))}
 
-    rates = {name: [] for name in sides}
+    figures = {fig: {name: [] for name in sides} for fig in FIGURES}
     failed = dict.fromkeys(sides, 0)
+    first = []
     order = list(sides)
     for _ in range(args.rounds):
+        first.append(order[0])
         for name in order:
             r = sides[name]()
-            rates[name].append(r.rate)
+            figures["throughput_per_cpu_s"][name].append(r.rate)
+            # with no completed frame or step, the whole window is the latency bound
+            p50 = statistics.median(r.latencies_s or [r.cpu_s])
+            figures["latency_cpu_ms_p50"][name].append(float(p50) * 1e3)
             failed[name] += r.failed
         order.reverse()
 
     unit = "frames" if w.kind == "track" else "pairs"
-    print(f"{args.workload}: {args.rounds} rounds of {args.seconds:g} s per side, "
-          f"{unit} per CPU second")
-    for name, xs in rates.items():
-        q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-        print(f"  {name:7s} median {q2:8.2f}   quartiles {q1:8.2f} .. {q3:8.2f}   "
-              f"failed {failed[name]}")
-    ratios = [c / b for b, c in zip(rates["base"], rates["change"])]
-    wins = sum(c > b for b, c in zip(rates["base"], rates["change"]))
-    print(f"  change/base median ratio {statistics.median(ratios):.3f}; "
-          f"change faster in {wins} of {args.rounds} rounds")
+    print(f"{args.workload}: {args.rounds} rounds of {args.seconds:g} s per side; "
+          f"throughput in {unit} per CPU second, p50 in CPU ms")
+    report = {"workload": args.workload, "rounds": args.rounds, "seconds": args.seconds,
+              "seed": args.seed, "first": first, "failed": failed, "figures": {}}
+    for fig, higher in FIGURES.items():
+        per_side = figures[fig]
+        summary = {}
+        for name, xs in per_side.items():
+            q1, q2, q3 = quartiles(xs)
+            summary[name] = {"median": q2, "q1": q1, "q3": q3}
+            print(f"  {fig:20s} {name:7s} median {q2:8.2f}   quartiles {q1:8.2f} .. {q3:8.2f}")
+        v = verdict(per_side["base"], per_side["change"], higher)
+        print(f"  {fig:20s} change better in {v['wins']} of {v['rounds']} rounds; median gap "
+              f"{v['median_gap']:+.3f} against the base's quartile spread {v['base_spread']:.3f}: "
+              f"claim {'holds' if v['holds'] else 'does not hold'}")
+        report["figures"][fig] = {"higher_is_better": higher, "rounds": per_side, **summary,
+                                  "verdict": v}
+    print(f"  failed: base {failed['base']}, change {failed['change']}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
     return 0
 
 
