@@ -18,13 +18,6 @@ class Box:
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ValueError(f"degenerate box {(self.x1, self.y1, self.x2, self.y2)}")
 
-    @staticmethod
-    def from_xywh(x: float, y: float, w: float, h: float) -> "Box":
-        return Box(x, y, x + w, y + h)
-
-    def to_xywh(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.w, self.h)
-
     @property
     def w(self) -> float:
         return self.x2 - self.x1

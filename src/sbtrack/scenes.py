@@ -4,14 +4,15 @@ One target per sequence plus k distractors.  "easy" distractors differ from
 the target in shape; "hard" ones share the shape and differ only in texture,
 so a tracker has to match appearance against the template rather than find
 "the blob".  Distractors never cover the target: each frame pushes any
-distractor that comes near the target clear of it.  Everything is
-deterministic given (config, seed).
+distractor that comes near the target clear of it.
+
+Everything is deterministic given (config, seed): `generate_sequence`
+rebuilds every frame and box bit for bit, so a `(SceneConfig, seed)` pair is
+the stored form of a sequence, and there is no sequence disk format.
 """
 
 from __future__ import annotations
 
-import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +25,7 @@ __all__ = [
     "generate_sequence",
     "make_suite",
     "TrackingSuite",
-    "write_ppm",
-    "read_ppm",
     "write_pgm",
-    "write_sequence",
-    "read_sequence",
 ]
 
 _SHAPES = ("rectangle", "ellipse", "triangle")
@@ -57,10 +54,10 @@ class SceneConfig:
             raise ValueError(f"target_size needs 1 <= min <= max, got {self.target_size}")
         if self.frame_size < self.target_size[1] + 2 * _MARGIN:
             raise ValueError(f"frame_size {self.frame_size} < max target side + 2 * {_MARGIN} px margin")
-        if not 0 <= self.speed[0] <= self.speed[1]:
-            raise ValueError(f"speed needs 0 <= min <= max, got {self.speed}")
-        if self.motion_sigma < 0:
-            raise ValueError(f"motion_sigma must be >= 0, got {self.motion_sigma}")
+        if not (np.isfinite(self.speed).all() and 0 <= self.speed[0] <= self.speed[1]):
+            raise ValueError(f"speed needs finite 0 <= min <= max, got {self.speed}")
+        if not (np.isfinite(self.motion_sigma) and self.motion_sigma >= 0):
+            raise ValueError(f"motion_sigma must be finite and >= 0, got {self.motion_sigma}")
 
 
 @dataclass
@@ -248,33 +245,6 @@ def make_suite(cfg: SceneConfig, n_train: int, n_eval: int, seed: int = 0) -> Tr
     return TrackingSuite(train=train, eval=eval_)
 
 
-# -- disk formats ---------------------------------------------------------------
-
-
-def write_ppm(img: np.ndarray, path) -> None:
-    """Binary P6, one byte per channel; img [3, H, W] in [0, 1]."""
-    arr = np.clip(np.asarray(img) * 255.0 + 0.5, 0, 255).astype(np.uint8)
-    c, h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.transpose(1, 2, 0).tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    m = re.match(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
-    if not m:
-        raise ValueError(f"{path}: not a binary PPM")
-    w, h, maxval = (int(g) for g in m.groups())
-    if not 1 <= maxval <= 255:
-        raise ValueError(f"{path}: maxval {maxval} outside 1..255 (one byte per sample)")
-    if len(data) - m.end() < w * h * 3:
-        raise ValueError(f"{path}: {len(data) - m.end()} bytes of pixel data, {w}x{h} needs {w * h * 3}")
-    pixels = np.frombuffer(data[m.end() :], dtype=np.uint8, count=w * h * 3)
-    return (pixels.reshape(h, w, 3).transpose(2, 0, 1) / float(maxval)).astype(np.float32)
-
-
 def write_pgm(img: np.ndarray, path) -> None:
     """Binary P5 grayscale; img [H, W], its finite pixels rescaled to full
     range.  Non-finite pixels (NaN, +-inf) are written as 0."""
@@ -289,68 +259,3 @@ def write_pgm(img: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(out.tobytes())
-
-
-def write_sequence(seq: Sequence, directory) -> None:
-    """Numbered PPM frames plus groundtruth.txt with x,y,w,h per line."""
-    os.makedirs(directory, exist_ok=True)
-    for i, frame in enumerate(seq.frames):
-        write_ppm(frame, os.path.join(directory, f"{i:06d}.ppm"))
-    with open(os.path.join(directory, "groundtruth.txt"), "w", encoding="ascii") as fh:
-        for b in seq.gt:
-            x, y, w, h = b.to_xywh()
-            fh.write(f"{x:.2f},{y:.2f},{w:.2f},{h:.2f}\n")
-    if any(seq.distractors):
-        with open(os.path.join(directory, "distractors.txt"), "w", encoding="ascii") as fh:
-            for boxes in seq.distractors:
-                cells = []
-                for b in boxes:
-                    x, y, w, h = b.to_xywh()
-                    cells.append(f"{x:.2f},{y:.2f},{w:.2f},{h:.2f}")
-                fh.write(";".join(cells) + "\n")
-
-
-def _read_box(cell: str, where: str) -> Box:
-    """One "x,y,w,h" cell of a box file; `where` ("file:line") heads any error."""
-    try:
-        vals = [float(v) for v in cell.split(",")]
-        if len(vals) != 4 or not np.isfinite(vals).all():
-            raise ValueError(f"expected 4 finite numbers, got {len(vals)} values")
-        return Box.from_xywh(*vals)
-    except ValueError as exc:
-        raise ValueError(f"{where}: bad box {cell!r}: {exc}") from None
-
-
-def read_sequence(directory) -> Sequence:
-    """Read what `write_sequence` writes.  Frames of differing sizes, a box
-    file whose line count is not the frame count, and box lines with the
-    wrong count, a non-number or a degenerate box raise `ValueError` naming
-    the file (and the line).  `distractors.txt` holds one line per frame,
-    empty for a frame without distractors."""
-    names = sorted(n for n in os.listdir(directory) if n.endswith(".ppm"))
-    if not names:
-        raise ValueError(f"{directory}: no PPM frames found")
-    frames = [read_ppm(os.path.join(directory, n)) for n in names]
-    for n, f in zip(names, frames):
-        if f.shape != frames[0].shape:
-            raise ValueError(f"{os.path.join(directory, n)}: frame is {f.shape[2]}x{f.shape[1]}, "
-                             f"but {names[0]} is {frames[0].shape[2]}x{frames[0].shape[1]}")
-    gt = []
-    gt_path = os.path.join(directory, "groundtruth.txt")
-    with open(gt_path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                gt.append(_read_box(line.strip(), f"{gt_path}:{lineno}"))
-    if len(gt) != len(frames):
-        raise ValueError(f"{directory}: {len(frames)} frames but {len(gt)} boxes")
-    dist_path = os.path.join(directory, "distractors.txt")
-    distractors: list[list[Box]] = [[] for _ in frames]
-    if os.path.exists(dist_path):
-        with open(dist_path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-        if len(lines) != len(frames):
-            raise ValueError(f"{dist_path}: {len(frames)} frames but {len(lines)} lines")
-        for i, line in enumerate(lines):
-            cells = [c for c in line.strip().split(";") if c]
-            distractors[i] = [_read_box(c, f"{dist_path}:{i + 1}") for c in cells]
-    return Sequence(frames=frames, gt=gt, distractors=distractors)

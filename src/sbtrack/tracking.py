@@ -55,11 +55,14 @@ class CropMeta:
         return Box((b.x1 - x0) * self.scale, (b.y1 - y0) * self.scale,
                    (b.x2 - x0) * self.scale, (b.y2 - y0) * self.scale)
 
-    def to_frame(self, b: Box) -> Box:
+    def to_frame(self, x1: float, y1: float, x2: float, y2: float,
+                 ) -> tuple[float, float, float, float]:
+        """Crop-pixel edges to frame-pixel edges, as plain floats: decoded
+        edges need not make a valid `Box` before they are clamped."""
         x0 = self.cx - self.side / 2
         y0 = self.cy - self.side / 2
-        return Box(b.x1 / self.scale + x0, b.y1 / self.scale + y0,
-                   b.x2 / self.scale + x0, b.y2 / self.scale + y0)
+        return (x1 / self.scale + x0, y1 / self.scale + y0,
+                x2 / self.scale + x0, y2 / self.scale + y0)
 
 
 def _axis_samples(center: float, side: float, out_size: int) -> np.ndarray:
@@ -133,7 +136,7 @@ def predict_box(cls_map, reg_map, meta: CropMeta, previous: Box | None = None) -
     Argmax is row-major (first cell wins ties); the four regression values
     at that cell are left/top/right/bottom distances in half-crop units
     (0.5 spans a quarter crop each way).  The result is clamped to the
-    frame with at least 1 px extent.
+    frame with at least 1 px extent, also when the distances are zero.
 
     A foreground map with any non-finite value, or non-finite regression
     values at the peak, decode to nothing: the result is then `previous`,
@@ -154,12 +157,11 @@ def predict_box(cls_map, reg_map, meta: CropMeta, previous: Box | None = None) -
     cx = (j + 0.5) / ws * meta.out_size
     cy = (i + 0.5) / hs * meta.out_size
     left, top, right, bottom = (float(v) * meta.out_size / 2.0 for v in dists)
-    crop_box = Box(cx - left, cy - top, cx + right, cy + bottom)
-    b = meta.to_frame(crop_box)
-    x1 = float(np.clip(b.x1, 0.0, meta.frame_w - 1.0))
-    y1 = float(np.clip(b.y1, 0.0, meta.frame_h - 1.0))
-    x2 = float(np.clip(b.x2, x1 + 1.0, meta.frame_w))
-    y2 = float(np.clip(b.y2, y1 + 1.0, meta.frame_h))
+    x1, y1, x2, y2 = meta.to_frame(cx - left, cy - top, cx + right, cy + bottom)
+    x1 = float(np.clip(x1, 0.0, meta.frame_w - 1.0))
+    y1 = float(np.clip(y1, 0.0, meta.frame_h - 1.0))
+    x2 = float(np.clip(x2, x1 + 1.0, meta.frame_w))
+    y2 = float(np.clip(y2, y1 + 1.0, meta.frame_h))
     return Box(x1, y1, x2, y2)
 
 

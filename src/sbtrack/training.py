@@ -16,7 +16,6 @@ IoU loss of FCOS) with no decoding into absolute edges.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,12 +263,6 @@ def make_training_examples(sequences, count: int, template_size: int, search_siz
 class TrainLog:
     columns = ("step", "loss_cls", "loss_giou", "loss_l1", "loss_total", "lr", "probe_iou")
     rows: list[tuple] = field(default_factory=list)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            writer.writerows(self.rows)
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)

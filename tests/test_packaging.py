@@ -30,8 +30,7 @@ UNCALLED_BY_DESIGN = {
     "weights.load_weights_into": "direction 7: pre-trained stages into a tracker",
     "tracking.evaluate_sequences": "direction 7: measuring the paper's claims",
     "scenes.write_pgm": "direction 6: score maps written for inspection",
-    "scenes.read_sequence": "direction 10: the sequence disk format",
-    "scenes.write_sequence": "direction 10: the sequence disk format",
+    "oracles.OracleResult.row": "direction 6: the `oracles` CLI prints each row",
 }
 
 
@@ -57,26 +56,45 @@ def test_all_names_exist(module):
     assert not missing
 
 
-def _referenced_names(node) -> set[str]:
+def _referenced_names(nodes) -> set[str]:
     return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+            for node in nodes for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _scopes(tree):
+    """(name, definition, nodes) per top-level statement of a module; a class
+    is split into one scope per method ("Class.method") and one for the rest
+    of it ("Class").  A statement that defines nothing has the name None."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            yield getattr(node, "name", None), node, [node]
+            continue
+        methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+        for m in methods:
+            yield f"{node.name}.{m.name}", m, [m]
+        yield node.name, node, [n for n in node.body if n not in methods] + node.decorator_list + node.bases
 
 
 def test_every_public_definition_has_a_caller():
-    """A public top-level function or class of `sbtrack` is named in `src/` or
-    `benchmark/` outside its own body, or is on `UNCALLED_BY_DESIGN`; an entry
-    there that gained a caller leaves the list."""
+    """A public top-level function or class of `sbtrack`, or a public method or
+    property of a public class, is named in `src/` or `benchmark/` outside its
+    own body, or is on `UNCALLED_BY_DESIGN`; an entry there that gained a
+    caller leaves the list."""
     public = set()
-    refs = []  # (module path, top-level name or None, names referenced there)
+    refs = []  # (module path, scope name or None, names referenced there)
     for path in sorted(SRC.glob("*.py")) + sorted(BENCHMARK.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = getattr(node, "name", None)
-            refs.append((path, own, _referenced_names(node)))
-            if (path.parent == SRC and isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not own.startswith("_")):
+        for own, definition, nodes in _scopes(ast.parse(path.read_text(encoding="utf-8"))):
+            refs.append((path, own, _referenced_names(nodes)))
+            if (path.parent == SRC and isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                    and not any(part.startswith("_") for part in own.split("."))):
                 public.add((path, own))
-    uncalled = {f"{path.stem}.{name}" for path, name in public
-                if not any(name in names and (p, own) != (path, name) for p, own, names in refs)}
+
+    def inside(scope, definition):
+        return scope is not None and (scope == definition or scope.startswith(definition + "."))
+
+    uncalled = {f"{path.stem}.{qual}" for path, qual in public
+                if not any(qual.rpartition(".")[2] in names and not (p == path and inside(own, qual))
+                           for p, own, names in refs)}
     assert sorted(uncalled - UNCALLED_BY_DESIGN.keys()) == [], "no caller and not allowlisted"
     assert sorted(UNCALLED_BY_DESIGN.keys() - uncalled) == [], "allowlisted but has a caller"
 

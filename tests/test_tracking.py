@@ -80,9 +80,9 @@ class TestCrop:
     def test_to_frame_inverts_to_crop(self, ref, b, out_size):
         meta = tk.CropMeta(cx=ref.cx, cy=ref.cy, side=4.0 * np.sqrt(ref.w * ref.h),
                            out_size=out_size, frame_h=128, frame_w=128)
-        back = meta.to_frame(meta.to_crop(b))
-        np.testing.assert_allclose([back.x1, back.y1, back.x2, back.y2],
-                                   [b.x1, b.y1, b.x2, b.y2], rtol=0, atol=1e-9)
+        c = meta.to_crop(b)
+        back = meta.to_frame(c.x1, c.y1, c.x2, c.y2)
+        np.testing.assert_allclose(back, [b.x1, b.y1, b.x2, b.y2], rtol=0, atol=1e-9)
 
 
 class TestPredictBox:
@@ -101,6 +101,16 @@ class TestPredictBox:
         b = tk.predict_box(cls, reg, self.meta, previous=self.previous)
         # cell (3, 5) of 8 is centred at (44, 28) in a 64 crop; 0.25 half-crops is 8 px
         assert (b.x1, b.y1, b.x2, b.y2) == (36.0, 20.0, 52.0, 36.0)
+
+    @pytest.mark.parametrize("dists", [(0.0, 0.0, 0.0, 0.0), (1e-9, 0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("previous", [None, previous])
+    def test_zero_distances_give_a_box_of_at_least_1_px(self, dists, previous):
+        cls, reg = self.maps()
+        reg[:, 3, 5] = dists
+        b = tk.predict_box(cls, reg, self.meta, previous=previous)
+        assert b.w >= 1.0 and b.h >= 1.0
+        assert 0.0 <= b.x1 and 0.0 <= b.y1 and b.x2 <= 64.0 and b.y2 <= 64.0
+        assert (b.x1, b.y1) == pytest.approx((44.0, 28.0))  # the peak cell's centre
 
     @pytest.mark.parametrize("which", ["reg_at_peak", "cls_all", "cls_one"])
     def test_non_finite_output_keeps_previous_box(self, which):

@@ -391,16 +391,6 @@ class TestTrainLoop:
         assert lrs[2] == pytest.approx(tc.lr_head / 10)
         assert lrs[4] == pytest.approx(tc.lr_head / 100)
 
-    def test_csv_columns(self, rng, tmp_path):
-        data = _toy_dataset(rng)
-        m = md.build_model(md.tiny_config(), seed=1)
-        log = tr.train(m, list(data), tr.TrainConfig(steps=2, batch=1, probe_every=1),
-                       probe=data[:1])
-        log.to_csv(tmp_path / "log.csv")
-        header = (tmp_path / "log.csv").read_text().splitlines()[0]
-        assert header == "step,loss_cls,loss_giou,loss_l1,loss_total,lr,probe_iou"
-        assert len(log.rows) == 2
-
     def test_non_finite_gradient_raises_before_any_update(self, rng):
         good = _toy_dataset(rng, n=1)[0]
         bad = tr.TrainExample(good.template.copy(), good.search, good.gt)
