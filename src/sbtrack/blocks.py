@@ -20,7 +20,10 @@ A block takes and returns each branch's features as a plain [c, h, w]
 Tensor, whose grid is `shape[1:]`; it flattens them to [h*w, c] tokens
 (`tokens_of`) for the per-token linears and back (`map_of`) for the
 convolutions and the residuals.  `attend` is the attention update without
-its layer norm, which is the paper's cross-attention (eq. 8) on its own.
+its layer norm, which is the paper's cross-attention (eq. 8) on its own.  It
+projects q, k and v itself: q from the query branch's tokens, and k and v
+each from the key/value branch's `_kv_tokens`, so the reduction runs once
+for k and once for v.
 
 A block's weights are a plain dict: its entries of the model's parameter
 table, keyed by the names of its shape table below (`w["q_weight"]`).  The
@@ -174,19 +177,6 @@ def _merge_heads(att: Tensor, cfg: AttnConfig) -> Tensor:
     return eg.reshape(eg.transpose(att, (1, 0, 2)), (t, cfg.dim))
 
 
-def qkv_project(f: Tensor, which: str, cfg: AttnConfig, w: dict[str, Tensor]) -> Tensor:
-    """Project one branch's features to per-head tokens [heads, tokens, head_dim].
-
-    Queries keep the full grid; keys/values see the reduced grid.
-    """
-    if f.shape[0] != cfg.dim:
-        raise ShapeError(f"feature dim {f.shape[0]} != config dim {cfg.dim}")
-    if which not in ("q", "k", "v"):
-        raise ValueError(f"which must be q/k/v, got {which!r}")
-    tok = tokens_of(f) if which == "q" else _kv_tokens(f, cfg, w)
-    return _split_heads(eg.linear(tok, w[f"{which}_weight"], w[f"{which}_bias"]), cfg)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int) -> Tensor:
     """Scaled dot-product attention over [heads, t, d] queries, keys and values."""
     if q.shape[-1] != head_dim or k.shape[-1] != head_dim or v.shape[-1] != head_dim:
@@ -200,10 +190,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int) -> Tensor:
 def attend(f: Tensor, f_q: Tensor, f_kv: Tensor, cfg: AttnConfig, w: dict[str, Tensor]) -> Tensor:
     """f + out_proj(Attn(q(f_q), k(f_kv), v(f_kv))) on f_q's grid: the
     attention update without its layer norm (eq. 8 of the paper when the
-    projections are identities)."""
-    q = qkv_project(f_q, "q", cfg, w)
-    k = qkv_project(f_kv, "k", cfg, w)
-    v = qkv_project(f_kv, "v", cfg, w)
+    projections are identities).  q, k and v are per-head tokens
+    [heads, tokens, head_dim]."""
+    for g in (f_q, f_kv):
+        if g.shape[0] != cfg.dim:
+            raise ShapeError(f"feature dim {g.shape[0]} != config dim {cfg.dim}")
+    q = _split_heads(eg.linear(tokens_of(f_q), w["q_weight"], w["q_bias"]), cfg)
+    k = _split_heads(eg.linear(_kv_tokens(f_kv, cfg, w), w["k_weight"], w["k_bias"]), cfg)
+    v = _split_heads(eg.linear(_kv_tokens(f_kv, cfg, w), w["v_weight"], w["v_bias"]), cfg)
     att = attention(q, k, v, cfg.head_dim)
     out_tok = eg.linear(_merge_heads(att, cfg), w["out_weight"], w["out_bias"])
     return eg.add(f, map_of(out_tok, f_q.shape[1:]))

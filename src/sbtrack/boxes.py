@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Box:
-    """Corners in pixels, x1 < x2 and y1 < y2 enforced."""
+    """Finite corners in pixels, x1 < x2 and y1 < y2 enforced."""
 
     x1: float
     y1: float
@@ -15,7 +16,7 @@ class Box:
     y2: float
 
     def __post_init__(self):
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
+        if not (-math.inf < self.x1 < self.x2 < math.inf and -math.inf < self.y1 < self.y2 < math.inf):
             raise ValueError(f"degenerate box {(self.x1, self.y1, self.x2, self.y2)}")
 
     @property

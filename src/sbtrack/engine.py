@@ -250,7 +250,7 @@ def _op(data: np.ndarray, operands, *partials):
     ``partials[i](g)`` maps the output gradient `g` to the gradient of
     ``operands[i]`` at the output's shape; `backward` runs it only for an
     operand that requires grad, and sums its result back to that operand's
-    shape.  A None operand (an absent bias) is skipped with its partial.
+    shape.
     """
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -261,7 +261,7 @@ def _op(data: np.ndarray, operands, *partials):
         return out
     # a loop rather than any() over a generator: this runs once per op
     for t in operands:
-        if t is not None and t.requires_grad:
+        if t.requires_grad:
             break
     else:
         return out
@@ -276,7 +276,8 @@ def _op(data: np.ndarray, operands, *partials):
 
 @dataclass(frozen=True)
 class PadMode:
-    """Spatial padding policy for convolutions: zeros(p), circular(p), valid."""
+    """Spatial padding policy for convolutions: p pixels of "zeros" or of
+    "circular" wrap-around on each side, or "valid" (none)."""
 
     kind: str
     amount: int = 0
@@ -294,18 +295,13 @@ class PadMode:
         return PadMode("zeros", p)
 
     @staticmethod
-    def circular(p: int) -> "PadMode":
-        return PadMode("circular", p)
-
-    @staticmethod
     def valid() -> "PadMode":
         return PadMode("valid")
 
     @staticmethod
     def same(kind: str, kernel: int) -> "PadMode":
-        """Padding that preserves spatial extent at stride 1 (odd kernel)."""
-        if kind == "valid":
-            return PadMode.valid()
+        """Padding of `kind` ("zeros" or "circular") that preserves spatial
+        extent at stride 1 (odd kernel)."""
         return PadMode(kind, (kernel - 1) // 2)
 
 
@@ -338,13 +334,12 @@ def _channels_last(x: np.ndarray, pad: PadMode) -> np.ndarray:
 
 
 def _unpad_adjoint(gp: np.ndarray, pad: PadMode, h: int, w: int) -> np.ndarray:
-    """Adjoint of the padding in `_channels_last`, on a channels-first
-    [..., h + 2p, w + 2p] gradient: fold the padded border back inside."""
+    """Adjoint of the circular padding in `_channels_last`, on a
+    channels-first [..., h + 2p, w + 2p] gradient: fold the padded border
+    back inside."""
     p = pad.amount
     if p == 0:
         return gp
-    if pad.kind == "zeros":
-        return gp[..., p : p + h, p : p + w]
     g = gp[..., p : p + h, :].copy()
     g[..., h - p :, :] += gp[..., :p, :]
     g[..., :p, :] += gp[..., p + h :, :]
@@ -411,32 +406,34 @@ def reshape(t: Tensor, shape) -> Tensor:
 
 
 def tensor_slice(t: Tensor, idx) -> Tensor:
-    """Basic slicing (views copied); gradient scatters back into place."""
+    """Any numpy index, its result copied.  The gradient is added back into
+    place: an element that the index selects more than once receives the
+    sum of its gradients."""
     t = _as_tensor(t)
 
     def scatter(g):
         full = np.zeros_like(t.data)
-        full[idx] += g
+        np.add.at(full, idx, g)
         return full
 
     return _op(np.ascontiguousarray(t.data[idx]), (t,), scatter)
 
 
-def sum_(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(t: Tensor, axis=None) -> Tensor:
     t = _as_tensor(t)
 
     def spread(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, t.shape).astype(t.data.dtype)
 
-    return _op(np.asarray(t.data.sum(axis=axis, keepdims=keepdims)), (t,), spread)
+    return _op(np.asarray(t.data.sum(axis=axis)), (t,), spread)
 
 
-def mean_(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean_(t: Tensor, axis=None) -> Tensor:
     t = _as_tensor(t)
     n = t.size if axis is None else t.shape[axis]
-    return mul(sum_(t, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(sum_(t, axis=axis), 1.0 / n)
 
 
 def abs_(t: Tensor) -> Tensor:
@@ -673,18 +670,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor
                lambda g: rows_of(g).sum(axis=0))
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map on the trailing feature axis: x[..., din] -> [..., dout]."""
     x = _as_tensor(x)
     weight = _as_tensor(weight, x)
+    bias = _as_tensor(bias, x)
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: {x.shape} with weight {weight.shape}")
     dout = weight.shape[1]
     x2 = x.data.reshape(-1, x.shape[-1])
     out = x2 @ weight.data
-    if bias is not None:
-        bias = _as_tensor(bias, x)
-        out += bias.data
+    out += bias.data
     return _op(out.reshape(*x.shape[:-1], dout), (x, weight, bias),
                lambda g: (g.reshape(-1, dout) @ weight.data.T).reshape(x.shape),
                lambda g: x2.T @ g.reshape(-1, dout),
@@ -719,7 +715,7 @@ def _taps_inside(shift: int, stride: int, n: int, size: int) -> tuple[slice, sli
     return slice(lo, hi), slice(lo * stride + shift, hi * stride + shift, stride)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
            pad: PadMode = PadMode.valid()) -> Tensor:
     """2-d convolution (cross-correlation) on a CHW map, im2col-backed.
 
@@ -732,6 +728,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
     x = _as_tensor(x)
     weight = _as_tensor(weight, x)
+    bias = _as_tensor(bias, x)
     if x.ndim != 3 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects CHW input and OIKK weight, got {x.shape}, {weight.shape}")
     c_out, c_in, k, k2 = weight.shape
@@ -750,9 +747,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     cols = _windows(xl, k, k, ho, wo, stride).transpose(2, 3, 0, 1, 4).reshape(ho * wo, k * k * c_in)
     wmat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, k * k * c_in)
     out = cols @ wmat.T
-    if bias is not None:
-        bias = _as_tensor(bias, x)
-        out += bias.data
+    out += bias.data
 
     hp, wp = xl.shape[:2]
     dtype = xl.dtype  # the partials keep no reference to the padded input
@@ -874,12 +869,13 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
     return out, grad_x, grad_kernel
 
 
-def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor,
                      pad: PadMode = PadMode.zeros(1)) -> Tensor:
     """Per-channel odd square convolution at stride 1; weight is [c, k, k]
     (shape preserved for p = (k - 1) / 2)."""
     x = _as_tensor(x)
     weight = _as_tensor(weight, x)
+    bias = _as_tensor(bias, x)
     if weight.ndim != 3:
         raise ShapeError(f"depthwise weight must be [c, k, k], got {weight.shape}")
     c, k, k2 = weight.shape
@@ -888,9 +884,7 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if x.ndim != 3 or x.shape[0] != c:
         raise ShapeError(f"depthwise channel mismatch: {x.shape} vs {weight.shape}")
     out_data, grad_x, grad_weight = _per_channel_xcorr(x, weight, pad)
-    if bias is not None:
-        bias = _as_tensor(bias, x)
-        out_data += bias.data  # on the kernel's own channels-last buffer
+    out_data += bias.data  # on the kernel's own channels-last buffer
     return _op(out_data.transpose(2, 0, 1), (x, weight, bias), grad_x, grad_weight,
                lambda g: g.sum(axis=(1, 2)))
 
@@ -929,7 +923,7 @@ def _topo_order(root: Tensor) -> list:
         seen.add(id(node))
         stack.append((node, True))
         for t in node._inputs:
-            if t is not None and t.requires_grad and id(t) not in seen:
+            if t.requires_grad and id(t) not in seen:
                 stack.append((t, False))
     return order
 
@@ -955,7 +949,7 @@ def backward(loss: Tensor) -> None:
             continue  # a leaf keeps its gradient
         g = node.grad
         for t, partial in zip(node._inputs, node._partials):
-            if t is not None and t.requires_grad:
+            if t.requires_grad:
                 t._accumulate(_unbroadcast(partial(g), t.shape))
         node.grad = node._inputs = node._partials = None
 

@@ -21,7 +21,7 @@ by those fields; the weight file, building and loading use the full names.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -34,6 +34,15 @@ from .engine import ShapeError, Tensor
 
 class ConfigError(ValueError):
     """Raised for inconsistent model configurations."""
+
+
+def _check_ints(cfg, names: tuple[str, ...]) -> None:
+    """Raise `ConfigError` unless each field of `cfg` in `names` is an int,
+    or a tuple of ints; a bool or an integral float is not one."""
+    for name in names:
+        value = getattr(cfg, name)
+        if any(type(v) is not int for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,8 @@ class StageConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ca_positions", tuple(sorted(self.ca_positions)))
+        _check_ints(self, ("kernel", "channels", "stride", "depth", "heads", "reduction",
+                           "ca_positions"))
 
     @property
     def attn(self) -> AttnConfig:
@@ -86,6 +97,7 @@ class ModelConfig:
         object.__setattr__(self, "stages", tuple(self.stages))
         if not self.stages:
             raise ConfigError("at least one stage required")
+        _check_ints(self, ("template_size", "search_size", "head_depth", "num_classes"))
         if self.pad_mode not in ("zeros", "circular"):
             raise ConfigError(f"pad_mode must be zeros/circular, got {self.pad_mode!r}")
         if self.head_input not in ("search", "dwcorr"):
@@ -419,35 +431,15 @@ def forward_classification(model: Model, img) -> Tensor:
 # -- config from a stored dict -------------------------------------------------
 
 
-_STAGE_INTS = ("kernel", "channels", "stride", "depth", "heads", "reduction")
-
-
-def _as_int(value, field: str) -> int:
-    """A config integer: an int or an integral float; bools and fractions raise."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{field} must be an integer, got {value!r}")
-
-
 def config_from_dict(d: dict) -> ModelConfig:
     """A config from the dict `dataclasses.asdict` makes of one, read as
-    untrusted input: integers are type-checked, a missing field keeps its
-    default, and every fault raises `ConfigError`."""
+    untrusted input: the constructors check every field, a missing field
+    keeps its default (the name "custom"), and every fault raises
+    `ConfigError`."""
     if not isinstance(d, dict):
         raise ConfigError(f"config must hold a mapping, got {type(d).__name__}")
     try:
-        stages = tuple(
-            StageConfig(**{k: _as_int(s[k], f"stage {i} {k}") for k in _STAGE_INTS},
-                        ca_positions=tuple(_as_int(p, f"stage {i} ca_positions")
-                                           for p in s.get("ca_positions", ())))
-            for i, s in enumerate(d["stages"], 1)
-        )
-        # a field left out keeps its default, and the default's type says how to read a given value
-        rest = {f.name: _as_int(d[f.name], f.name) if isinstance(f.default, int) else str(d[f.name])
-                for f in fields(ModelConfig) if f.name not in ("name", "stages") and f.name in d}
-        name = str(d.get("name", "custom"))
+        stages = tuple(StageConfig(**s) for s in d["stages"])
+        return ModelConfig(**{"name": "custom", **d, "stages": stages})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed model config: {exc}") from exc
-    return ModelConfig(name=name, stages=stages, **rest)

@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import blocks as bl
+from . import engine as eg
 from . import model as md
 from .engine import ShapeError, no_grad
 
@@ -139,8 +141,6 @@ def serial_hierarchy_trace(model, z, x) -> SerialTrace:
     """Snapshot both branches after every correlation block and verify the
     serial pipeline recomposes: resuming the forward pass from each snapshot
     reproduces the final prediction bit-exactly."""
-    import sbtrack.engine as eg
-
     cfg = model.config
     ca_blocks = [(si, bi) for si, st in enumerate(cfg.stages, 1) for bi in st.ca_positions]
     if len(ca_blocks) < 3:
@@ -183,9 +183,6 @@ class OracleResult:
 
 
 def _eq8_equivalence(rng, trials: int) -> OracleResult:
-    from . import blocks as bl
-    from . import engine as eg
-
     worst = 0.0
     for _ in range(trials):
         c = int(rng.choice([8, 16]))
@@ -207,8 +204,6 @@ def _eq8_equivalence(rng, trials: int) -> OracleResult:
 
 
 def _dwcorr_single_application(rng) -> OracleResult:
-    from . import engine as eg
-
     worst = 0.0
     for _ in range(20):
         c = int(rng.integers(2, 8))

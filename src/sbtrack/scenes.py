@@ -44,6 +44,10 @@ class SceneConfig:
     motion_sigma: float = 1.0  # per-frame jitter, px
 
     def __post_init__(self):
+        for name in ("frame_size", "length", "distractors", "target_size"):
+            value = getattr(self, name)
+            if any(type(v) is not int for v in (value if name == "target_size" else (value,))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.distractors < 0:
             raise ValueError("distractor count must be >= 0")
         if self.similarity not in ("easy", "hard"):

@@ -165,11 +165,11 @@ def predict_box(cls_map, reg_map, meta: CropMeta, previous: Box | None = None) -
     return Box(x1, y1, x2, y2)
 
 
-def run_tracker(model, seq: Sequence, collect_maps: bool = False):
+def run_tracker(model, seq: Sequence) -> list[Box]:
     """Track a sequence: fixed template from frame 0, search re-centered on
     the previous prediction.  Returns one box per frame (frame 0 echoes the
-    given box); with collect_maps also the per-frame foreground maps.  A
-    frame whose network output is not finite keeps the previous box.
+    given box).  A frame whose network output is not finite keeps the
+    previous box.
 
     The template runs alone up to its first CA block once per sequence
     (`md.template_prefix`), and every frame's `md.forward` resumes it from
@@ -178,16 +178,13 @@ def run_tracker(model, seq: Sequence, collect_maps: bool = False):
     cfg = model.config
     template, _ = crop_region(seq.frames[0], seq.gt[0], 2.0, cfg.template_size)
     boxes = [seq.gt[0]]
-    maps = []
     with no_grad():
         prefix = md.template_prefix(model, template)
         for frame in seq.frames[1:]:
             search, meta = crop_region(frame, boxes[-1], 4.0, cfg.search_size)
             cls, reg = md.forward(model, prefix, search)
             boxes.append(predict_box(cls, reg, meta, previous=boxes[-1]))
-            if collect_maps:
-                maps.append(cls.data[0].copy())
-    return (boxes, maps) if collect_maps else boxes
+    return boxes
 
 
 @dataclass(frozen=True)

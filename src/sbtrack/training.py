@@ -65,6 +65,10 @@ class TrainConfig:
     probe_every: int = 25
 
     def __post_init__(self):
+        for name in ("batch", "steps", "seed", "probe_every", "decay_steps"):
+            value = getattr(self, name)
+            if any(type(v) is not int for v in (value if name == "decay_steps" else (value,))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not all(v >= 0 for v in (self.lr_head, self.lr_backbone, self.weight_decay)):
             raise ValueError(f"learning rates and weight decay must be >= 0, got lr_head "
                              f"{self.lr_head}, lr_backbone {self.lr_backbone}, weight_decay "

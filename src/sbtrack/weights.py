@@ -55,16 +55,6 @@ class LoadReport:
     skipped: list[str] = field(default_factory=list)  # in file, not in model
     missing: list[str] = field(default_factory=list)  # in model, not in file
 
-    def summary(self) -> str:
-        lines = [f"loaded {len(self.loaded)} tensors"]
-        if self.skipped:
-            lines.append(f"skipped {len(self.skipped)} file tensors: "
-                         + ", ".join(self.skipped[:8]) + ("..." if len(self.skipped) > 8 else ""))
-        if self.missing:
-            lines.append(f"left {len(self.missing)} model tensors at init: "
-                         + ", ".join(self.missing[:8]) + ("..." if len(self.missing) > 8 else ""))
-        return "\n".join(lines)
-
 
 def _write_entry(fh, name: str, arr: np.ndarray) -> None:
     nb = name.encode("utf-8")

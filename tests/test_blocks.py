@@ -49,35 +49,56 @@ class TestPatchEmbed:
             bl.patch_embed(eg.tensor(np.zeros((3, 30, 30))), w, stride=4)
 
 
+def projections(monkeypatch, f_q, f_kv, cfg, w):
+    """The per-head q, k and v that `bl.attend` projects, caught on their
+    way into `bl.attention`."""
+    seen = []
+    attention = bl.attention
+    monkeypatch.setattr(bl, "attention", lambda q, k, v, d: seen.extend((q, k, v)) or attention(q, k, v, d))
+    bl.attend(f_q, f_q, f_kv, cfg, w)
+    return seen
+
+
 class TestQkvProject:
-    def test_identity_projection_returns_tokens(self, rng):
+    """The q, k and v projections in `bl.attend`, and `bl._kv_tokens`."""
+
+    def test_identity_projection_returns_tokens(self, rng, monkeypatch):
         cfg = make_cfg(c=6, heads=1, r=1)
         w = make_weights(rng, cfg)
         w["q_weight"].data[:] = np.eye(6)
         w["q_bias"].data[:] = 0
         f = fmap(rng, 6, 4, 4)
-        q = bl.qkv_project(f, "q", cfg, w)
+        q, _, _ = projections(monkeypatch, f, f, cfg, w)
         np.testing.assert_allclose(q.data[0], bl.tokens_of(f).data, atol=1e-6)
 
-    def test_token_counts_under_reduction(self, rng):
+    def test_token_counts_under_reduction(self, rng, monkeypatch):
         cfg = make_cfg(c=8, heads=2, r=2)
         w = make_weights(rng, cfg)
         f = fmap(rng, 8, 8, 8)
-        assert bl.qkv_project(f, "q", cfg, w).shape == (2, 64, 4)
-        assert bl.qkv_project(f, "k", cfg, w).shape == (2, 16, 4)
-        assert bl.qkv_project(f, "v", cfg, w).shape == (2, 16, 4)
+        q, k, v = projections(monkeypatch, f, f, cfg, w)
+        assert q.shape == (2, 64, 4)
+        assert k.shape == (2, 16, 4)
+        assert v.shape == (2, 16, 4)
 
     def test_reduction_must_divide_grid(self, rng):
         cfg = make_cfg(c=8, heads=2, r=3)
         w = make_weights(rng, cfg)
         with pytest.raises(eg.ShapeError):
-            bl.qkv_project(fmap(rng, 8, 8, 8), "k", cfg, w)
+            bl._kv_tokens(fmap(rng, 8, 8, 8), cfg, w)
 
-    def test_against_strided_conv_oracle(self, rng):
+    def test_feature_dim_must_match_config(self, rng):
+        cfg = make_cfg(c=8, heads=2, r=1)
+        w = make_weights(rng, cfg)
+        f, narrow = fmap(rng, 8, 4, 4), fmap(rng, 4, 4, 4)
+        for f_q, f_kv in ((narrow, f), (f, narrow)):
+            with pytest.raises(eg.ShapeError, match="feature dim 4 != config dim 8"):
+                bl.attend(f, f_q, f_kv, cfg, w)
+
+    def test_against_strided_conv_oracle(self, rng, monkeypatch):
         cfg = make_cfg(c=4, heads=1, r=2)
         w = make_weights(rng, cfg, dtype=np.float64)
         f = fmap(rng, 4, 4, 6, dtype=np.float64)
-        got = bl.qkv_project(f, "k", cfg, w).data[0]
+        got = projections(monkeypatch, f, f, cfg, w)[1].data[0]
 
         red = conv2d_loops(f.data, w["reduce_weight"].data, w["reduce_bias"].data,
                            stride=2, pad=PadMode.valid())

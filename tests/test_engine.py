@@ -173,19 +173,19 @@ class TestConv2d:
     def test_one_by_one_identity(self, rng):
         x = rng.standard_normal((3, 5, 5)).astype(np.float32)
         w = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
-        out = eg.conv2d(eg.tensor(x), eg.tensor(w), stride=1, pad=PadMode.valid())
+        out = eg.conv2d(eg.tensor(x), eg.tensor(w), np.zeros(3), stride=1, pad=PadMode.valid())
         np.testing.assert_allclose(out.data, x, atol=1e-6)
 
     def test_shape_formula(self, rng):
         x = rng.standard_normal((3, 256, 256)).astype(np.float32)
         w = rng.standard_normal((8, 3, 7, 7)).astype(np.float32) * 0.1
-        out = eg.conv2d(eg.tensor(x), eg.tensor(w), stride=4, pad=PadMode.zeros(3))
+        out = eg.conv2d(eg.tensor(x), eg.tensor(w), np.zeros(8), stride=4, pad=PadMode.zeros(3))
         assert out.shape == (8, 64, 64)
 
     @pytest.mark.parametrize("k,stride,pad", [
         pytest.param(3, 1, PadMode.valid(), id="1-pad0"),
         pytest.param(3, 2, PadMode.zeros(1), id="2-pad1"),
-        pytest.param(3, 1, PadMode.circular(1), id="1-pad2"),
+        pytest.param(3, 1, PadMode("circular", 1), id="1-pad2"),
         # the model's K/V reduction convs and its stage-1 patch embedding
         pytest.param(2, 2, PadMode.valid(), id="k2-s2-valid"),
         pytest.param(4, 4, PadMode.valid(), id="k4-s4-valid"),
@@ -204,25 +204,26 @@ class TestConv2d:
 
     def test_kernel_too_large(self):
         with pytest.raises(eg.ShapeError):
-            eg.conv2d(eg.tensor(np.zeros((1, 4, 4))), eg.tensor(np.zeros((1, 1, 7, 7))),
+            eg.conv2d(eg.tensor(np.zeros((1, 4, 4))), eg.tensor(np.zeros((1, 1, 7, 7))), np.zeros(1),
                       stride=1, pad=PadMode.zeros(1))
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_non_positive_stride_rejected(self, stride):
         with pytest.raises(eg.ShapeError, match=f"stride must be >= 1, got {stride}"):
-            eg.conv2d(eg.tensor(np.ones((1, 4, 4))), eg.tensor(np.ones((1, 1, 2, 2))),
+            eg.conv2d(eg.tensor(np.ones((1, 4, 4))), eg.tensor(np.ones((1, 1, 2, 2))), np.zeros(1),
                       stride=stride)
 
     def test_circular_pad_wider_than_input_fails_in_forward(self):
         # np.pad would wrap twice and return a [1, 6, 6] map
         with pytest.raises(eg.ShapeError, match="circular pad wider"):
-            eg.conv2d(eg.tensor(np.ones((2, 2, 2))), eg.tensor(np.ones((1, 2, 1, 1))),
-                      pad=PadMode.circular(3))
+            eg.conv2d(eg.tensor(np.ones((2, 2, 2))), eg.tensor(np.ones((1, 2, 1, 1))), np.zeros(1),
+                      pad=PadMode("circular", 3))
 
     def test_circular_translation_equivariance(self, rng):
         x = rng.standard_normal((2, 8, 8)).astype(np.float32)
         w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        conv = lambda arr: eg.conv2d(eg.tensor(arr), eg.tensor(w), stride=1, pad=PadMode.circular(1)).data
+        conv = lambda arr: eg.conv2d(eg.tensor(arr), eg.tensor(w), np.zeros(3), stride=1,
+                                     pad=PadMode("circular", 1)).data
         shifted = np.roll(x, (2, 3), axis=(1, 2))
         assert np.abs(conv(shifted) - np.roll(conv(x), (2, 3), axis=(1, 2))).max() < 1e-6
 
@@ -232,26 +233,27 @@ class TestDepthwise:
         x = rng.standard_normal((4, 6, 6)).astype(np.float32)
         w = np.zeros((4, 3, 3), dtype=np.float32)
         w[:, 1, 1] = 1.0
-        out = eg.depthwise_conv2d(eg.tensor(x), eg.tensor(w), pad=PadMode.zeros(1))
+        out = eg.depthwise_conv2d(eg.tensor(x), eg.tensor(w), np.zeros(4), pad=PadMode.zeros(1))
         np.testing.assert_allclose(out.data, x, atol=1e-6)
 
     def test_circular_shift_commutes(self, rng):
         x = rng.standard_normal((3, 8, 8)).astype(np.float32)
         w = rng.standard_normal((3, 3, 3)).astype(np.float32)
-        f = lambda arr: eg.depthwise_conv2d(eg.tensor(arr), eg.tensor(w), pad=PadMode.circular(1)).data
+        f = lambda arr: eg.depthwise_conv2d(eg.tensor(arr), eg.tensor(w), np.zeros(3),
+                                            pad=PadMode("circular", 1)).data
         assert np.abs(f(np.roll(x, 2, axis=2)) - np.roll(f(x), 2, axis=2)).max() < 1e-6
 
     def test_against_loop_oracle(self, rng):
         x = rng.standard_normal((3, 7, 6)).astype(np.float32)
         w = rng.standard_normal((3, 3, 3)).astype(np.float32)
-        got = eg.depthwise_conv2d(eg.tensor(x), eg.tensor(w), pad=PadMode.zeros(1)).data
+        got = eg.depthwise_conv2d(eg.tensor(x), eg.tensor(w), np.zeros(3), pad=PadMode.zeros(1)).data
         assert np.abs(got - depthwise_loops(x, w, PadMode.zeros(1))).max() < 1e-5
 
     def test_circular_pad_wider_than_input_fails_in_forward(self):
         # np.pad would wrap twice and return a [2, 6, 6] map
         with pytest.raises(eg.ShapeError, match="circular pad wider"):
-            eg.depthwise_conv2d(eg.tensor(np.ones((2, 2, 2))), eg.tensor(np.ones((2, 1, 1))),
-                                pad=PadMode.circular(3))
+            eg.depthwise_conv2d(eg.tensor(np.ones((2, 2, 2))), eg.tensor(np.ones((2, 1, 1))), np.zeros(2),
+                                pad=PadMode("circular", 3))
 
 
 class TestDepthwiseXcorr:
@@ -463,10 +465,23 @@ class TestBackward:
 
         def loss_fn():
             h = eg.gelu(eg.linear(eg.tensor(x, dtype=np.float64), w1, b1))
-            return eg.mean_(eg.mul(eg.linear(h, w2), eg.linear(h, w2)))
+            return eg.mean_(eg.mul(eg.linear(h, w2, np.zeros(1)), eg.linear(h, w2, np.zeros(1))))
 
         report = grad_check(loss_fn, {"w1": w1, "b1": b1, "w2": w2}, tol=1e-4)
         assert report.ok, report.summary()
+
+
+class TestTensorSlice:
+    @pytest.mark.parametrize("idx,want", [
+        ([0, 0, 2], [2.0, 0.0, 1.0, 0.0]),
+        (np.array([True, False, True, True]), [1.0, 0.0, 1.0, 1.0]),
+        (slice(1, 3), [0.0, 1.0, 1.0, 0.0]),
+    ], ids=["repeated", "mask", "slice"])
+    def test_gradient_adds_up_over_the_selected_elements(self, idx, want):
+        """An element the index selects twice receives both gradients."""
+        p = eg.parameter(np.arange(4.0), dtype=np.float64)
+        eg.sum_(p[idx]).backward()
+        np.testing.assert_array_equal(p.grad, want)
 
 
 class TestGradCheck:
@@ -513,12 +528,12 @@ class TestGradCheck:
         elif op == "conv":
             w = eg.parameter(rng.standard_normal((3, 2, 3, 3)), dtype=np.float64)
             pr = eg.tensor(rng.standard_normal((3, 3, 3)), dtype=np.float64)
-            fn = lambda: eg.sum_(eg.mul(eg.conv2d(x, w, stride=2, pad=PadMode.circular(1)), pr))
+            fn = lambda: eg.sum_(eg.mul(eg.conv2d(x, w, np.zeros(3), stride=2, pad=PadMode("circular", 1)), pr))
             assert grad_check(fn, {"x": x, "w": w}, tol=1e-4).ok
             return
         elif op == "dw":
             w = eg.parameter(rng.standard_normal((2, 3, 3)), dtype=np.float64)
-            fn = lambda: eg.sum_(eg.mul(eg.depthwise_conv2d(x, w, pad=PadMode.zeros(1)), probe))
+            fn = lambda: eg.sum_(eg.mul(eg.depthwise_conv2d(x, w, np.zeros(2), pad=PadMode.zeros(1)), probe))
             assert grad_check(fn, {"x": x, "w": w}, tol=1e-4).ok
             return
         elif op == "xcorr":
@@ -548,7 +563,6 @@ class TestPadMode:
 
     def test_same_helper(self):
         assert PadMode.same("zeros", 7) == PadMode.zeros(3)
-        assert PadMode.same("valid", 7) == PadMode.valid()
 
 
 # --------------------------------------------------------------------------
@@ -607,11 +621,12 @@ LAYOUT_CASES = {
                [_normal((2, 6, 5)), _normal((3, 2, 3, 3)), _normal((3,))]),
     "conv2d:tiled": (lambda x, w, b: eg.conv2d(x, w, b, stride=2, pad=PadMode.valid()),
                      [_normal((2, 6, 4)), _normal((3, 2, 2, 2)), _normal((3,))]),
-    "conv2d:circular": (lambda x, w: eg.conv2d(x, w, stride=2, pad=PadMode.circular(1)),
+    "conv2d:circular": (lambda x, w: eg.conv2d(x, w, np.zeros(3), stride=2, pad=PadMode("circular", 1)),
                         [_normal((2, 6, 6)), _normal((3, 2, 3, 3))]),
     "depthwise_conv2d": (lambda x, w, b: eg.depthwise_conv2d(x, w, b, pad=PadMode.zeros(1)),
                          [_normal((4, 6, 5)), _normal((4, 3, 3)), _normal((4,))]),
-    "depthwise_conv2d:circular": (lambda x, w: eg.depthwise_conv2d(x, w, pad=PadMode.circular(1)),
+    "depthwise_conv2d:circular": (lambda x, w: eg.depthwise_conv2d(x, w, np.zeros(4),
+                                                                   pad=PadMode("circular", 1)),
                                   [_normal((4, 5, 6)), _normal((4, 3, 3))]),
     "depthwise_xcorr": (lambda z, x: eg.depthwise_xcorr(z, x, pad=PadMode.zeros(1)),
                         [_normal((3, 3, 3)), _normal((3, 6, 5))]),
@@ -714,7 +729,7 @@ class TestLayouts:
     @staticmethod
     def _depthwise_grads(x, k, g, pad):
         xt, kt = eg.parameter(x), eg.parameter(k)
-        out = eg.depthwise_conv2d(xt, kt, pad=pad)
+        out = eg.depthwise_conv2d(xt, kt, np.zeros(len(k)), pad=pad)
         eg.backward(eg.sum_(eg.mul(out, eg.tensor(g, dtype=g.dtype))))
         return xt.grad, kt.grad
 
@@ -723,7 +738,7 @@ class TestLayouts:
     # columns of 64 channels (64, 32, 32)
     DEPTHWISE_SHAPES = [(16, 9, 7), (640, 32, 32), (64, 45, 37), (64, 32, 32)]
 
-    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode.circular(1), PadMode.valid()])
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.valid()])
     def test_depthwise_bit_equal_to_tap_loop(self, rng, pad):
         for c, h, w in self.DEPTHWISE_SHAPES:
             x = rng.standard_normal((c, h, w)).astype(np.float32)
@@ -734,7 +749,7 @@ class TestLayouts:
                 got = eg.depthwise_conv2d(eg.tensor(xin), eg.tensor(k), eg.tensor(b), pad=pad).data
                 np.testing.assert_array_equal(got, want, err_msg=f"shape {(c, h, w)}")
 
-    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode.circular(1), PadMode.valid()])
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.valid()])
     def test_depthwise_input_grad_bit_equal_to_scatter_loop(self, rng, pad):
         for c, h, w in self.DEPTHWISE_SHAPES:
             x = rng.standard_normal((c, h, w)).astype(np.float32)
@@ -745,7 +760,7 @@ class TestLayouts:
                 got, _ = self._depthwise_grads(xin, k, g, pad)
                 np.testing.assert_array_equal(got, want, err_msg=f"shape {(c, h, w)}")
 
-    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode.circular(1), PadMode.valid()])
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.valid()])
     def test_depthwise_kernel_grad_near_float64(self, rng, pad):
         for c, h, w in self.DEPTHWISE_SHAPES:
             x = rng.standard_normal((c, h, w)).astype(np.float32)
@@ -763,7 +778,7 @@ class TestLayouts:
                 rel = np.abs(got - want).max() / np.abs(want).max()
                 assert rel < 5e-7, f"shape {(c, h, w)}: {rel:.2e}"
 
-    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode.circular(1), PadMode.valid()])
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.valid()])
     def test_depthwise_column_runs_are_views(self, rng, pad, monkeypatch):
         """Every tap sum, forward and input gradient, reads its merged
         (column, channel) runs as a view of the padded buffer: a copy would
@@ -775,7 +790,8 @@ class TestLayouts:
         xl = eg._channels_last(x, pad)
         ho, wo = xl.shape[0] - 2, xl.shape[1] - 2
         assert np.shares_memory(eg._column_runs(eg._windows(xl, 3, 3, ho, wo)), xl)
-        out = eg.depthwise_conv2d(eg.parameter(x), eg.tensor(rng.standard_normal((64, 3, 3))), pad=pad)
+        out = eg.depthwise_conv2d(eg.parameter(x), eg.tensor(rng.standard_normal((64, 3, 3))), np.zeros(64),
+                                  pad=pad)
         eg.backward(eg.sum_(out))
         assert len(runs) == 3  # the direct call, the forward and the input gradient
         for win, r in runs:
@@ -798,7 +814,8 @@ class TestLayouts:
     def _conv_input_grad_tap_loop(g, w, stride, pad, h, wid):
         """conv2d's input gradient as the engine computed it before: the
         im2col gradient ``g_rows @ wmat``, added tap by tap from zero into a
-        channels-last padded buffer, then the padding folded back in."""
+        channels-last padded buffer, then a circular padding folded back in
+        or a zero padding cropped off."""
         c_out, c_in, k, _ = w.shape
         p = pad.amount
         ho, wo = g.shape[1:]
@@ -809,16 +826,18 @@ class TestLayouts:
             for kj in range(k):
                 gxl[ki : ki + (ho - 1) * stride + 1 : stride,
                     kj : kj + (wo - 1) * stride + 1 : stride] += gcols[:, :, ki, kj]
-        return eg._unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, wid)
+        if pad.kind == "circular":
+            return eg._unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, wid)
+        return gxl.transpose(2, 0, 1)[:, p : p + h, p : p + wid]
 
     @staticmethod
     def _conv_input_grad(x, w, g, stride, pad):
         xt = eg.parameter(x)
-        out = eg.conv2d(xt, eg.tensor(w), stride=stride, pad=pad)
+        out = eg.conv2d(xt, eg.tensor(w), np.zeros(len(w)), stride=stride, pad=pad)
         eg.backward(eg.sum_(eg.mul(out, eg.tensor(g))))
         return xt.grad
 
-    @pytest.mark.parametrize("pad", [PadMode.valid(), PadMode.zeros(1), PadMode.circular(2)],
+    @pytest.mark.parametrize("pad", [PadMode.valid(), PadMode.zeros(1), PadMode("circular", 2)],
                              ids=str)
     def test_conv2d_tiled_input_grad_bit_equal_to_tap_loop(self, rng, pad):
         """stride == kernel: the windows tile the input, and the gradient is
@@ -836,7 +855,7 @@ class TestLayouts:
 
     @pytest.mark.parametrize("c_in,k,stride,pad,size", [
         (3, 7, 4, PadMode.zeros(3), 128), (16, 3, 2, PadMode.zeros(1), 32),
-        (4, 3, 1, PadMode.circular(1), 9)], ids=str)
+        (4, 3, 1, PadMode("circular", 1), 9)], ids=str)
     def test_conv2d_input_grad_matches_tap_loop(self, rng, c_in, k, stride, pad, size):
         """Overlapping windows: the taps are added in the loop's order."""
         x = rng.standard_normal((c_in, size, size)).astype(np.float32)
@@ -854,7 +873,8 @@ class TestLayouts:
         view of an unpadded channels-last buffer, so the reshape to tokens
         that `blocks.map_of` records takes it without a copy."""
         x = rng.standard_normal((16, 32, 32)).astype(np.float32)
-        out = eg.conv2d(eg.parameter(x), eg.tensor(rng.standard_normal((8, 16, k, k))), stride=stride, pad=pad)
+        out = eg.conv2d(eg.parameter(x), eg.tensor(rng.standard_normal((8, 16, k, k))), np.zeros(8),
+                        stride=stride, pad=pad)
         gx = out._partials[0](rng.standard_normal(out.shape).astype(np.float32))
         assert gx.shape == x.shape and gx.transpose(1, 2, 0).flags.c_contiguous
         assert np.shares_memory(gx.reshape(16, 32 * 32), gx)

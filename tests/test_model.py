@@ -112,8 +112,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("path,value", [
         (("stages", 0, "channels"), 16.7), (("template_size",), 64.9), (("stages", 0, "stride"), True),
-        (("head_depth",), 2.5), (("stages", 2, "ca_positions"), [2.5, 4])])
+        (("head_depth",), 2.5), (("stages", 2, "ca_positions"), [2.5, 4]),
+        (("stages", 0, "channels"), 16.0), (("stages", 0, "kernel"), 7.0), (("template_size",), 64.0),
+        (("num_classes",), False)])
     def test_bool_or_fraction_rejected(self, path, value):
+        """Stored or passed to the constructors, an integer field takes an int
+        only: a float, integral or not, or a bool raises."""
         top = dataclasses.asdict(md.tiny_config())
         *outer, field = path
         holder = top
@@ -122,6 +126,8 @@ class TestConfigValidation:
         holder[field] = value
         with pytest.raises(md.ConfigError, match=field):
             md.config_from_dict(top)
+        with pytest.raises(md.ConfigError, match=field):
+            md.ModelConfig(**{**top, "stages": tuple(md.StageConfig(**s) for s in top["stages"])})
 
     @pytest.mark.parametrize("num_classes", [0, -3])
     def test_classifier_needs_a_class(self, num_classes):
@@ -546,7 +552,6 @@ class TestWeightFiles:
         np.testing.assert_array_equal(tracker.params["stage1.patch.weight"].data,
                                       cls_model.params["stage1.patch.weight"].data)
         assert report.skipped and report.missing
-        assert "skipped" in report.summary()
 
     def test_shape_mismatch_raises(self, tmp_path):
         m = md.build_model(md.tiny_config(), seed=0)

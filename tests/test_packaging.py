@@ -56,9 +56,11 @@ def test_all_names_exist(module):
     assert not missing
 
 
-def _referenced_names(nodes) -> set[str]:
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for node in nodes for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+def _referenced_names(nodes) -> tuple[set[str], set[str]]:
+    """The names that `nodes` reference, bare (`name`) and as attributes (`x.name`)."""
+    walked = [n for node in nodes for n in ast.walk(node)]
+    return ({n.id for n in walked if isinstance(n, ast.Name)},
+            {n.attr for n in walked if isinstance(n, ast.Attribute)})
 
 
 def _scopes(tree):
@@ -79,9 +81,10 @@ def test_every_public_definition_has_a_caller():
     """A public top-level function or class of `sbtrack`, or a public method or
     property of a public class, is named in `src/` or `benchmark/` outside its
     own body, or is on `UNCALLED_BY_DESIGN`; an entry there that gained a
-    caller leaves the list."""
+    caller leaves the list.  A method or property counts as named only as an
+    attribute (`x.name`): a variable of the same name does not call it."""
     public = set()
-    refs = []  # (module path, scope name or None, names referenced there)
+    refs = []  # (module path, scope name or None, (bare names, attribute names) referenced there)
     for path in sorted(SRC.glob("*.py")) + sorted(BENCHMARK.glob("*.py")):
         for own, definition, nodes in _scopes(ast.parse(path.read_text(encoding="utf-8"))):
             refs.append((path, own, _referenced_names(nodes)))
@@ -92,8 +95,12 @@ def test_every_public_definition_has_a_caller():
     def inside(scope, definition):
         return scope is not None and (scope == definition or scope.startswith(definition + "."))
 
+    def named(qual, names, attrs):
+        owner, _, name = qual.rpartition(".")
+        return name in attrs or (not owner and name in names)
+
     uncalled = {f"{path.stem}.{qual}" for path, qual in public
-                if not any(qual.rpartition(".")[2] in names and not (p == path and inside(own, qual))
+                if not any(named(qual, *names) and not (p == path and inside(own, qual))
                            for p, own, names in refs)}
     assert sorted(uncalled - UNCALLED_BY_DESIGN.keys()) == [], "no caller and not allowlisted"
     assert sorted(UNCALLED_BY_DESIGN.keys() - uncalled) == [], "allowlisted but has a caller"
@@ -117,7 +124,15 @@ def test_third_party_imports_are_the_declared_dependencies():
         declared = tomllib.load(fh)["project"]["dependencies"]
     declared = {re.match(r"[\w.-]+", dep).group().lower() for dep in declared}
     imported = set().union(*map(_imported_top_level_modules, SRC.glob("*.py")))
-    assert imported - set(sys.stdlib_module_names) - {"sbtrack"} == declared == {"numpy"}
+    assert imported - set(sys.stdlib_module_names) == declared == {"numpy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_modules_import_the_package_relatively(path):
+    """No module imports `sbtrack` by its absolute name, so a checkout loaded
+    as a package of another name (as `tools/abtest.py` loads each side) uses
+    its own modules."""
+    assert "sbtrack" not in _imported_top_level_modules(path)
 
 
 def test_weight_file_round_trip_without_yaml(tmp_path, monkeypatch):

@@ -64,6 +64,10 @@ class TestSceneConfig:
         (dict(motion_sigma=float("nan")), "motion_sigma"),
         (dict(motion_sigma=float("inf")), "motion_sigma"),
         (dict(speed=(0.5, float("inf"))), "speed"),
+        (dict(length=2.5), "length"),
+        (dict(target_size=(18.5, 30)), "target_size"),
+        (dict(frame_size=128.0), "frame_size"),
+        (dict(distractors=True), "distractors"),
     ])
     def test_unrunnable_config_raises(self, kw, field):
         with pytest.raises(ValueError, match=field):

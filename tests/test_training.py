@@ -57,8 +57,9 @@ class TestGiou:
         assert -1.0 - 1e-9 <= g1 <= 1.0 + 1e-9
 
     def test_degenerate_box_rejected(self):
-        with pytest.raises(ValueError):
-            Box(3, 0, 3, 1)
+        for corners in ((3, 0, 3, 1), (0, 0, math.inf, 10), (-math.inf, 0, 5, 10), (0, 0, 5, math.nan)):
+            with pytest.raises(ValueError, match="degenerate box"):
+                Box(*corners)
 
 
 class TestAssignTargets:
@@ -357,6 +358,12 @@ class TestTrainConfig:
     def test_probe_every_must_be_positive(self, every):
         with pytest.raises(ValueError, match="probe_every"):
             tr.TrainConfig(probe_every=every)
+
+    @pytest.mark.parametrize("field,value", [("batch", 2.5), ("steps", 3.0), ("seed", True),
+                                             ("probe_every", 25.0), ("decay_steps", (2.5,))])
+    def test_integer_fields_must_be_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tr.TrainConfig(**{field: value})
 
 
 def _toy_dataset(rng, n=3, search=128, template=64):
