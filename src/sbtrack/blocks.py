@@ -145,7 +145,7 @@ def init_params(rng, shapes: dict[str, tuple[int, ...]], dtype=np.float32) -> di
 # -- operations ---------------------------------------------------------------
 
 
-def patch_embed(img: Tensor, w: dict[str, Tensor], stride: int, pad_kind: str = "zeros") -> Tensor:
+def patch_embed(img: Tensor, w: dict[str, Tensor], stride: int, pad_kind: str) -> Tensor:
     """Overlapping-patch embedding: strided conv then per-position layer norm."""
     pad = PadMode.same(pad_kind, w["weight"].shape[-1])
     h, wd = img.shape[1], img.shape[2]
@@ -228,7 +228,7 @@ def eoc_attention(f_z: Tensor | None, f_x: Tensor | None, mode: str, cfg: AttnCo
     return attend(f_z, nz, nx, cfg, w), attend(f_x, nx, nz, cfg, w)
 
 
-def mlp_cond_pe(f: Tensor, w: dict[str, Tensor], pad_kind: str = "zeros") -> Tensor:
+def mlp_cond_pe(f: Tensor, w: dict[str, Tensor], pad_kind: str) -> Tensor:
     """Token MLP with a 3x3 depthwise conv injecting position before GELU."""
     grid = _grid(f)
     hidden = map_of(eg.linear(tokens_of(f), w["fc1_weight"], w["fc1_bias"]), grid)
@@ -243,7 +243,7 @@ def _mlp_residual(f: Tensor, w: dict[str, Tensor], pad_kind: str) -> Tensor:
 
 
 def eoc_block(f_z: Tensor | None, f_x: Tensor | None, mode: str, cfg: AttnConfig,
-              w: dict[str, Tensor], pad_kind: str = "zeros",
+              w: dict[str, Tensor], pad_kind: str,
               ) -> tuple[Tensor | None, Tensor | None]:
     """Full extract-or-correlate block: attention then conditional-PE MLP.
 

@@ -615,7 +615,7 @@ def softmax_last_dim(t: Tensor) -> Tensor:
     return _op(_unrows(s, t.shape, axes), (t,), grad_t)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tensor:
     """Normalize `axis` to zero mean / unit population variance (plus
     `_LN_EPS`), then affine.
 
@@ -626,6 +626,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor
     x = _as_tensor(x)
     gamma = _as_tensor(gamma, x)
     beta = _as_tensor(beta, x)
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"layer_norm axis {axis} out of range for {x.ndim}-d input")
     ax = axis % x.ndim
     c = x.shape[ax]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -715,8 +717,7 @@ def _taps_inside(shift: int, stride: int, n: int, size: int) -> tuple[slice, sli
     return slice(lo, hi), slice(lo * stride + shift, hi * stride + shift, stride)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           pad: PadMode = PadMode.valid()) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: PadMode) -> Tensor:
     """2-d convolution (cross-correlation) on a CHW map, im2col-backed.
 
     x: [c_in, h, w]; weight: [c_out, c_in, k, k]; output [c_out, h', w'] with
@@ -869,8 +870,7 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
     return out, grad_x, grad_kernel
 
 
-def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor,
-                     pad: PadMode = PadMode.zeros(1)) -> Tensor:
+def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: PadMode) -> Tensor:
     """Per-channel odd square convolution at stride 1; weight is [c, k, k]
     (shape preserved for p = (k - 1) / 2)."""
     x = _as_tensor(x)

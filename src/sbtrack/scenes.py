@@ -8,11 +8,14 @@ distractor that comes near the target clear of it.
 
 Everything is deterministic given (config, seed): `generate_sequence`
 rebuilds every frame and box bit for bit, so a `(SceneConfig, seed)` pair is
-the stored form of a sequence, and there is no sequence disk format.
+the stored form of a sequence, and there is no sequence disk format.  A
+generated sequence keeps its background, each actor's mask and texture (all
+read-only) and the boxes; a frame is painted from them each time it is read.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +69,14 @@ class SceneConfig:
 
 @dataclass
 class Sequence:
-    frames: list[np.ndarray]  # [3, H, W] float32 in [0, 1]
+    """Frames with their target and distractor boxes.
+
+    `frames` is any sequence of [3, H, W] float32 arrays in [0, 1].  A
+    generated sequence renders each frame when it is read (slices too, one
+    frame per read), and every read returns a fresh writable array.
+    """
+
+    frames: abc.Sequence
     gt: list[Box]
     distractors: list[list[Box]]
     seed: int = 0
@@ -168,19 +178,42 @@ def _advance(actor, rng, cfg):
         actor.pos[ax] = float(np.clip(actor.pos[ax], lo[ax], hi[ax]))
 
 
-def _paint(frame, actor):
-    h, w = actor.size
-    x0 = int(round(actor.pos[0] - w / 2))
-    y0 = int(round(actor.pos[1] - h / 2))
+def _paint(frame, mask, texture, x0, y0):
+    """Paint `texture` [3, h, w] where `mask` [h, w] is set, its top-left
+    pixel at column x0, row y0 of `frame`; the part outside is cut off."""
+    h, w = mask.shape
     size = frame.shape[1]
     xs0, ys0 = max(x0, 0), max(y0, 0)
     xs1, ys1 = min(x0 + w, size), min(y0 + h, size)
     if xs1 <= xs0 or ys1 <= ys0:
         return
-    sub = actor.mask[ys0 - y0 : ys1 - y0, xs0 - x0 : xs1 - x0]
-    tex = actor.texture[:, ys0 - y0 : ys1 - y0, xs0 - x0 : xs1 - x0]
+    sub = mask[ys0 - y0 : ys1 - y0, xs0 - x0 : xs1 - x0]
+    tex = texture[:, ys0 - y0 : ys1 - y0, xs0 - x0 : xs1 - x0]
     region = frame[:, ys0:ys1, xs0:xs1]
     frame[:, ys0:ys1, xs0:xs1] = np.where(sub[None], tex, region)
+
+
+class _Frames(abc.Sequence):
+    """The frames of a generated sequence, painted on each read: a copy of
+    the background, then each sprite (mask, texture) at the rounded
+    top-left corner of its box in that frame."""
+
+    def __init__(self, background, sprites, boxes):
+        self._background = background
+        self._sprites = sprites
+        self._boxes = boxes  # per frame, one box per sprite
+
+    def __len__(self):
+        return len(self._boxes)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return _Frames(self._background, self._sprites, self._boxes[t])
+        boxes = self._boxes[t]
+        frame = self._background.copy()
+        for (mask, texture), box in zip(self._sprites, boxes):
+            _paint(frame, mask, texture, int(round(box.x1)), int(round(box.y1)))
+        return frame
 
 
 def _push_apart(actor, target):
@@ -211,7 +244,7 @@ def generate_sequence(cfg: SceneConfig, seed: int) -> Sequence:
             shape = str(rng.choice([s for s in _SHAPES if s != target.shape]))
         distractors.append(_spawn(rng, cfg, shape=shape))
 
-    frames, gt, dist_boxes = [], [], []
+    gt, dist_boxes = [], []
     for t in range(cfg.length):
         if t > 0:
             _advance(target, rng, cfg)
@@ -219,13 +252,12 @@ def generate_sequence(cfg: SceneConfig, seed: int) -> Sequence:
                 _advance(d, rng, cfg)
         for d in distractors:
             _push_apart(d, target)
-        frame = background.copy()
-        for d in distractors:
-            _paint(frame, d)
-        _paint(frame, target)
-        frames.append(frame)
         gt.append(target.box())
         dist_boxes.append([d.box() for d in distractors])
+    sprites = [(a.mask, a.texture) for a in (*distractors, target)]
+    for array in (background, *(x for sprite in sprites for x in sprite)):
+        array.flags.writeable = False
+    frames = _Frames(background, sprites, [[*ds, b] for ds, b in zip(dist_boxes, gt)])
     return Sequence(frames=frames, gt=gt, distractors=dist_boxes, seed=seed)
 
 

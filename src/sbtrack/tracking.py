@@ -9,13 +9,14 @@ prediction each frame, with no windowing or penalty on the score map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as md
 from .boxes import Box, iou
-from .engine import no_grad
+from .engine import ShapeError, no_grad
 from .scenes import Sequence
 
 __all__ = [
@@ -117,9 +118,12 @@ def crop_region(frame: np.ndarray, box: Box, factor: float, out_size: int,
 
     Side is factor * sqrt(w * h); out-of-frame area is filled with the
     per-channel frame mean.  The returned meta inverts the mapping.
+    `factor` must be finite and positive, `out_size` an int >= 1.
     """
-    if factor <= 0:
-        raise ValueError("factor must be positive")
+    if not (factor > 0 and math.isfinite(factor)):
+        raise ValueError(f"factor must be finite and positive, got {factor!r}")
+    if type(out_size) is not int or out_size < 1:
+        raise ValueError(f"out_size must be an int >= 1, got {out_size!r}")
     frame = np.asarray(frame)
     side = factor * float(np.sqrt(box.w * box.h))
     meta = CropMeta(cx=box.cx, cy=box.cy, side=side, out_size=out_size,
@@ -140,13 +144,17 @@ def predict_box(cls_map, reg_map, meta: CropMeta, previous: Box | None = None) -
 
     A foreground map with any non-finite value, or non-finite regression
     values at the peak, decode to nothing: the result is then `previous`,
-    and without one this raises ValueError.
+    and without one this raises ValueError.  A regression map that is not
+    [4, hs, ws] for an [hs, ws] foreground map raises ShapeError, whatever
+    the values.
     """
     cls = np.asarray(cls_map.data if hasattr(cls_map, "data") else cls_map)
     reg = np.asarray(reg_map.data if hasattr(reg_map, "data") else reg_map)
     if cls.ndim == 3:
         cls = cls[0]
     hs, ws = cls.shape
+    if reg.shape != (4, hs, ws):
+        raise ShapeError(f"regression map {reg.shape} does not match foreground map {cls.shape}")
     flat_idx = int(np.argmax(cls))
     i, j = divmod(flat_idx, ws)
     dists = reg[:, i, j]

@@ -30,23 +30,23 @@ def make_weights(rng, cfg, dtype=np.float32):
 class TestPatchEmbed:
     def test_template_shape(self, rng):
         w = bl.init_params(rng, bl.patch_embed_shapes(3, 64, 7))
-        out = bl.patch_embed(eg.tensor(rng.standard_normal((3, 128, 128))), w, stride=4)
+        out = bl.patch_embed(eg.tensor(rng.standard_normal((3, 128, 128))), w, stride=4, pad_kind="zeros")
         assert out.shape == (64, 32, 32)
 
     def test_search_shape(self, rng):
         w = bl.init_params(rng, bl.patch_embed_shapes(3, 64, 7))
-        out = bl.patch_embed(eg.tensor(rng.standard_normal((3, 256, 256))), w, stride=4)
+        out = bl.patch_embed(eg.tensor(rng.standard_normal((3, 256, 256))), w, stride=4, pad_kind="zeros")
         assert out.shape == (64, 64, 64)
 
     def test_zero_image_zero_output(self, rng):
         w = bl.init_params(rng, bl.patch_embed_shapes(3, 16, 7))
-        out = bl.patch_embed(eg.tensor(np.zeros((3, 32, 32))), w, stride=4)
+        out = bl.patch_embed(eg.tensor(np.zeros((3, 32, 32))), w, stride=4, pad_kind="zeros")
         np.testing.assert_allclose(out.data, 0.0, atol=1e-7)
 
     def test_indivisible_extent_rejected(self, rng):
         w = bl.init_params(rng, bl.patch_embed_shapes(3, 16, 7))
         with pytest.raises(eg.ShapeError):
-            bl.patch_embed(eg.tensor(np.zeros((3, 30, 30))), w, stride=4)
+            bl.patch_embed(eg.tensor(np.zeros((3, 30, 30))), w, stride=4, pad_kind="zeros")
 
 
 def projections(monkeypatch, f_q, f_kv, cfg, w):
@@ -216,7 +216,7 @@ class TestEocAttention:
         with pytest.raises(ValueError, match="both branches"):
             bl.eoc_attention(fmap(rng, 8, 4, 4), None, bl.CA, cfg, w)
         with pytest.raises(ValueError, match="both branches"):
-            bl.eoc_block(None, fmap(rng, 8, 8, 8), bl.CA, cfg, w)
+            bl.eoc_block(None, fmap(rng, 8, 8, 8), bl.CA, cfg, w, "zeros")
 
 
 class TestMlpCondPe:
@@ -225,7 +225,7 @@ class TestMlpCondPe:
         w = make_weights(rng, cfg)
         for name in ("fc1_weight", "fc1_bias", "pe_weight", "pe_bias", "fc2_weight", "fc2_bias"):
             w[name].data[:] = 0
-        out = bl.mlp_cond_pe(fmap(rng, 8, 4, 4), w)
+        out = bl.mlp_cond_pe(fmap(rng, 8, 4, 4), w, "zeros")
         np.testing.assert_array_equal(out.data, 0)
 
     def test_hidden_width_is_4c(self, rng):
@@ -249,7 +249,7 @@ class TestEocBlock:
         w["out_weight"].data[:] = 0
         w["fc2_weight"].data[:] = 0
         fz, fx = fmap(rng, 8, 4, 4), fmap(rng, 8, 8, 8)
-        oz, ox = bl.eoc_block(fz, fx, bl.CA, cfg, w)
+        oz, ox = bl.eoc_block(fz, fx, bl.CA, cfg, w, "zeros")
         np.testing.assert_array_equal(oz.data, fz.data)
         np.testing.assert_array_equal(ox.data, fx.data)
 
@@ -257,20 +257,20 @@ class TestEocBlock:
         cfg = make_cfg()
         w = make_weights(rng, cfg)
         fz, fx = fmap(rng, 8, 4, 4), fmap(rng, 8, 8, 8)
-        oz, ox = bl.eoc_block(fz, fx, bl.CA, cfg, w)
+        oz, ox = bl.eoc_block(fz, fx, bl.CA, cfg, w, "zeros")
 
         az, ax = bl.eoc_attention(fz, fx, bl.CA, cfg, w)
         for a, o in ((az, oz), (ax, ox)):
             normed = eg.layer_norm(a, w["norm2_gamma"], w["norm2_beta"], axis=0)
-            manual = a.data + bl.mlp_cond_pe(normed, w).data
+            manual = a.data + bl.mlp_cond_pe(normed, w, "zeros").data
             assert np.abs(manual - o.data).max() < 1e-6
 
     def test_sa_swap_symmetry(self, rng):
         cfg = make_cfg()
         w = make_weights(rng, cfg)
         fz, fx = fmap(rng, 8, 4, 4), fmap(rng, 8, 8, 8)
-        oz, ox = bl.eoc_block(fz, fx, bl.SA, cfg, w)
-        sx, sz = bl.eoc_block(fx, fz, bl.SA, cfg, w)
+        oz, ox = bl.eoc_block(fz, fx, bl.SA, cfg, w, "zeros")
+        sx, sz = bl.eoc_block(fx, fz, bl.SA, cfg, w, "zeros")
         np.testing.assert_array_equal(oz.data, sz.data)
         np.testing.assert_array_equal(ox.data, sx.data)
 
@@ -367,7 +367,7 @@ class TestBlockGradients:
             oz, ox = bl.eoc_block(
                 eg.tensor(fz, dtype=np.float64),
                 eg.tensor(fx, dtype=np.float64),
-                bl.CA, cfg, w)
+                bl.CA, cfg, w, "zeros")
             return eg.add(eg.sum_(eg.mul(oz, probe_z)), eg.sum_(eg.mul(ox, probe_x)))
 
         # A key bias adds q.b to every score in a query's row, which softmax

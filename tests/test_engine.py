@@ -140,19 +140,19 @@ class TestSoftmax:
 class TestLayerNorm:
     def test_constant_input_is_zero(self):
         x = eg.tensor(np.full((5, 8), 3.7, dtype=np.float32))
-        out = eg.layer_norm(x, eg.tensor(np.ones(8)), eg.tensor(np.zeros(8)))
+        out = eg.layer_norm(x, eg.tensor(np.ones(8)), eg.tensor(np.zeros(8)), axis=-1)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
     def test_two_channel_analytic(self):
         # mean 2, population variance 1, and layer norm's eps of 1e-5
         out = eg.layer_norm(eg.tensor([[1.0, 3.0]], dtype=np.float64),
                             eg.tensor(np.ones(2), dtype=np.float64),
-                            eg.tensor(np.zeros(2), dtype=np.float64))
+                            eg.tensor(np.zeros(2), dtype=np.float64), axis=-1)
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]] / np.sqrt(1 + 1e-5), rtol=0, atol=1e-12)
 
     def test_moments(self, rng):
         x = rng.standard_normal((40, 16)).astype(np.float32) * 3 + 1
-        out = eg.layer_norm(eg.tensor(x), eg.tensor(np.ones(16)), eg.tensor(np.zeros(16)))
+        out = eg.layer_norm(eg.tensor(x), eg.tensor(np.ones(16)), eg.tensor(np.zeros(16)), axis=-1)
         mu = out.data.mean(axis=-1)
         var = out.data.var(axis=-1)
         assert np.abs(mu).max() < 1e-5
@@ -162,6 +162,13 @@ class TestLayerNorm:
         x = rng.standard_normal((6, 4, 5)).astype(np.float32)
         out = eg.layer_norm(eg.tensor(x), eg.tensor(np.ones(6)), eg.tensor(np.zeros(6)), axis=0)
         assert np.abs(out.data.mean(axis=0)).max() < 1e-5
+
+    @pytest.mark.parametrize("axis", [3, -4])
+    def test_axis_out_of_range_rejected(self, axis):
+        # `axis % ndim` would normalize axis 0 for 3, and axis 2 for -4
+        x = eg.tensor(np.ones((8, 4, 4), dtype=np.float32))
+        with pytest.raises(eg.ShapeError, match=f"axis {axis} out of range"):
+            eg.layer_norm(x, eg.tensor(np.ones(8)), eg.tensor(np.zeros(8)), axis=axis)
 
 
 # --------------------------------------------------------------------------
@@ -211,13 +218,13 @@ class TestConv2d:
     def test_non_positive_stride_rejected(self, stride):
         with pytest.raises(eg.ShapeError, match=f"stride must be >= 1, got {stride}"):
             eg.conv2d(eg.tensor(np.ones((1, 4, 4))), eg.tensor(np.ones((1, 1, 2, 2))), np.zeros(1),
-                      stride=stride)
+                      stride=stride, pad=PadMode.valid())
 
     def test_circular_pad_wider_than_input_fails_in_forward(self):
         # np.pad would wrap twice and return a [1, 6, 6] map
         with pytest.raises(eg.ShapeError, match="circular pad wider"):
             eg.conv2d(eg.tensor(np.ones((2, 2, 2))), eg.tensor(np.ones((1, 2, 1, 1))), np.zeros(1),
-                      pad=PadMode("circular", 3))
+                      stride=1, pad=PadMode("circular", 3))
 
     def test_circular_translation_equivariance(self, rng):
         x = rng.standard_normal((2, 8, 8)).astype(np.float32)

@@ -1,12 +1,14 @@
-"""Synthetic scenes: determinism, the stored form, suite splits and score-map
-images."""
+"""Synthetic scenes: determinism, the stored form, frames rendered on read,
+suite splits and score-map images."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sbtrack import scenes
+from sbtrack.boxes import Box
 
 SHORT = scenes.SceneConfig(length=4, distractors=2)
 
@@ -45,6 +47,130 @@ class TestGenerate:
         frame = seq.frames[0]
         assert frame.shape == (3, 128, 128) and frame.dtype == np.float32
         assert 0.0 <= frame.min() and frame.max() <= 1.0
+
+
+def eager_frames(cfg, seed):
+    """Every frame of `generate_sequence(cfg, seed)`, painted eagerly as the
+    reference: inside the motion loop, each frame a copy of the background
+    with the distractors and then the target on top, each actor at the
+    rounded top-left corner of its current position."""
+
+    def paint(frame, actor):
+        h, w = actor.size
+        x0 = int(round(actor.pos[0] - w / 2))
+        y0 = int(round(actor.pos[1] - h / 2))
+        size = frame.shape[1]
+        xs0, ys0 = max(x0, 0), max(y0, 0)
+        xs1, ys1 = min(x0 + w, size), min(y0 + h, size)
+        if xs1 <= xs0 or ys1 <= ys0:
+            return
+        sub = actor.mask[ys0 - y0 : ys1 - y0, xs0 - x0 : xs1 - x0]
+        tex = actor.texture[:, ys0 - y0 : ys1 - y0, xs0 - x0 : xs1 - x0]
+        region = frame[:, ys0:ys1, xs0:xs1]
+        frame[:, ys0:ys1, xs0:xs1] = np.where(sub[None], tex, region)
+
+    rng = np.random.default_rng(seed)
+    background = scenes._background(rng, cfg.frame_size)
+    target = scenes._spawn(rng, cfg, shape=str(rng.choice(scenes._SHAPES)))
+    distractors = []
+    for _ in range(cfg.distractors):
+        if cfg.similarity == "hard":
+            shape = target.shape
+        else:
+            shape = str(rng.choice([s for s in scenes._SHAPES if s != target.shape]))
+        distractors.append(scenes._spawn(rng, cfg, shape=shape))
+    frames = []
+    for t in range(cfg.length):
+        if t > 0:
+            scenes._advance(target, rng, cfg)
+            for d in distractors:
+                scenes._advance(d, rng, cfg)
+        for d in distractors:
+            scenes._push_apart(d, target)
+        frame = background.copy()
+        for d in distractors:
+            paint(frame, d)
+        paint(frame, target)
+        frames.append(frame)
+    return frames
+
+
+# 40 px frames with 16-20 px actors: pushes leave distractors partly outside
+CLIPPED = scenes.SceneConfig(frame_size=40, target_size=(16, 20), distractors=3, length=8)
+
+
+class TestFramesOnRead:
+    @pytest.mark.parametrize("cfg", [
+        scenes.SceneConfig(distractors=0), scenes.SceneConfig(distractors=3),
+        scenes.SceneConfig(similarity="easy"), CLIPPED,
+    ], ids=["distractors0", "distractors3", "easy", "clipped"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 10_000])
+    def test_every_frame_equals_the_eager_render(self, cfg, seed):
+        seq = scenes.generate_sequence(cfg, seed)
+        want = eager_frames(cfg, seed)
+        assert len(seq.frames) == len(want) == cfg.length
+        for got, ref in zip(seq.frames, want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_clipped_config_pushes_distractors_out_of_the_frame(self):
+        n = CLIPPED.frame_size
+        seq = scenes.generate_sequence(CLIPPED, 0)
+        assert any(b.x1 < 0 or b.y1 < 0 or b.x2 > n or b.y2 > n for ds in seq.distractors for b in ds)
+
+    @pytest.mark.parametrize("seed", [0, 10_000])
+    def test_a_sequence_retains_less_than_four_frames(self, seed):
+        cfg = scenes.SceneConfig()
+        frame_bytes = 3 * cfg.frame_size**2 * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            seq = scenes.generate_sequence(cfg, seed)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(seq.frames) == cfg.length
+        assert retained < 4 * frame_bytes
+
+    def test_writing_a_read_frame_leaves_the_next_read_unchanged(self):
+        seq = scenes.generate_sequence(SHORT, 7)
+        want = eager_frames(SHORT, 7)
+        for t in range(SHORT.length):
+            frame = seq.frames[t]
+            assert frame.flags.writeable
+            frame[...] = -1.0
+            np.testing.assert_array_equal(seq.frames[t], want[t])
+        for frame in seq.frames[1:3]:
+            frame += 5.0
+        assert all(np.array_equal(f, w) for f, w in zip(seq.frames, want))
+
+    @pytest.mark.parametrize("index", [
+        slice(1, None), slice(None, 2), slice(None, None, -1), slice(-3, -1), slice(0, 4, 2),
+        slice(2, 2), slice(5, 9),
+    ])
+    def test_slices_match_the_eager_frames(self, index):
+        seq = scenes.generate_sequence(SHORT, 7)
+        want = eager_frames(SHORT, 7)[index]
+        got = seq.frames[index]
+        assert len(got) == len(want)
+        assert all(np.array_equal(f, w) for f, w in zip(got, want))
+        assert all(np.array_equal(got[i], want[i]) for i in range(-len(want), len(want)))
+
+    def test_negative_indices_and_the_end(self):
+        seq = scenes.generate_sequence(SHORT, 7)
+        want = eager_frames(SHORT, 7)
+        for t in range(1, SHORT.length + 1):
+            np.testing.assert_array_equal(seq.frames[-t], want[-t])
+        for t in (SHORT.length, -SHORT.length - 1):
+            with pytest.raises(IndexError):
+                seq.frames[t]
+        with pytest.raises(IndexError):
+            seq.frames[1:][SHORT.length - 1]
+
+    def test_a_sequence_of_given_frames_keeps_them(self):
+        frames = [np.full((3, 8, 8), v, dtype=np.float32) for v in (0.25, 0.5)]
+        gt = [Box(1, 1, 4, 4)] * 2
+        seq = scenes.Sequence(frames, gt, [[], []])
+        assert seq.frames is frames
 
 
 def meets(a, b):

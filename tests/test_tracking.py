@@ -75,6 +75,14 @@ class TestCrop:
         bad = ~np.isfinite(near)
         assert bad[1].any() and not bad[[0, 2]].any() and bad[1].sum() <= 4
 
+    @pytest.mark.parametrize("factor, out_size, field", [
+        (float("nan"), 16, "factor"), (float("inf"), 16, "factor"), (2.0, 0, "out_size"),
+        (2.0, 2.5, "out_size"), (2.0, True, "out_size")])
+    def test_bad_factor_or_size_rejected(self, factor, out_size, field):
+        frame = np.zeros((3, 48, 64), dtype=np.float32)
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            tk.crop_region(frame, Box(10, 10, 20, 20), factor, out_size)
+
     @settings(max_examples=60, deadline=None)
     @given(boxes(), boxes(), st.sampled_from([16, 64, 128]))
     def test_to_frame_inverts_to_crop(self, ref, b, out_size):
@@ -124,6 +132,16 @@ class TestPredictBox:
         assert tk.predict_box(cls, reg, self.meta, previous=self.previous) == self.previous
         with pytest.raises(ValueError, match="non-finite network output"):
             tk.predict_box(cls, reg, self.meta)
+
+    @pytest.mark.parametrize("shape", [(4, 16, 16), (4, 2, 2), (3, 8, 8)])
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_regression_map_of_another_grid_rejected(self, shape, finite):
+        cls, _ = self.maps()
+        if not finite:
+            cls[0, 7, 7] = np.nan
+        reg = np.full(shape, 0.25, dtype=np.float32)
+        with pytest.raises(eg.ShapeError, match="regression map"):
+            tk.predict_box(cls, reg, self.meta, previous=self.previous)
 
     def test_non_finite_reg_off_the_peak_is_ignored(self):
         cls, reg = self.maps()
