@@ -15,6 +15,8 @@ read-only) and the boxes; a frame is painted from them each time it is read.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import abc
 from dataclasses import dataclass
 
@@ -36,6 +38,10 @@ _MARGIN = 4  # px between an actor's box and the frame edge
 _GAP = 2.0  # px every distractor keeps clear of the target
 
 
+def _finite_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     frame_size: int = 128
@@ -47,6 +53,10 @@ class SceneConfig:
     motion_sigma: float = 1.0  # per-frame jitter, px
 
     def __post_init__(self):
+        for name in ("target_size", "speed"):
+            value = getattr(self, name)
+            if type(value) is not tuple or len(value) != 2:
+                raise ValueError(f"{name} must be a (min, max) tuple, got {value!r}")
         for name in ("frame_size", "length", "distractors", "target_size"):
             value = getattr(self, name)
             if any(type(v) is not int for v in (value if name == "target_size" else (value,))):
@@ -61,10 +71,10 @@ class SceneConfig:
             raise ValueError(f"target_size needs 1 <= min <= max, got {self.target_size}")
         if self.frame_size < self.target_size[1] + 2 * _MARGIN:
             raise ValueError(f"frame_size {self.frame_size} < max target side + 2 * {_MARGIN} px margin")
-        if not (np.isfinite(self.speed).all() and 0 <= self.speed[0] <= self.speed[1]):
-            raise ValueError(f"speed needs finite 0 <= min <= max, got {self.speed}")
-        if not (np.isfinite(self.motion_sigma) and self.motion_sigma >= 0):
-            raise ValueError(f"motion_sigma must be finite and >= 0, got {self.motion_sigma}")
+        if not (all(map(_finite_real, self.speed)) and 0 <= self.speed[0] <= self.speed[1]):
+            raise ValueError(f"speed needs finite reals 0 <= min <= max, got {self.speed!r}")
+        if not (_finite_real(self.motion_sigma) and self.motion_sigma >= 0):
+            raise ValueError(f"motion_sigma must be a finite real >= 0, got {self.motion_sigma!r}")
 
 
 @dataclass

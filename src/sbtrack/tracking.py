@@ -144,14 +144,16 @@ def predict_box(cls_map, reg_map, meta: CropMeta, previous: Box | None = None) -
 
     A foreground map with any non-finite value, or non-finite regression
     values at the peak, decode to nothing: the result is then `previous`,
-    and without one this raises ValueError.  A regression map that is not
-    [4, hs, ws] for an [hs, ws] foreground map raises ShapeError, whatever
-    the values.
+    and without one this raises ValueError.  A foreground map that is not
+    [hs, ws] or [1, hs, ws], or a regression map that is not [4, hs, ws] for
+    it, raises ShapeError, whatever the values.
     """
     cls = np.asarray(cls_map.data if hasattr(cls_map, "data") else cls_map)
     reg = np.asarray(reg_map.data if hasattr(reg_map, "data") else reg_map)
-    if cls.ndim == 3:
+    if cls.ndim == 3 and cls.shape[0] == 1:
         cls = cls[0]
+    if cls.ndim != 2:
+        raise ShapeError(f"foreground map {cls.shape} is not [hs, ws] or [1, hs, ws]")
     hs, ws = cls.shape
     if reg.shape != (4, hs, ws):
         raise ShapeError(f"regression map {reg.shape} does not match foreground map {cls.shape}")

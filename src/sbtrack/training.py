@@ -16,6 +16,8 @@ IoU loss of FCOS) with no decoding into absolute edges.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,14 +67,19 @@ class TrainConfig:
     probe_every: int = 25
 
     def __post_init__(self):
+        if type(self.decay_steps) is not tuple:
+            raise ValueError(f"decay_steps must be a tuple, got {self.decay_steps!r}")
         for name in ("batch", "steps", "seed", "probe_every", "decay_steps"):
             value = getattr(self, name)
             if any(type(v) is not int for v in (value if name == "decay_steps" else (value,))):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not all(v >= 0 for v in (self.lr_head, self.lr_backbone, self.weight_decay)):
-            raise ValueError(f"learning rates and weight decay must be >= 0, got lr_head "
-                             f"{self.lr_head}, lr_backbone {self.lr_backbone}, weight_decay "
-                             f"{self.weight_decay}")
+        if any(v < 0 for v in self.decay_steps):
+            raise ValueError(f"decay_steps must be >= 0, got {self.decay_steps!r}")
+        for name in ("lr_head", "lr_backbone", "weight_decay"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite real >= 0, got {value!r}")
         if self.lr_backbone > self.lr_head:
             raise ValueError("backbone lr must not exceed head lr")
         if self.batch < 1 or self.steps < 0:

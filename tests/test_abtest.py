@@ -1,9 +1,11 @@
-"""The claim rule and the process-mode summary of `tools/abtest.py`, on
-hand-made rounds and result lines."""
+"""The claim rule, the summary and the process rounds of `tools/abtest.py`,
+on hand-made rounds and result lines, with a fake `subprocess.run`."""
 
+import argparse
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -89,3 +91,61 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     # and so is one whose change side alone spreads wider than its bound
     lines["base"], lines["change"] = lines["change"], lines["base"]
     assert abtest.summarize(abtest.figures_of(lines), END_TO_END)["setup_s"]["unresolved"]
+
+
+COMMAND = ["python3", "benchmark/run.py"]
+
+
+def fake_run(calls, returncode=0, metrics=None):
+    """A `subprocess.run` that records each call and prints a result line."""
+    line = result_line(**(metrics or {}))
+
+    def run(argv, **kwargs):
+        calls.append((argv, kwargs))
+        stdout = json.dumps({"info": {}}) + "\n" + json.dumps(line) + "\n"
+        return subprocess.CompletedProcess(argv, returncode, stdout=stdout, stderr="boom")
+
+    return run
+
+
+def test_run_process_runs_the_benchmark_command_from_the_checkout_root(monkeypatch):
+    calls = []
+    monkeypatch.setattr(abtest.subprocess, "run", fake_run(calls, metrics={"setup_s": 0.03}))
+    args = argparse.Namespace(workload="track_light", seed=3, seconds=2.5)
+    line = abtest.run_process(COMMAND, "/ckpt/base", args)
+    assert line == result_line(setup_s=0.03)
+    [(argv, kwargs)] = calls
+    assert argv == [*COMMAND, "--workload", "track_light", "--seed", "3", "--seconds", "2.5",
+                    "--trace", "0"]
+    assert kwargs["cwd"] == "/ckpt/base"
+
+
+def test_a_failed_run_names_its_root(monkeypatch):
+    monkeypatch.setattr(abtest.subprocess, "run", fake_run([], returncode=1))
+    args = argparse.Namespace(workload="train_tiny", seed=1, seconds=1.0)
+    with pytest.raises(SystemExit, match="in /ckpt/change exited 1"):
+        abtest.run_process(COMMAND, "/ckpt/change", args)
+
+
+def test_workload_must_be_one_of_the_benchmark(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(abtest.subprocess, "run", fake_run(calls))
+    with pytest.raises(SystemExit) as exc:
+        abtest.main(["/ckpt/base", "/ckpt/change", "--workload", "track_huge"])
+    assert exc.value.code == 2 and "track_huge" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_rounds_alternate_which_side_runs_first(monkeypatch, tmp_path):
+    calls = []
+    metrics = {m["name"]: 1.0 for m in END_TO_END}
+    monkeypatch.setattr(abtest.subprocess, "run", fake_run(calls, metrics=metrics))
+    out = tmp_path / "ab.json"
+    assert abtest.main(["/ckpt/base", "/ckpt/change", "--workload", "track_tiny", "--rounds", "3",
+                        "--json", str(out)]) == 0
+    assert [kw["cwd"] for _, kw in calls] == ["/ckpt/base", "/ckpt/change", "/ckpt/change",
+                                              "/ckpt/base", "/ckpt/base", "/ckpt/change"]
+    report = json.loads(out.read_text())
+    assert report["first"] == ["base", "change", "base"]
+    assert set(report["figures"]) == set(metrics)
+    assert report["failed"] == {"base": 0, "change": 0}

@@ -204,7 +204,7 @@ class TestSerialHierarchy:
 
 class TestOracleTable:
     def test_all_pass(self):
-        results = orc.run_all_oracles(seed=0, eq8_trials=25)
+        results = orc.run_all_oracles()
         for r in results:
             assert r.passed, r.row()
         assert len(results) >= 6

@@ -129,9 +129,9 @@ def test_third_party_imports_are_the_declared_dependencies():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_modules_import_the_package_relatively(path):
-    """No module imports `sbtrack` by its absolute name, so a checkout loaded
-    as a package of another name (as `tools/abtest.py` loads each side) uses
-    its own modules."""
+    """No module imports `sbtrack` by its absolute name, so the package's
+    modules always use their siblings from the same directory, whatever name
+    the package is loaded under and whichever `sbtrack` is on `sys.path`."""
     assert "sbtrack" not in _imported_top_level_modules(path)
 
 

@@ -194,6 +194,12 @@ class TestSceneConfig:
         (dict(target_size=(18.5, 30)), "target_size"),
         (dict(frame_size=128.0), "frame_size"),
         (dict(distractors=True), "distractors"),
+        (dict(target_size=(18, 20, 30)), "target_size"),
+        (dict(target_size=[18, 30]), "target_size"),
+        (dict(speed=[1.0, 2.0]), "speed"),
+        (dict(speed=1.0), "speed"),
+        (dict(speed=(0.5, "2")), "speed"),
+        (dict(motion_sigma="1"), "motion_sigma"),
     ])
     def test_unrunnable_config_raises(self, kw, field):
         with pytest.raises(ValueError, match=field):

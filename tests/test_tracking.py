@@ -1,8 +1,5 @@
 """Crop geometry, box decoding and the frame-by-frame tracker."""
 
-import inspect
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -143,6 +140,15 @@ class TestPredictBox:
         with pytest.raises(eg.ShapeError, match="regression map"):
             tk.predict_box(cls, reg, self.meta, previous=self.previous)
 
+    @pytest.mark.parametrize("shape", [(4, 8, 8), (2, 8, 8), (64,), (1, 1, 8, 8)])
+    def test_foreground_map_of_another_layout_rejected(self, shape):
+        """Only an [hs, ws] or [1, hs, ws] map is a foreground map: channel 0
+        of a multi-channel map is not decoded."""
+        _, reg = self.maps()
+        cls = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(eg.ShapeError, match="foreground map"):
+            tk.predict_box(cls, reg, self.meta, previous=self.previous)
+
     def test_non_finite_reg_off_the_peak_is_ignored(self):
         cls, reg = self.maps()
         reg[:, 0, 0] = np.nan
@@ -225,60 +231,6 @@ def uncached_tracker(model, seq):
     return boxes, maps
 
 
-def engine_ops():
-    """The engine's public tensor ops: functions in `__all__` annotated to
-    return a Tensor, other than the constructors."""
-    return [name for name in eg.__all__
-            if name not in ("tensor", "parameter") and inspect.isfunction(getattr(eg, name))
-            and inspect.signature(getattr(eg, name)).return_annotation in ("Tensor", eg.Tensor)]
-
-
-def layout(n: int) -> Counter:
-    """n layout changes (tokens_of, map_of, head split or merge): a reshape
-    and a transpose each."""
-    return Counter(elementwise=n, transpose=n)
-
-
-def step_calls(st_cfg, block: int) -> Counter:
-    """Engine calls of one backbone step on one branch (block 0 being the
-    patch embedding), following the op sequence of blocks.py."""
-    if block == 0:
-        return Counter(conv2d=1, layer_norm=1)
-    kv = layout(2) + Counter(linear=1)  # tokens, linear, split heads
-    if st_cfg.reduction > 1:
-        kv += Counter(conv2d=1, layer_norm=1)
-    attn = (Counter(layer_norm=1) + layout(2) + Counter(linear=1) + kv + kv  # norm1, q, k, v
-            + Counter(transpose=1, matmul=2, elementwise=1, softmax_last_dim=1)
-            + layout(2) + Counter(linear=1, elementwise=1))  # merge, out, map, residual
-    mlp = Counter(layer_norm=1, linear=2, depthwise_conv2d=1, gelu=1, elementwise=1) + layout(4)
-    return attn + mlp
-
-
-def head_calls(cfg) -> Counter:
-    """Engine calls of the two search-feature heads and their sigmoids."""
-    mix = layout(2) + Counter(linear=2, elementwise=2, transpose=2)  # with relu, leaky relu
-    head = Counter(linear=1, elementwise=1) + layout(2)
-    for _ in range(cfg.head_depth):
-        head += mix
-    return head + head
-
-
-def expected_calls(cfg) -> tuple[Counter, Counter]:
-    """Engine calls of the template prefix (once per sequence) and of one frame."""
-    once, frame = Counter(), head_calls(cfg)
-    in_prefix = True
-    for st_cfg in cfg.stages:
-        for block in range(st_cfg.depth + 1):
-            in_prefix = in_prefix and block not in st_cfg.ca_positions
-            step = step_calls(st_cfg, block)
-            if in_prefix:
-                once += step
-            else:
-                frame += step  # the template branch after the prefix
-            frame += step  # the search branch runs every step
-    return once, frame
-
-
 class TestTemplateCache:
     @pytest.mark.parametrize("cfg", [md.tiny_config(), md.tiny_config(pad_mode="circular"),
                                      md.tiny_config(head_input="dwcorr"),
@@ -295,21 +247,3 @@ class TestTemplateCache:
         assert boxes == want_boxes
         assert len(maps) == len(want_maps)
         assert all(np.array_equal(a, b) for a, b in zip(maps, want_maps))
-
-    def test_engine_calls_per_sequence(self, monkeypatch):
-        cfg = md.tiny_config()
-        m = md.build_model(cfg, seed=0)
-        seq = scenes.generate_sequence(scenes.SceneConfig(length=30), 0)
-        calls = Counter()
-        for name in engine_ops():
-            fn = getattr(eg, name)
-            monkeypatch.setattr(eg, name, lambda *a, _n=name, _f=fn, **k: calls.update([_n])
-                                or _f(*a, **k))
-        tk.run_tracker(m, seq)
-        once, frame = expected_calls(cfg)
-        tracked = len(seq.frames) - 1
-        # uncached, a frame is the 604 calls and 30 conv2d that benchmark/selftest.py pins
-        uncached = once + frame
-        assert (sum(uncached.values()), uncached["conv2d"]) == (604, 30)
-        assert sum(calls.values()) == sum(once.values()) + tracked * sum(frame.values())
-        assert calls["conv2d"] == once["conv2d"] + tracked * frame["conv2d"]

@@ -333,11 +333,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tr.TrainConfig(lr_head=1e-4, lr_backbone=1e-3)
 
-    @pytest.mark.parametrize("value", [-1e-3, float("nan")])
+    @pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf"), "1e-3"])
     @pytest.mark.parametrize("field", ["lr_head", "lr_backbone", "weight_decay"])
     def test_negative_rates_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             tr.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("steps", [(-1,), (5, -2)])
+    def test_negative_decay_step_rejected(self, steps):
+        with pytest.raises(ValueError, match="decay_steps must be >= 0"):
+            tr.TrainConfig(decay_steps=steps)
+
+    @pytest.mark.parametrize("steps", [[5], 5])
+    def test_decay_steps_must_be_a_tuple(self, steps):
+        """A list would leave the frozen config unhashable, and an int is not iterable."""
+        with pytest.raises(ValueError, match="decay_steps must be a tuple"):
+            tr.TrainConfig(decay_steps=steps)
 
     def test_zero_rates_accepted(self):
         tc = tr.TrainConfig(lr_head=0.0, lr_backbone=0.0, weight_decay=0.0)

@@ -1,53 +1,34 @@
 """A/B timing of two sbtrack checkouts on the benchmark's workloads.
 
-    python3 tools/abtest.py BASE CHANGE --workload train_tiny --rounds 14 [--json BENCH_x.json]
-    python3 tools/abtest.py BASE CHANGE --workload track_tiny --rounds 5 --seconds 33 --processes
+    python3 tools/abtest.py BASE CHANGE --workload track_tiny [--rounds 10] [--json BENCH_x.json]
 
-BASE and CHANGE are repository roots.  By default the script loads
-``src/sbtrack`` of each as its own package (``sbtrack_base``,
-``sbtrack_change``) into one process and runs the benchmark of this checkout
-on both: each side is set up as ``benchmark/run.py`` sets it up (the
-workload from ``benchmark/loops.py``, a checkpoint written and loaded, the
-scene suite and training pairs), warmed up, and then timed in rounds.  A
-round runs the benchmark's closed loop for ``--seconds`` on each side, and
+BASE and CHANGE are repository roots.  A round runs the benchmark's command
+from ``BENCHMARK.json`` (``benchmark/run.py --workload W --seed S --seconds T
+--trace 0``) once from each checkout's root, each in its own process, and
 the side that runs first switches every round, so that drift of the host
-(frequency, other tenants) falls on both sides alike.  Before each round a
-side's weights are reset to the loaded ones.  A round gives two figures per
-side, as ``run.py`` reports them: the loop's ``throughput_per_cpu_s``
-(frames, or training pairs, per CPU second, with BLAS on one thread) and its
-``latency_cpu_ms_p50`` (the median CPU time per frame or step).
+(frequency, other tenants) falls on both sides alike.  Every end-to-end
+metric comes from a run's final JSON line, so per-process effects such as
+memory layout vary across rounds as they do across the benchmark's runs.
 
-``--processes`` measures what only a whole process shows, such as
-``peak_rss_mb`` and ``setup_s``: a round runs the benchmark's command from
-``BENCHMARK.json`` (``benchmark/run.py --workload W --seed S --seconds T
---trace 0``) once from each checkout's root, again switching which side goes
-first, and takes every end-to-end metric from its final JSON line.
-
-The output gives, per figure, each side's median and quartiles over the
+The output gives, per metric, each side's median and quartiles over the
 rounds, the number of rounds the change was better, and the verdict of the
 claim rule (`verdict`), with the better direction and the bound of each
-figure read from ``BENCHMARK.json``.  A figure is unresolved when either
+metric read from ``BENCHMARK.json``.  A metric is unresolved when either
 side's quartile spread exceeds its bound (relative to that side's median).
 It also gives each side's failed frames or steps.  ``--json PATH`` also
-writes all of it, every round's figures (and, with ``--processes``, every
-final JSON line) included.
+writes all of it, every run's final JSON line included.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tempfile
-from types import SimpleNamespace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCHMARK_DIR = os.path.join(ROOT, "benchmark")
 SIDES = ("base", "change")
 
 
@@ -107,103 +88,41 @@ def run_process(command: list, root: str, args) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def load(run, root: str, name: str) -> SimpleNamespace:
-    """Import ``root/src/sbtrack`` as package `name`; returns the namespace
-    of its modules that the benchmark's loops take."""
-    pkg_dir = os.path.join(os.path.abspath(root), "src", "sbtrack")
-    init = os.path.join(pkg_dir, "__init__.py")
-    if not os.path.isfile(init):
-        raise SystemExit(f"error: no sbtrack package under {root}")
-    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[pkg_dir])
-    sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sys.modules[name])
-    mods = {m: importlib.import_module(f"{name}.{m}") for m in run.MODULES}
-    return SimpleNamespace(modules=list(mods.values()), **mods)
-
-
-def make_side(loops, sb, w, seed: int, seconds: float):
-    """Set up and warm up one side; returns a function that runs one round
-    and gives its loop result."""
-    with tempfile.TemporaryDirectory() as ckpt_dir:
-        made, _ = loops._timed_setups(sb, w, seed, ckpt_dir, 1)
-    loops._warm_up(sb, w, seed, made)
-    params = made[0].parameters()
-    initial = [p.data.copy() for p in params]
-
-    def round_():
-        for p, a in zip(params, initial):
-            p.data[...] = a
-        return loops._loop(sb, w, seed, seconds, made)
-
-    return round_
-
-
 def main(argv=None) -> int:
-    sys.path.insert(0, BENCHMARK_DIR)
-    import run
-
-    run.limit_blas_threads()  # before numpy is imported
-    import loops
-
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="root of the base checkout")
     ap.add_argument("change", help="root of the changed checkout")
-    ap.add_argument("--workload", choices=sorted(loops.WORKLOADS), required=True)
+    ap.add_argument("--workload", choices=[w["name"] for w in bench["workloads"]], required=True)
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=5.0, help="loop window per side and round")
+    ap.add_argument("--seconds", type=float, default=bench["run_seconds"],
+                    help="loop window per side and round (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--json", metavar="PATH", help="also write every round and the verdicts here")
-    ap.add_argument("--processes", action="store_true",
-                    help="run benchmark/run.py once per side and round, in its own process")
     args = ap.parse_args(argv)
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
     if args.seconds <= 0:
         ap.error("--seconds must be positive")
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
-    w = loops.WORKLOADS[args.workload]
     roots = {"base": args.base, "change": args.change}
-    report = {"workload": args.workload, "rounds": args.rounds, "seconds": args.seconds,
-              "seed": args.seed, "processes": args.processes}
-    if args.processes:
-        lines = {name: [] for name in SIDES}
-
-        def one_round(name):
-            lines[name].append(run_process(bench["command"], roots[name], args))
-    else:
-        sides = {name: make_side(loops, load(run, roots[name], f"sbtrack_{name}"), w, args.seed,
-                                 args.seconds) for name in SIDES}
-        figures = {fig: {name: [] for name in SIDES}
-                   for fig in ("throughput_per_cpu_s", "latency_cpu_ms_p50")}
-        failed = dict.fromkeys(SIDES, 0)
-
-        def one_round(name):
-            r = sides[name]()
-            figures["throughput_per_cpu_s"][name].append(r.rate)
-            # with no completed frame or step, the whole window is the latency bound
-            p50 = statistics.median(r.latencies_s or [r.cpu_s])
-            figures["latency_cpu_ms_p50"][name].append(float(p50) * 1e3)
-            failed[name] += r.failed
-
+    lines = {name: [] for name in SIDES}
     first = []
     order = list(SIDES)
     for _ in range(args.rounds):
         first.append(order[0])
         for name in order:
-            one_round(name)
+            lines[name].append(run_process(bench["command"], roots[name], args))
         order.reverse()
-    if args.processes:
-        figures = figures_of(lines)
-        failed = {name: sum(line["failed"] for line in lines[name]) for name in SIDES}
-        report["lines"] = lines
+    failed = {name: sum(line["failed"] for line in lines[name]) for name in SIDES}
 
-    unit = "frames" if w.kind == "track" else "pairs"
-    print(f"{args.workload}: {args.rounds} rounds of {args.seconds:g} s per side"
-          f"{', one process each' if args.processes else ''}; throughput in {unit} per CPU "
-          f"second, latencies in CPU ms")
-    report.update(first=first, failed=failed, figures=summarize(figures, bench["end_to_end"]))
+    unit = "pairs" if args.workload.startswith("train") else "frames"
+    print(f"{args.workload}: {args.rounds} rounds of {args.seconds:g} s per side, one process "
+          f"each; throughput in {unit} per CPU second, latencies in CPU ms")
+    report = {"workload": args.workload, "rounds": args.rounds, "seconds": args.seconds,
+              "seed": args.seed, "first": first, "failed": failed, "lines": lines,
+              "figures": summarize(figures_of(lines), bench["end_to_end"])}
     for fig, entry in report["figures"].items():
         for name in SIDES:
             q = entry[name]
