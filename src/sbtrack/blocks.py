@@ -111,19 +111,19 @@ _INIT_STD = 0.02  # std of the truncated-normal weight init
 _INIT_BOUND = 2.0  # its draws beyond this many std are drawn again
 
 
-def _truncated_normal(rng, shape: tuple[int, ...], dtype) -> np.ndarray:
+def _truncated_normal(rng, shape: tuple[int, ...]) -> np.ndarray:
     out = rng.standard_normal(shape)
     bad = np.abs(out) > _INIT_BOUND
     while bad.any():
         out[bad] = rng.standard_normal(int(bad.sum()))
         bad = np.abs(out) > _INIT_BOUND
-    return (out * _INIT_STD).astype(dtype)
+    return (out * _INIT_STD).astype(np.float32)
 
 
-def initial_value(rng, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-    """A fresh parameter by its name: truncated normal (std 0.02, clipped at
-    two sigma) for weights, ones for layer-norm gains, zeros otherwise.  Only
-    weights draw from `rng`.
+def initial_value(rng, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A fresh float32 parameter by its name: truncated normal (std 0.02,
+    clipped at two sigma) for weights, ones for layer-norm gains, zeros
+    otherwise.  Only weights draw from `rng`.
 
     Head spatial mixing starts at identity, so a fresh head is translation-
     equivariant and its signal is not crushed by two stacked near-zero maps.
@@ -131,15 +131,15 @@ def initial_value(rng, name: str, shape: tuple[int, ...], dtype=np.float32) -> n
     leaky activation after it passes unchanged, as a plain ReLU would.
     """
     if name.endswith("spatial_weight"):
-        return np.eye(shape[0], dtype=dtype)
+        return np.eye(shape[0], dtype=np.float32)
     if name.endswith("weight"):
-        return _truncated_normal(rng, shape, dtype)
-    return (np.ones if name.endswith("gamma") else np.zeros)(shape, dtype=dtype)
+        return _truncated_normal(rng, shape)
+    return (np.ones if name.endswith("gamma") else np.zeros)(shape, dtype=np.float32)
 
 
-def init_params(rng, shapes: dict[str, tuple[int, ...]], dtype=np.float32) -> dict[str, Tensor]:
+def init_params(rng, shapes: dict[str, tuple[int, ...]]) -> dict[str, Tensor]:
     """A fresh parameter for every entry of a shape table, drawn in its order."""
-    return {name: eg.parameter(initial_value(rng, name, shape, dtype)) for name, shape in shapes.items()}
+    return {name: eg.parameter(initial_value(rng, name, shape)) for name, shape in shapes.items()}
 
 
 # -- operations ---------------------------------------------------------------
@@ -163,7 +163,7 @@ def _kv_tokens(f: Tensor, cfg: AttnConfig, w: dict[str, Tensor]) -> Tensor:
     h, wd = _grid(f)
     if h % r or wd % r:
         raise ShapeError(f"reduction {r} does not divide grid {(h, wd)}")
-    red = eg.conv2d(f, w["reduce_weight"], w["reduce_bias"], stride=r, pad=PadMode.valid())
+    red = eg.conv2d(f, w["reduce_weight"], w["reduce_bias"], stride=r, pad=PadMode.zeros(0))
     return eg.layer_norm(tokens_of(red), w["reduce_gamma"], w["reduce_beta"], axis=-1)
 
 

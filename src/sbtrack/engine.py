@@ -7,6 +7,10 @@ where numpy can, so a channels-first map and its token matrix can share one
 channels-last buffer.  An op therefore writes in place only into arrays it
 allocated itself, never into an input's data.
 
+Ops take Tensors.  The binary arithmetic ops (`add`, `sub`, `mul`, `div`,
+`maximum`, `minimum`) also take a number for either operand, which becomes
+a tensor of the other operand's dtype.
+
 An op is its forward array plus one partial per operand: a function from
 the output gradient to that operand's gradient.  `_op` records both on the
 output when grad is enabled and some operand requires grad.  ``backward``
@@ -218,17 +222,14 @@ def parameter(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=True, dtype=dtype)
 
 
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else np.float32
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Both operands of a binary op as tensors; a number takes the other's dtype."""
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    return a, _as_tensor(b, a)
+    """Both operands of a binary op as tensors: a number takes the other
+    operand's dtype, float32 when both are numbers."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype if isinstance(b, Tensor) else np.float32))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    return a, b
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -276,27 +277,21 @@ def _op(data: np.ndarray, operands, *partials):
 
 @dataclass(frozen=True)
 class PadMode:
-    """Spatial padding policy for convolutions: p pixels of "zeros" or of
-    "circular" wrap-around on each side, or "valid" (none)."""
+    """Spatial padding policy for convolutions: `amount` pixels of "zeros"
+    or of "circular" wrap-around on each side; ``zeros(0)`` pads nothing."""
 
     kind: str
-    amount: int = 0
+    amount: int
 
     def __post_init__(self):
-        if self.kind not in ("zeros", "circular", "valid"):
+        if self.kind not in ("zeros", "circular"):
             raise ValueError(f"unknown pad kind {self.kind!r}")
-        if self.kind == "valid" and self.amount != 0:
-            raise ValueError("valid padding carries no amount")
-        if self.amount < 0:
-            raise ValueError("pad amount must be >= 0")
+        if type(self.amount) is not int or self.amount < 0:
+            raise ValueError(f"pad amount must be an int >= 0, got {self.amount!r}")
 
     @staticmethod
     def zeros(p: int) -> "PadMode":
         return PadMode("zeros", p)
-
-    @staticmethod
-    def valid() -> "PadMode":
-        return PadMode("valid")
 
     @staticmethod
     def same(kind: str, kernel: int) -> "PadMode":
@@ -375,8 +370,6 @@ def div(a, b) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product for 2-d operands or 3-d operands with equal batch."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
     if a.ndim != b.ndim or a.ndim not in (2, 3):
         raise ShapeError(f"matmul needs matching 2d/3d ranks, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2] or (a.ndim == 3 and a.shape[0] != b.shape[0]):
@@ -394,14 +387,12 @@ def _inverse(axes: tuple) -> tuple:
     return tuple(inv)
 
 
-def transpose(t: Tensor, axes=None) -> Tensor:
-    t = _as_tensor(t)
-    axes = tuple(axes) if axes is not None else tuple(reversed(range(t.ndim)))
+def transpose(t: Tensor, axes) -> Tensor:
+    axes = tuple(axes)
     return _op(t.data.transpose(axes), (t,), lambda g: g.transpose(_inverse(axes)))
 
 
 def reshape(t: Tensor, shape) -> Tensor:
-    t = _as_tensor(t)
     return _op(t.data.reshape(shape), (t,), lambda g: g.reshape(t.shape))
 
 
@@ -409,8 +400,6 @@ def tensor_slice(t: Tensor, idx) -> Tensor:
     """Any numpy index, its result copied.  The gradient is added back into
     place: an element that the index selects more than once receives the
     sum of its gradients."""
-    t = _as_tensor(t)
-
     def scatter(g):
         full = np.zeros_like(t.data)
         np.add.at(full, idx, g)
@@ -420,8 +409,6 @@ def tensor_slice(t: Tensor, idx) -> Tensor:
 
 
 def sum_(t: Tensor, axis=None) -> Tensor:
-    t = _as_tensor(t)
-
     def spread(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
@@ -431,19 +418,16 @@ def sum_(t: Tensor, axis=None) -> Tensor:
 
 
 def mean_(t: Tensor, axis=None) -> Tensor:
-    t = _as_tensor(t)
     n = t.size if axis is None else t.shape[axis]
     return mul(sum_(t, axis=axis), 1.0 / n)
 
 
 def abs_(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
     sign = np.sign(t.data)
     return _op(np.abs(t.data), (t,), lambda g: g * sign)
 
 
 def log(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
     return _op(np.log(t.data), (t,), lambda g: g / t.data)
 
 
@@ -468,7 +452,6 @@ def minimum(a, b) -> Tensor:
 
 
 def clip(t: Tensor, lo: float, hi: float) -> Tensor:
-    t = _as_tensor(t)
     inside = (t.data >= lo) & (t.data <= hi)
     return _op(np.clip(t.data, lo, hi), (t,), lambda g: g * inside)
 
@@ -513,13 +496,11 @@ def _blocks(rows: np.ndarray) -> list:
 
 
 def relu(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
     return _op(np.maximum(t.data, 0.0), (t,), lambda g: g * (t.data > 0))
 
 
 def leaky_relu(t: Tensor, slope: float) -> Tensor:
     """x where x > 0, else slope * x; like relu, the slope-1 branch is x > 0 only."""
-    t = _as_tensor(t)
     positive = t.data > 0
     return _op(np.where(positive, t.data, slope * t.data), (t,),
                lambda g: np.where(positive, g, slope * g))
@@ -529,7 +510,6 @@ def gelu(t: Tensor) -> Tensor:
     """GELU, tanh approximation: x * (1 + tanh(u)) / 2 with
     u = c (x + 0.044715 x^3).  The backward keeps tanh(u) alone and derives
     the rest from x."""
-    t = _as_tensor(t)
     axes = _memory_order(t.data.strides)
     x = _rows(t.data, axes)
     th = np.empty_like(x)
@@ -572,7 +552,6 @@ def gelu(t: Tensor) -> Tensor:
 
 
 def sigmoid(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
     x = t.data
     e = np.exp(-np.abs(x))
     out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
@@ -591,7 +570,6 @@ def _row_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 def softmax_last_dim(t: Tensor) -> Tensor:
     """Softmax over the trailing axis, stabilized by max subtraction."""
-    t = _as_tensor(t)
     axes = _memory_order(t.data.strides, t.ndim - 1)
     x = _rows(t.data, axes)
     s = np.empty_like(x)
@@ -623,9 +601,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tensor:
     remaining dimensions.  The work runs on the [rows, c] matrix of `x` in
     its memory order, with `axis` last.
     """
-    x = _as_tensor(x)
-    gamma = _as_tensor(gamma, x)
-    beta = _as_tensor(beta, x)
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"layer_norm axis {axis} out of range for {x.ndim}-d input")
     ax = axis % x.ndim
@@ -674,9 +649,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map on the trailing feature axis: x[..., din] -> [..., dout]."""
-    x = _as_tensor(x)
-    weight = _as_tensor(weight, x)
-    bias = _as_tensor(bias, x)
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: {x.shape} with weight {weight.shape}")
     dout = weight.shape[1]
@@ -725,11 +697,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: PadMode) -
     padded channels-last input in its memory order, (ki, kj, c_in), and the
     weight is permuted to match.
     """
+    if type(stride) is not int:
+        raise ShapeError(f"conv2d stride must be an int, got {stride!r}")
     if stride < 1:
         raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
-    x = _as_tensor(x)
-    weight = _as_tensor(weight, x)
-    bias = _as_tensor(bias, x)
     if x.ndim != 3 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects CHW input and OIKK weight, got {x.shape}, {weight.shape}")
     c_out, c_in, k, k2 = weight.shape
@@ -873,9 +844,6 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
 def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: PadMode) -> Tensor:
     """Per-channel odd square convolution at stride 1; weight is [c, k, k]
     (shape preserved for p = (k - 1) / 2)."""
-    x = _as_tensor(x)
-    weight = _as_tensor(weight, x)
-    bias = _as_tensor(bias, x)
     if weight.ndim != 3:
         raise ShapeError(f"depthwise weight must be [c, k, k], got {weight.shape}")
     c, k, k2 = weight.shape
@@ -889,14 +857,12 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, pad: PadMode) -> T
                lambda g: g.sum(axis=(1, 2)))
 
 
-def depthwise_xcorr(template: Tensor, search: Tensor, pad: PadMode = PadMode.valid()) -> Tensor:
+def depthwise_xcorr(template: Tensor, search: Tensor, pad: PadMode) -> Tensor:
     """Per-channel cross-correlation with the template as a dynamic kernel.
 
     template: [c, hz, wz]; search: [c, hx, wx]; output
     [c, hx + 2p - hz + 1, wx + 2p - wz + 1].  Differentiable in both inputs.
     """
-    template = _as_tensor(template)
-    search = _as_tensor(search, template)
     if template.ndim != 3 or search.ndim != 3 or template.shape[0] != search.shape[0]:
         raise ShapeError(f"xcorr operands disagree: {template.shape} vs {search.shape}")
     out_data, grad_search, grad_template = _per_channel_xcorr(search, template, pad)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import Box
+from .engine import ShapeError
 
 __all__ = [
     "SceneConfig",
@@ -295,6 +296,8 @@ def write_pgm(img: np.ndarray, path) -> None:
     """Binary P5 grayscale; img [H, W], its finite pixels rescaled to full
     range.  Non-finite pixels (NaN, +-inf) are written as 0."""
     arr = np.asarray(img, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeError(f"write_pgm needs a 2-d image, got shape {arr.shape}")
     finite = np.isfinite(arr)
     arr = np.where(finite, arr, 0.0)
     lo, hi = (arr[finite].min(), arr[finite].max()) if finite.any() else (0.0, 0.0)

@@ -118,13 +118,16 @@ def crop_region(frame: np.ndarray, box: Box, factor: float, out_size: int,
 
     Side is factor * sqrt(w * h); out-of-frame area is filled with the
     per-channel frame mean.  The returned meta inverts the mapping.
-    `factor` must be finite and positive, `out_size` an int >= 1.
+    `frame` must be [c, h, w] with h, w >= 1, `factor` finite and positive,
+    `out_size` an int >= 1.
     """
+    frame = np.asarray(frame)
+    if frame.ndim != 3 or min(frame.shape[1:]) < 1:
+        raise ShapeError(f"frame must be [c, h, w] with h, w >= 1, got shape {frame.shape}")
     if not (factor > 0 and math.isfinite(factor)):
         raise ValueError(f"factor must be finite and positive, got {factor!r}")
     if type(out_size) is not int or out_size < 1:
         raise ValueError(f"out_size must be an int >= 1, got {out_size!r}")
-    frame = np.asarray(frame)
     side = factor * float(np.sqrt(box.w * box.h))
     meta = CropMeta(cx=box.cx, cy=box.cy, side=side, out_size=out_size,
                     frame_h=frame.shape[1], frame_w=frame.shape[2])

@@ -84,8 +84,10 @@ class TrainConfig:
             raise ValueError("backbone lr must not exceed head lr")
         if self.batch < 1 or self.steps < 0:
             raise ValueError("batch must be >= 1 and steps >= 0")
-        if not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be > 0 (inf for no clipping), got {self.clip_norm}")
+        if not (isinstance(self.clip_norm, numbers.Real) and not isinstance(self.clip_norm, bool)
+                and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be > 0 (inf for no clipping) and a real, not a bool; "
+                             f"got {self.clip_norm!r}")
         if self.probe_every < 1:
             raise ValueError(f"probe_every must be >= 1, got {self.probe_every}")
 
@@ -181,7 +183,7 @@ def total_loss(cls_term, giou_term, l1_term) -> Tensor:
 
 
 def adamw_step(params: list[Tensor], grads: list[np.ndarray], state: dict, lr: float,
-               weight_decay: float = 0.0) -> list[Tensor]:
+               weight_decay: float) -> list[Tensor]:
     """One decoupled-weight-decay Adam update, in place.
 
     `state` persists across calls; pass the same dict each step.  A zero
@@ -244,6 +246,8 @@ def make_training_examples(sequences, count: int, template_size: int, search_siz
     target is not always dead center.  Horizontal flip and brightness
     jitter are applied to the pair as a whole.
     """
+    if not sequences:
+        raise ValueError("make_training_examples needs at least one sequence; the sequence list is empty")
     examples = []
     for _ in range(count):
         seq = sequences[int(rng.integers(len(sequences)))]

@@ -23,8 +23,13 @@ def make_cfg(c=8, heads=2, r=2):
     return bl.AttnConfig(dim=c, heads=heads, reduction=r)
 
 
-def make_weights(rng, cfg, dtype=np.float32):
-    return bl.init_params(rng, bl.block_shapes(cfg), dtype=dtype)
+def make_weights(rng, cfg):
+    return bl.init_params(rng, bl.block_shapes(cfg))
+
+
+def as_float64(w):
+    """The float32 init `w` cast to float64 parameters."""
+    return {name: eg.parameter(t.data, dtype=np.float64) for name, t in w.items()}
 
 
 class TestPatchEmbed:
@@ -96,12 +101,12 @@ class TestQkvProject:
 
     def test_against_strided_conv_oracle(self, rng, monkeypatch):
         cfg = make_cfg(c=4, heads=1, r=2)
-        w = make_weights(rng, cfg, dtype=np.float64)
+        w = as_float64(make_weights(rng, cfg))
         f = fmap(rng, 4, 4, 6, dtype=np.float64)
         got = projections(monkeypatch, f, f, cfg, w)[1].data[0]
 
         red = conv2d_loops(f.data, w["reduce_weight"].data, w["reduce_bias"].data,
-                           stride=2, pad=PadMode.valid())
+                           stride=2, pad=PadMode.zeros(0))
         tok = red.reshape(4, -1).T
         mu = tok.mean(axis=1, keepdims=True)
         var = tok.var(axis=1, keepdims=True)
@@ -356,7 +361,7 @@ class TestBlockGradients:
 
     def test_eoc_block_grad_check(self, rng):
         cfg = make_cfg(c=4, heads=2, r=2)
-        w = make_weights(rng, cfg, dtype=np.float64)
+        w = as_float64(make_weights(rng, cfg))
         randomize_weights(w, rng)
         fz = rng.standard_normal((4, 4, 4))
         fx = rng.standard_normal((4, 4, 4))
@@ -382,7 +387,7 @@ class TestBlockGradients:
         assert np.abs(w["k_bias"].grad).max() < 1e-12
 
     def test_mix_mlp_grad_check(self, rng):
-        w = bl.init_params(rng, bl.mix_mlp_shapes(4, 9), dtype=np.float64)
+        w = as_float64(bl.init_params(rng, bl.mix_mlp_shapes(4, 9)))
         randomize_weights(w, rng)
         x = rng.standard_normal((4, 3, 3))
         probe = eg.tensor(rng.standard_normal((4, 3, 3)), dtype=np.float64)

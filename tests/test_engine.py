@@ -180,23 +180,23 @@ class TestConv2d:
     def test_one_by_one_identity(self, rng):
         x = rng.standard_normal((3, 5, 5)).astype(np.float32)
         w = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
-        out = eg.conv2d(eg.tensor(x), eg.tensor(w), np.zeros(3), stride=1, pad=PadMode.valid())
+        out = eg.conv2d(eg.tensor(x), eg.tensor(w), eg.tensor(np.zeros(3)), stride=1, pad=PadMode.zeros(0))
         np.testing.assert_allclose(out.data, x, atol=1e-6)
 
     def test_shape_formula(self, rng):
         x = rng.standard_normal((3, 256, 256)).astype(np.float32)
         w = rng.standard_normal((8, 3, 7, 7)).astype(np.float32) * 0.1
-        out = eg.conv2d(eg.tensor(x), eg.tensor(w), np.zeros(8), stride=4, pad=PadMode.zeros(3))
+        out = eg.conv2d(eg.tensor(x), eg.tensor(w), eg.tensor(np.zeros(8)), stride=4, pad=PadMode.zeros(3))
         assert out.shape == (8, 64, 64)
 
     @pytest.mark.parametrize("k,stride,pad", [
-        pytest.param(3, 1, PadMode.valid(), id="1-pad0"),
+        pytest.param(3, 1, PadMode.zeros(0), id="1-pad0"),
         pytest.param(3, 2, PadMode.zeros(1), id="2-pad1"),
         pytest.param(3, 1, PadMode("circular", 1), id="1-pad2"),
         # the model's K/V reduction convs and its stage-1 patch embedding
-        pytest.param(2, 2, PadMode.valid(), id="k2-s2-valid"),
-        pytest.param(4, 4, PadMode.valid(), id="k4-s4-valid"),
-        pytest.param(8, 8, PadMode.valid(), id="k8-s8-valid"),
+        pytest.param(2, 2, PadMode.zeros(0), id="k2-s2-valid"),
+        pytest.param(4, 4, PadMode.zeros(0), id="k4-s4-valid"),
+        pytest.param(8, 8, PadMode.zeros(0), id="k8-s8-valid"),
         pytest.param(7, 4, PadMode.zeros(3), id="k7-s4-zeros3"),
     ])
     def test_against_sliding_window_oracle(self, rng, k, stride, pad):
@@ -211,25 +211,31 @@ class TestConv2d:
 
     def test_kernel_too_large(self):
         with pytest.raises(eg.ShapeError):
-            eg.conv2d(eg.tensor(np.zeros((1, 4, 4))), eg.tensor(np.zeros((1, 1, 7, 7))), np.zeros(1),
+            eg.conv2d(eg.tensor(np.zeros((1, 4, 4))), eg.tensor(np.zeros((1, 1, 7, 7))), eg.tensor(np.zeros(1)),
                       stride=1, pad=PadMode.zeros(1))
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_non_positive_stride_rejected(self, stride):
         with pytest.raises(eg.ShapeError, match=f"stride must be >= 1, got {stride}"):
-            eg.conv2d(eg.tensor(np.ones((1, 4, 4))), eg.tensor(np.ones((1, 1, 2, 2))), np.zeros(1),
-                      stride=stride, pad=PadMode.valid())
+            eg.conv2d(eg.tensor(np.ones((1, 4, 4))), eg.tensor(np.ones((1, 1, 2, 2))), eg.tensor(np.zeros(1)),
+                      stride=stride, pad=PadMode.zeros(0))
+
+    @pytest.mark.parametrize("stride", [2.0, True])
+    def test_non_int_stride_rejected(self, stride):
+        with pytest.raises(eg.ShapeError, match=f"stride must be an int, got {stride}"):
+            eg.conv2d(eg.tensor(np.ones((1, 4, 4))), eg.tensor(np.ones((1, 1, 2, 2))), eg.tensor(np.zeros(1)),
+                      stride=stride, pad=PadMode.zeros(0))
 
     def test_circular_pad_wider_than_input_fails_in_forward(self):
         # np.pad would wrap twice and return a [1, 6, 6] map
         with pytest.raises(eg.ShapeError, match="circular pad wider"):
-            eg.conv2d(eg.tensor(np.ones((2, 2, 2))), eg.tensor(np.ones((1, 2, 1, 1))), np.zeros(1),
+            eg.conv2d(eg.tensor(np.ones((2, 2, 2))), eg.tensor(np.ones((1, 2, 1, 1))), eg.tensor(np.zeros(1)),
                       stride=1, pad=PadMode("circular", 3))
 
     def test_circular_translation_equivariance(self, rng):
         x = rng.standard_normal((2, 8, 8)).astype(np.float32)
         w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        conv = lambda arr: eg.conv2d(eg.tensor(arr), eg.tensor(w), np.zeros(3), stride=1,
+        conv = lambda arr: eg.conv2d(eg.tensor(arr), eg.tensor(w), eg.tensor(np.zeros(3)), stride=1,
                                      pad=PadMode("circular", 1)).data
         shifted = np.roll(x, (2, 3), axis=(1, 2))
         assert np.abs(conv(shifted) - np.roll(conv(x), (2, 3), axis=(1, 2))).max() < 1e-6
@@ -240,26 +246,26 @@ class TestDepthwise:
         x = rng.standard_normal((4, 6, 6)).astype(np.float32)
         w = np.zeros((4, 3, 3), dtype=np.float32)
         w[:, 1, 1] = 1.0
-        out = eg.depthwise_conv2d(eg.tensor(x), eg.tensor(w), np.zeros(4), pad=PadMode.zeros(1))
+        out = eg.depthwise_conv2d(eg.tensor(x), eg.tensor(w), eg.tensor(np.zeros(4)), pad=PadMode.zeros(1))
         np.testing.assert_allclose(out.data, x, atol=1e-6)
 
     def test_circular_shift_commutes(self, rng):
         x = rng.standard_normal((3, 8, 8)).astype(np.float32)
         w = rng.standard_normal((3, 3, 3)).astype(np.float32)
-        f = lambda arr: eg.depthwise_conv2d(eg.tensor(arr), eg.tensor(w), np.zeros(3),
+        f = lambda arr: eg.depthwise_conv2d(eg.tensor(arr), eg.tensor(w), eg.tensor(np.zeros(3)),
                                             pad=PadMode("circular", 1)).data
         assert np.abs(f(np.roll(x, 2, axis=2)) - np.roll(f(x), 2, axis=2)).max() < 1e-6
 
     def test_against_loop_oracle(self, rng):
         x = rng.standard_normal((3, 7, 6)).astype(np.float32)
         w = rng.standard_normal((3, 3, 3)).astype(np.float32)
-        got = eg.depthwise_conv2d(eg.tensor(x), eg.tensor(w), np.zeros(3), pad=PadMode.zeros(1)).data
+        got = eg.depthwise_conv2d(eg.tensor(x), eg.tensor(w), eg.tensor(np.zeros(3)), pad=PadMode.zeros(1)).data
         assert np.abs(got - depthwise_loops(x, w, PadMode.zeros(1))).max() < 1e-5
 
     def test_circular_pad_wider_than_input_fails_in_forward(self):
         # np.pad would wrap twice and return a [2, 6, 6] map
         with pytest.raises(eg.ShapeError, match="circular pad wider"):
-            eg.depthwise_conv2d(eg.tensor(np.ones((2, 2, 2))), eg.tensor(np.ones((2, 1, 1))), np.zeros(2),
+            eg.depthwise_conv2d(eg.tensor(np.ones((2, 2, 2))), eg.tensor(np.ones((2, 1, 1))), eg.tensor(np.zeros(2)),
                                 pad=PadMode("circular", 3))
 
 
@@ -267,7 +273,7 @@ class TestDepthwiseXcorr:
     def test_matches_manual(self, rng):
         z = rng.standard_normal((2, 3, 3)).astype(np.float32)
         x = rng.standard_normal((2, 6, 5)).astype(np.float32)
-        got = eg.depthwise_xcorr(eg.tensor(z), eg.tensor(x)).data
+        got = eg.depthwise_xcorr(eg.tensor(z), eg.tensor(x), PadMode.zeros(0)).data
         want = np.zeros((2, 4, 3))
         for c in range(2):
             for i in range(4):
@@ -472,7 +478,7 @@ class TestBackward:
 
         def loss_fn():
             h = eg.gelu(eg.linear(eg.tensor(x, dtype=np.float64), w1, b1))
-            return eg.mean_(eg.mul(eg.linear(h, w2, np.zeros(1)), eg.linear(h, w2, np.zeros(1))))
+            return eg.mean_(eg.mul(eg.linear(h, w2, eg.tensor(np.zeros(1))), eg.linear(h, w2, eg.tensor(np.zeros(1)))))
 
         report = grad_check(loss_fn, {"w1": w1, "b1": b1, "w2": w2}, tol=1e-4)
         assert report.ok, report.summary()
@@ -535,18 +541,18 @@ class TestGradCheck:
         elif op == "conv":
             w = eg.parameter(rng.standard_normal((3, 2, 3, 3)), dtype=np.float64)
             pr = eg.tensor(rng.standard_normal((3, 3, 3)), dtype=np.float64)
-            fn = lambda: eg.sum_(eg.mul(eg.conv2d(x, w, np.zeros(3), stride=2, pad=PadMode("circular", 1)), pr))
+            fn = lambda: eg.sum_(eg.mul(eg.conv2d(x, w, eg.tensor(np.zeros(3)), stride=2, pad=PadMode("circular", 1)), pr))
             assert grad_check(fn, {"x": x, "w": w}, tol=1e-4).ok
             return
         elif op == "dw":
             w = eg.parameter(rng.standard_normal((2, 3, 3)), dtype=np.float64)
-            fn = lambda: eg.sum_(eg.mul(eg.depthwise_conv2d(x, w, np.zeros(2), pad=PadMode.zeros(1)), probe))
+            fn = lambda: eg.sum_(eg.mul(eg.depthwise_conv2d(x, w, eg.tensor(np.zeros(2)), pad=PadMode.zeros(1)), probe))
             assert grad_check(fn, {"x": x, "w": w}, tol=1e-4).ok
             return
         elif op == "xcorr":
             z = eg.parameter(rng.standard_normal((2, 3, 3)), dtype=np.float64)
             pr = eg.tensor(rng.standard_normal((2, 4, 4)), dtype=np.float64)
-            fn = lambda: eg.sum_(eg.mul(eg.depthwise_xcorr(z, x), pr))
+            fn = lambda: eg.sum_(eg.mul(eg.depthwise_xcorr(z, x, PadMode.zeros(0)), pr))
             assert grad_check(fn, {"x": x, "z": z}, tol=1e-4).ok
             return
         elif op == "minmax":
@@ -567,6 +573,11 @@ class TestPadMode:
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
             PadMode("reflect", 1)
+
+    @pytest.mark.parametrize("amount", [1.5, 2.0, True, -1])
+    def test_amount_must_be_an_int_at_least_0(self, amount):
+        with pytest.raises(ValueError, match=f"pad amount must be an int >= 0, got {amount}"):
+            PadMode("zeros", amount)
 
     def test_same_helper(self):
         assert PadMode.same("zeros", 7) == PadMode.zeros(3)
@@ -626,13 +637,13 @@ LAYOUT_CASES = {
     "linear": (eg.linear, [_normal((5, 4)), _normal((4, 3)), _normal((3,))]),
     "conv2d": (lambda x, w, b: eg.conv2d(x, w, b, stride=1, pad=PadMode.zeros(1)),
                [_normal((2, 6, 5)), _normal((3, 2, 3, 3)), _normal((3,))]),
-    "conv2d:tiled": (lambda x, w, b: eg.conv2d(x, w, b, stride=2, pad=PadMode.valid()),
+    "conv2d:tiled": (lambda x, w, b: eg.conv2d(x, w, b, stride=2, pad=PadMode.zeros(0)),
                      [_normal((2, 6, 4)), _normal((3, 2, 2, 2)), _normal((3,))]),
-    "conv2d:circular": (lambda x, w: eg.conv2d(x, w, np.zeros(3), stride=2, pad=PadMode("circular", 1)),
+    "conv2d:circular": (lambda x, w: eg.conv2d(x, w, eg.tensor(np.zeros(3)), stride=2, pad=PadMode("circular", 1)),
                         [_normal((2, 6, 6)), _normal((3, 2, 3, 3))]),
     "depthwise_conv2d": (lambda x, w, b: eg.depthwise_conv2d(x, w, b, pad=PadMode.zeros(1)),
                          [_normal((4, 6, 5)), _normal((4, 3, 3)), _normal((4,))]),
-    "depthwise_conv2d:circular": (lambda x, w: eg.depthwise_conv2d(x, w, np.zeros(4),
+    "depthwise_conv2d:circular": (lambda x, w: eg.depthwise_conv2d(x, w, eg.tensor(np.zeros(4)),
                                                                    pad=PadMode("circular", 1)),
                                   [_normal((4, 5, 6)), _normal((4, 3, 3))]),
     "depthwise_xcorr": (lambda z, x: eg.depthwise_xcorr(z, x, pad=PadMode.zeros(1)),
@@ -721,8 +732,6 @@ class TestLayouts:
         for ki in range(kh):
             for kj in range(kw):
                 gp[:, ki : ki + ho, kj : kj + wo] += g * w[:, ki, kj][:, None, None]
-        if pad.kind == "valid":
-            return gp
         if pad.kind == "zeros":
             return gp[:, p : p + h, p : p + wid]
         rows = gp[:, p : p + h].copy()
@@ -736,7 +745,7 @@ class TestLayouts:
     @staticmethod
     def _depthwise_grads(x, k, g, pad):
         xt, kt = eg.parameter(x), eg.parameter(k)
-        out = eg.depthwise_conv2d(xt, kt, np.zeros(len(k)), pad=pad)
+        out = eg.depthwise_conv2d(xt, kt, eg.tensor(np.zeros(len(k))), pad=pad)
         eg.backward(eg.sum_(eg.mul(out, eg.tensor(g, dtype=g.dtype))))
         return xt.grad, kt.grad
 
@@ -745,7 +754,7 @@ class TestLayouts:
     # columns of 64 channels (64, 32, 32)
     DEPTHWISE_SHAPES = [(16, 9, 7), (640, 32, 32), (64, 45, 37), (64, 32, 32)]
 
-    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.valid()])
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.zeros(0)])
     def test_depthwise_bit_equal_to_tap_loop(self, rng, pad):
         for c, h, w in self.DEPTHWISE_SHAPES:
             x = rng.standard_normal((c, h, w)).astype(np.float32)
@@ -756,7 +765,7 @@ class TestLayouts:
                 got = eg.depthwise_conv2d(eg.tensor(xin), eg.tensor(k), eg.tensor(b), pad=pad).data
                 np.testing.assert_array_equal(got, want, err_msg=f"shape {(c, h, w)}")
 
-    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.valid()])
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.zeros(0)])
     def test_depthwise_input_grad_bit_equal_to_scatter_loop(self, rng, pad):
         for c, h, w in self.DEPTHWISE_SHAPES:
             x = rng.standard_normal((c, h, w)).astype(np.float32)
@@ -767,7 +776,7 @@ class TestLayouts:
                 got, _ = self._depthwise_grads(xin, k, g, pad)
                 np.testing.assert_array_equal(got, want, err_msg=f"shape {(c, h, w)}")
 
-    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.valid()])
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.zeros(0)])
     def test_depthwise_kernel_grad_near_float64(self, rng, pad):
         for c, h, w in self.DEPTHWISE_SHAPES:
             x = rng.standard_normal((c, h, w)).astype(np.float32)
@@ -785,7 +794,7 @@ class TestLayouts:
                 rel = np.abs(got - want).max() / np.abs(want).max()
                 assert rel < 5e-7, f"shape {(c, h, w)}: {rel:.2e}"
 
-    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.valid()])
+    @pytest.mark.parametrize("pad", [PadMode.zeros(1), PadMode("circular", 1), PadMode.zeros(0)])
     def test_depthwise_column_runs_are_views(self, rng, pad, monkeypatch):
         """Every tap sum, forward and input gradient, reads its merged
         (column, channel) runs as a view of the padded buffer: a copy would
@@ -797,7 +806,7 @@ class TestLayouts:
         xl = eg._channels_last(x, pad)
         ho, wo = xl.shape[0] - 2, xl.shape[1] - 2
         assert np.shares_memory(eg._column_runs(eg._windows(xl, 3, 3, ho, wo)), xl)
-        out = eg.depthwise_conv2d(eg.parameter(x), eg.tensor(rng.standard_normal((64, 3, 3))), np.zeros(64),
+        out = eg.depthwise_conv2d(eg.parameter(x), eg.tensor(rng.standard_normal((64, 3, 3))), eg.tensor(np.zeros(64)),
                                   pad=pad)
         eg.backward(eg.sum_(out))
         assert len(runs) == 3  # the direct call, the forward and the input gradient
@@ -806,15 +815,15 @@ class TestLayouts:
         fwd, grad = runs[1][1], runs[2][1]
         # wo = 32 (30 unpadded): 16 (15) columns of 64 channels per run; the
         # circular input gradient spans the 34 padded columns, so 2
-        assert fwd.shape[-1] == 64 * (15 if pad.kind == "valid" else 16)
+        assert fwd.shape[-1] == 64 * (15 if pad.amount == 0 else 16)
         assert grad.shape[-1] == 64 * (2 if pad.kind == "circular" else 16)
 
     def test_depthwise_xcorr_bit_equal_to_tap_loop(self, rng):
         z = rng.standard_normal((160, 8, 8)).astype(np.float32)
         x = rng.standard_normal((160, 32, 32)).astype(np.float32)
-        want = self._depthwise_tap_loop(x, z, PadMode.valid())
+        want = self._depthwise_tap_loop(x, z, PadMode.zeros(0))
         for xin in (x, _other_layout(x)):
-            got = eg.depthwise_xcorr(eg.tensor(z), eg.tensor(xin)).data
+            got = eg.depthwise_xcorr(eg.tensor(z), eg.tensor(xin), PadMode.zeros(0)).data
             np.testing.assert_array_equal(got, want)
 
     @staticmethod
@@ -840,11 +849,11 @@ class TestLayouts:
     @staticmethod
     def _conv_input_grad(x, w, g, stride, pad):
         xt = eg.parameter(x)
-        out = eg.conv2d(xt, eg.tensor(w), np.zeros(len(w)), stride=stride, pad=pad)
+        out = eg.conv2d(xt, eg.tensor(w), eg.tensor(np.zeros(len(w))), stride=stride, pad=pad)
         eg.backward(eg.sum_(eg.mul(out, eg.tensor(g))))
         return xt.grad
 
-    @pytest.mark.parametrize("pad", [PadMode.valid(), PadMode.zeros(1), PadMode("circular", 2)],
+    @pytest.mark.parametrize("pad", [PadMode.zeros(0), PadMode.zeros(1), PadMode("circular", 2)],
                              ids=str)
     def test_conv2d_tiled_input_grad_bit_equal_to_tap_loop(self, rng, pad):
         """stride == kernel: the windows tile the input, and the gradient is
@@ -874,13 +883,13 @@ class TestLayouts:
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("stride,k,pad", [(2, 3, PadMode.zeros(1)), (1, 3, PadMode.zeros(1)),
-                                              (4, 7, PadMode.zeros(3)), (2, 2, PadMode.valid())], ids=str)
+                                              (4, 7, PadMode.zeros(3)), (2, 2, PadMode.zeros(0))], ids=str)
     def test_conv2d_input_grad_is_compact(self, rng, stride, k, pad):
         """Under zero or no padding the input gradient is a channels-first
         view of an unpadded channels-last buffer, so the reshape to tokens
         that `blocks.map_of` records takes it without a copy."""
         x = rng.standard_normal((16, 32, 32)).astype(np.float32)
-        out = eg.conv2d(eg.parameter(x), eg.tensor(rng.standard_normal((8, 16, k, k))), np.zeros(8),
+        out = eg.conv2d(eg.parameter(x), eg.tensor(rng.standard_normal((8, 16, k, k))), eg.tensor(np.zeros(8)),
                         stride=stride, pad=pad)
         gx = out._partials[0](rng.standard_normal(out.shape).astype(np.float32))
         assert gx.shape == x.shape and gx.transpose(1, 2, 0).flags.c_contiguous

@@ -9,6 +9,7 @@ import pytest
 
 from sbtrack import scenes
 from sbtrack.boxes import Box
+from sbtrack.engine import ShapeError
 
 SHORT = scenes.SceneConfig(length=4, distractors=2)
 
@@ -268,3 +269,9 @@ class TestDiskFormats:
         assert data[: len(header)] == header
         np.testing.assert_array_equal(np.frombuffer(data[len(header):], dtype=np.uint8),
                                       [0, 255, 0, 128, 0, 0])
+
+    @pytest.mark.parametrize("shape", [(1, 4, 5), (5,), ()])
+    def test_pgm_needs_a_2d_image(self, tmp_path, shape):
+        with pytest.raises(ShapeError, match="2-d image"):
+            scenes.write_pgm(np.zeros(shape), tmp_path / "m.pgm")
+        assert not (tmp_path / "m.pgm").exists()

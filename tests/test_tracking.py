@@ -80,6 +80,11 @@ class TestCrop:
         with pytest.raises(ValueError, match=f"{field} must be"):
             tk.crop_region(frame, Box(10, 10, 20, 20), factor, out_size)
 
+    @pytest.mark.parametrize("shape", [(48, 64), (1, 3, 48, 64), (3, 0, 64), (3, 48, 0)])
+    def test_frame_of_another_layout_rejected(self, shape):
+        with pytest.raises(eg.ShapeError, match=r"frame must be \[c, h, w\]"):
+            tk.crop_region(np.zeros(shape, dtype=np.float32), Box(10, 10, 20, 20), 2.0, 16)
+
     @settings(max_examples=60, deadline=None)
     @given(boxes(), boxes(), st.sampled_from([16, 64, 128]))
     def test_to_frame_inverts_to_crop(self, ref, b, out_size):

@@ -292,7 +292,7 @@ class TestAdamW:
         g = np.array([0.3, -0.7])
         p = eg.parameter(np.array([1.0, 1.0]))
         state: dict = {}
-        tr.adamw_step([p], [g.copy()], state, lr=0.01)
+        tr.adamw_step([p], [g.copy()], state, lr=0.01, weight_decay=0.0)
         # bias-corrected first step: m_hat = g, v_hat = g^2
         want = 1.0 - 0.01 * (g / (np.abs(g) + 1e-8))
         np.testing.assert_allclose(p.data, want, rtol=1e-6)
@@ -359,6 +359,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"clip_norm must be > 0.*got {value}"):
             tr.TrainConfig(clip_norm=value)
 
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_clip_norm_must_be_a_real(self, value):
+        with pytest.raises(ValueError, match="clip_norm must be > 0.*a real, not a bool"):
+            tr.TrainConfig(clip_norm=value)
+
     def test_infinite_clip_norm_never_clips(self):
         p = eg.parameter(np.zeros(2))
         p.grad = np.array([30.0, 40.0])
@@ -375,6 +380,12 @@ class TestTrainConfig:
     def test_integer_fields_must_be_ints(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             tr.TrainConfig(**{field: value})
+
+
+class TestMakeTrainingExamples:
+    def test_empty_sequence_list_rejected(self, rng):
+        with pytest.raises(ValueError, match="the sequence list is empty"):
+            tr.make_training_examples([], 4, 64, 128, rng)
 
 
 def _toy_dataset(rng, n=3, search=128, template=64):
