@@ -177,13 +177,13 @@ def _merge_heads(att: Tensor, cfg: AttnConfig) -> Tensor:
     return eg.reshape(eg.transpose(att, (1, 0, 2)), (t, cfg.dim))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, head_dim: int) -> Tensor:
-    """Scaled dot-product attention over [heads, t, d] queries, keys and values."""
-    if q.shape[-1] != head_dim or k.shape[-1] != head_dim or v.shape[-1] != head_dim:
-        raise ShapeError(f"head dim mismatch: {q.shape}, {k.shape}, {v.shape} vs {head_dim}")
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention over [heads, t, d] queries, keys and values; d is q's."""
+    if not q.shape[-1] == k.shape[-1] == v.shape[-1]:
+        raise ShapeError(f"head dim mismatch: {q.shape}, {k.shape}, {v.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError("key/value token counts differ")
-    scores = eg.mul(eg.matmul(q, eg.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(head_dim))
+    scores = eg.mul(eg.matmul(q, eg.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
     return eg.matmul(eg.softmax_last_dim(scores), v)
 
 
@@ -198,7 +198,7 @@ def attend(f: Tensor, f_q: Tensor, f_kv: Tensor, cfg: AttnConfig, w: dict[str, T
     q = _split_heads(eg.linear(tokens_of(f_q), w["q_weight"], w["q_bias"]), cfg)
     k = _split_heads(eg.linear(_kv_tokens(f_kv, cfg, w), w["k_weight"], w["k_bias"]), cfg)
     v = _split_heads(eg.linear(_kv_tokens(f_kv, cfg, w), w["v_weight"], w["v_bias"]), cfg)
-    att = attention(q, k, v, cfg.head_dim)
+    att = attention(q, k, v)
     out_tok = eg.linear(_merge_heads(att, cfg), w["out_weight"], w["out_bias"])
     return eg.add(f, map_of(out_tok, f_q.shape[1:]))
 

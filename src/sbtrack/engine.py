@@ -156,12 +156,13 @@ def no_grad():
 
 
 class Tensor:
-    """Dense n-d float array with an optional same-shape gradient."""
+    """Dense n-d float array with an optional same-shape gradient; `data` of
+    a dtype other than float32 or float64 is cast to float32."""
 
     __slots__ = ("data", "grad", "requires_grad", "_inputs", "_partials")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
@@ -213,13 +214,13 @@ class Tensor:
 
 
 def tensor(data, dtype=np.float32) -> Tensor:
-    """Constant (non-trained) tensor."""
-    return Tensor(data, requires_grad=False, dtype=dtype)
+    """Constant (non-trained) tensor of `data` cast to `dtype`, float32 by default."""
+    return Tensor(np.asarray(data, dtype=dtype))
 
 
-def parameter(data, dtype=None) -> Tensor:
-    """Trainable tensor (receives a gradient on backward)."""
-    return Tensor(data, requires_grad=True, dtype=dtype)
+def parameter(data) -> Tensor:
+    """Trainable tensor (receives a gradient on backward) of `data`'s dtype, as for `Tensor`."""
+    return Tensor(data, requires_grad=True)
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:

@@ -122,19 +122,17 @@ class ModelConfig:
                 st.attn
             except ValueError as exc:  # channels not divisible by heads, and the like
                 raise ConfigError(f"stage {i}: {exc}") from exc
-        if self.is_classifier:
-            if any(st.ca_positions for st in self.stages):
-                raise ConfigError("classification variant runs one branch; ca_positions must be empty")
-        else:
-            for size, label in ((self.template_size, "template"), (self.search_size, "search")):
-                grid = size
-                for i, st in enumerate(self.stages, 1):
-                    if grid % st.stride:
-                        raise ConfigError(f"{label} size {size}: stage {i} stride does not divide grid {grid}")
-                    grid //= st.stride
-                    if st.reduction > 1 and grid % st.reduction:
-                        raise ConfigError(
-                            f"{label} size {size}: stage {i} reduction {st.reduction} does not divide grid {grid}")
+        if self.is_classifier and any(st.ca_positions for st in self.stages):
+            raise ConfigError("classification variant runs one branch; ca_positions must be empty")
+        for size, label in ((self.template_size, "template"), (self.search_size, "search")):
+            grid = size
+            for i, st in enumerate(self.stages, 1):
+                if grid % st.stride:
+                    raise ConfigError(f"{label} size {size}: stage {i} stride does not divide grid {grid}")
+                grid //= st.stride
+                if st.reduction > 1 and grid % st.reduction:
+                    raise ConfigError(
+                        f"{label} size {size}: stage {i} reduction {st.reduction} does not divide grid {grid}")
 
 
 # -- presets -----------------------------------------------------------------
@@ -207,6 +205,15 @@ def classifier_config(name: str, num_classes: int, image_size: int = 224) -> Mod
 # -- model -------------------------------------------------------------------
 
 
+def _steps(config: ModelConfig) -> Iterator[tuple[int, int, StageConfig, str]]:
+    """The backbone's steps in forward order as (stage, block, stage config, owner
+    of its weights), 1-based except that block 0 is the stage's patch embedding."""
+    for si, st in enumerate(config.stages, 1):
+        yield si, 0, st, f"stage{si}.patch"
+        for bi in range(1, st.depth + 1):
+            yield si, bi, st, f"stage{si}.block{bi}"
+
+
 def iter_parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Every parameter's (name, shape), without allocating any, one owner's
     shape table at a time.  The order is the weight file's order and the
@@ -216,10 +223,9 @@ def iter_parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int,
         return ((f"{prefix}.{name}", shape) for name, shape in table.items())
 
     c_in = 3
-    for si, st in enumerate(config.stages, 1):
-        yield from owned(f"stage{si}.patch", bl.patch_embed_shapes(c_in, st.channels, st.kernel))
-        for bi in range(1, st.depth + 1):
-            yield from owned(f"stage{si}.block{bi}", bl.block_shapes(st.attn))
+    for _, bi, st, owner in _steps(config):
+        yield from owned(owner, bl.block_shapes(st.attn) if bi else
+                         bl.patch_embed_shapes(c_in, st.channels, st.kernel))
         c_in = st.channels
     if config.is_classifier:
         yield from owned("classifier", {"weight": (c_in, config.num_classes), "bias": (config.num_classes,)})
@@ -257,7 +263,7 @@ class Model:
         return list(self.params.values())
 
 
-def build_model(config: ModelConfig, seed: int = 0) -> Model:
+def build_model(config: ModelConfig, seed: int) -> Model:
     """Deterministic construction: every entry of `parameter_shapes(config)`,
     in order, takes `blocks.initial_value` from one rng seeded with `seed`."""
     rng = np.random.default_rng(seed)
@@ -279,20 +285,10 @@ def _as_input(f) -> Tensor:
     return eg.tensor(np.asarray(f))
 
 
-def _schedule(model: Model):
-    """The backbone's steps in forward order as (stage, block, stage config,
-    weights), both indices 1-based except that block 0 is the stage's patch
-    embedding."""
-    for si, st in enumerate(model.config.stages, 1):
-        yield si, 0, st, model.by_owner[f"stage{si}.patch"]
-        for bi in range(1, st.depth + 1):
-            yield si, bi, st, model.by_owner[f"stage{si}.block{bi}"]
-
-
 @dataclass(frozen=True)
 class BranchState:
     """One branch part-way through the backbone: its [c, h, w] features
-    `tensor` right after step `after` = (stage, block) of the schedule."""
+    `tensor` right after step `after` = (stage, block) of `_steps`."""
 
     tensor: Tensor
     after: tuple[int, int]
@@ -300,7 +296,7 @@ class BranchState:
 
 def _walk(model: Model, z, x=None, trace: dict | None = None,
           ) -> tuple[BranchState, BranchState | None]:
-    """Run each branch through the schedule's steps after its own `after`.
+    """Run each branch through the `_steps` after its own `after`.
 
     A branch is an image (no step run yet) or a `BranchState`.  Without `x`
     the template runs alone and stops before its first CA block; with both,
@@ -310,16 +306,16 @@ def _walk(model: Model, z, x=None, trace: dict | None = None,
     pad = model.config.pad_mode
     fz, z_after = (z.tensor, z.after) if isinstance(z, BranchState) else (z, (0, 0))
     fx, x_after = (x.tensor, x.after) if isinstance(x, BranchState) else (x, (0, 0))
-    for si, bi, st, w in _schedule(model):
+    for si, bi, st, owner in _steps(model.config):
         run_z, run_x = (si, bi) > z_after, x is not None and (si, bi) > x_after
         if not (run_z or run_x):
             continue
+        w = model.by_owner[owner]
         if bi == 0:
             if run_z:
                 fz = bl.patch_embed(_as_input(fz), w, st.stride, pad)
             if run_x:
                 fx = bl.patch_embed(_as_input(fx), w, st.stride, pad)
-            key = ("embed", si)
         else:
             mode = CA if bi in st.ca_positions else SA
             if mode == CA and not (run_z and run_x):
@@ -329,14 +325,12 @@ def _walk(model: Model, z, x=None, trace: dict | None = None,
                                  f"stands after {z_after}, the search after {x_after}")
             oz, ox = bl.eoc_block(fz if run_z else None, fx if run_x else None, mode, st.attn, w, pad)
             fz, fx = (oz if run_z else fz), (ox if run_x else fx)
-            key = ("block", si, bi)
-        if trace is not None:
-            if run_z:
-                trace[(*key, "z")] = fz.data.copy(order="K")
-            if run_x:
-                trace[(*key, "x")] = fx.data.copy(order="K")
         z_after = (si, bi) if run_z else z_after
         x_after = (si, bi) if run_x else x_after
+        if trace is not None:
+            for branch, f, ran in (("z", fz, run_z), ("x", fx, run_x)):
+                if ran:
+                    trace[(si, bi, branch)] = BranchState(f, (si, bi))
     return BranchState(fz, z_after), None if x is None else BranchState(fx, x_after)
 
 
@@ -353,12 +347,14 @@ def run_backbone(model: Model, z, x, trace: dict | None = None,
     """Run the template and search branches through the stage/block schedule.
 
     Each branch is an image or a `BranchState`, which runs only the steps
-    after its `after`: a `template_prefix`, or snapshots of both branches
-    taken after one step (block 0 being the stage's patch embedding).  A CA
+    after its `after`: a `template_prefix`, or the trace entries of both
+    branches at one step (block 0 being the stage's patch embedding).  A CA
     block that only one branch would run raises `ValueError`.  Returns both
     branches' states after the last step; their `tensor`s feed `run_heads`.
-    `trace`, when given, receives a copy of the output of every step that
-    ran, keyed by ('embed', stage, branch) or ('block', stage, block, branch).
+    `trace`, when given, receives each branch's state after every step it
+    ran, keyed by (stage, block, branch) with branch "z" or "x".  These are
+    the walk's own tensors, not copies: an engine op writes only into arrays
+    it allocated, and never after returning them, so no later step changes them.
     """
     return _walk(model, z, x, trace)
 

@@ -38,12 +38,6 @@ _SEED = 0  # the oracle table's inputs are drawn from (_SEED, oracle index)
 _EQ8_TRIALS = 100  # random shapes the eq-8 oracle checks
 
 
-def _as_array(f) -> np.ndarray:
-    if hasattr(f, "data"):
-        return np.asarray(f.data)
-    return np.asarray(f)
-
-
 def apply_pointwise_filters(filters: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Dynamic 1x1 convolution: filters [m, c] applied to x [c, h, w] -> [m, h, w]."""
     if filters.ndim != 2 or x.ndim != 3 or filters.shape[1] != x.shape[0]:
@@ -62,9 +56,9 @@ def ca_as_dynamic_conv(z, x, z_values=None) -> np.ndarray:
     `z_values` substitutes a separate value template (projected-weights
     variant).
     """
-    z = _as_array(z)
-    x = _as_array(x)
-    zv = z if z_values is None else _as_array(z_values)
+    z = np.asarray(z)
+    x = np.asarray(x)
+    zv = z if z_values is None else np.asarray(z_values)
     if z.ndim != 3 or x.ndim != 3:
         raise ShapeError("expected [c, h, w] feature maps")
     if z.shape[0] != x.shape[0] or zv.shape != z.shape:
@@ -95,8 +89,8 @@ def depthwise_correlation(z, x) -> np.ndarray:
     z [c, hz, wz], x [c, hx, wx] -> [c, hx-hz+1, wx-wz+1].  Exactly one
     template-derived dynamic filter application.
     """
-    z = _as_array(z)
-    x = _as_array(x)
+    z = np.asarray(z)
+    x = np.asarray(x)
     if z.ndim != 3 or x.ndim != 3 or z.shape[0] != x.shape[0]:
         raise ShapeError(f"operand shapes disagree: {z.shape} vs {x.shape}")
     c, hz, wz = z.shape
@@ -154,18 +148,15 @@ def serial_hierarchy_trace(model, z, x) -> SerialTrace:
         cls_ref, reg_ref = md.run_heads(model, fz.tensor, fx.tensor)
         residual = 0.0
         for si, bi in ca_blocks:
-            snap_z, snap_x = (
-                md.BranchState(eg.tensor(trace[("block", si, bi, b)]), (si, bi))
-                for b in ("z", "x"))
-            rz, rx = md.run_backbone(model, snap_z, snap_x)
+            rz, rx = md.run_backbone(model, trace[(si, bi, "z")], trace[(si, bi, "x")])
             cls2, reg2 = md.run_heads(model, rz.tensor, rx.tensor)
             residual = max(residual,
                            float(np.abs(cls2.data - cls_ref.data).max()),
                            float(np.abs(reg2.data - reg_ref.data).max()))
     return SerialTrace(
         positions=ca_blocks,
-        template=[trace[("block", si, bi, "z")] for si, bi in ca_blocks],
-        search=[trace[("block", si, bi, "x")] for si, bi in ca_blocks],
+        template=[trace[(si, bi, "z")].tensor.data for si, bi in ca_blocks],
+        search=[trace[(si, bi, "x")].tensor.data for si, bi in ca_blocks],
         recomposition_residual=residual,
     )
 

@@ -283,7 +283,7 @@ class TrackingSuite:
 _EVAL_OFFSET = 10_000
 
 
-def make_suite(cfg: SceneConfig, n_train: int, n_eval: int, seed: int = 0) -> TrackingSuite:
+def make_suite(cfg: SceneConfig, n_train: int, n_eval: int, seed: int) -> TrackingSuite:
     """Train sequence i has seed `seed + i`, eval sequence i `seed + 10000 + i`."""
     if n_train > _EVAL_OFFSET:
         raise ValueError(f"n_train {n_train} > {_EVAL_OFFSET} would share seeds with the eval split")

@@ -10,6 +10,7 @@ prediction each frame, with no windowing or penalty on the score map.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,14 +119,15 @@ def crop_region(frame: np.ndarray, box: Box, factor: float, out_size: int,
 
     Side is factor * sqrt(w * h); out-of-frame area is filled with the
     per-channel frame mean.  The returned meta inverts the mapping.
-    `frame` must be [c, h, w] with h, w >= 1, `factor` finite and positive,
-    `out_size` an int >= 1.
+    `frame` must be [c, h, w] with h, w >= 1, `factor` a finite real > 0
+    that is not a bool, `out_size` an int >= 1.
     """
     frame = np.asarray(frame)
     if frame.ndim != 3 or min(frame.shape[1:]) < 1:
         raise ShapeError(f"frame must be [c, h, w] with h, w >= 1, got shape {frame.shape}")
-    if not (factor > 0 and math.isfinite(factor)):
-        raise ValueError(f"factor must be finite and positive, got {factor!r}")
+    if not (isinstance(factor, numbers.Real) and not isinstance(factor, bool)
+            and math.isfinite(factor) and factor > 0):
+        raise ValueError(f"factor must be a finite real > 0, not a bool; got {factor!r}")
     if type(out_size) is not int or out_size < 1:
         raise ValueError(f"out_size must be an int >= 1, got {out_size!r}")
     side = factor * float(np.sqrt(box.w * box.h))

@@ -99,7 +99,6 @@ class TrainConfig:
 class TargetMap:
     labels: np.ndarray  # [hs, ws] in {0, 1}
     reg: np.ndarray  # [4, hs, ws] normalized l/t/r/b distances
-    positives: int
 
 
 def assign_targets(gt_box: Box, grid: tuple[int, int], crop_size: float) -> TargetMap:
@@ -119,7 +118,7 @@ def assign_targets(gt_box: Box, grid: tuple[int, int], crop_size: float) -> Targ
         gt_box.x2 - np.broadcast_to(cx[None, :], (hs, ws)),
         gt_box.y2 - np.broadcast_to(cy[:, None], (hs, ws)),
     ]).astype(np.float32) / (crop_size / 2.0)
-    return TargetMap(labels=labels, reg=reg, positives=int(labels.sum()))
+    return TargetMap(labels=labels, reg=reg)
 
 
 # -- losses -----------------------------------------------------------------------
@@ -182,9 +181,9 @@ def total_loss(cls_term, giou_term, l1_term) -> Tensor:
 # -- optimizer ---------------------------------------------------------------------
 
 
-def adamw_step(params: list[Tensor], grads: list[np.ndarray], state: dict, lr: float,
-               weight_decay: float) -> list[Tensor]:
-    """One decoupled-weight-decay Adam update, in place.
+def adamw_step(params: list[Tensor], state: dict, lr: float, weight_decay: float) -> list[Tensor]:
+    """One decoupled-weight-decay Adam update of each parameter from its
+    `grad` (None counts as zero), in place.
 
     `state` persists across calls; pass the same dict each step.  A zero
     gradient at t=1 reduces to pure decay: w <- w * (1 - lr * wd).
@@ -198,8 +197,8 @@ def adamw_step(params: list[Tensor], grads: list[np.ndarray], state: dict, lr: f
     b1, b2 = _ADAM_BETAS
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        g = np.zeros_like(p.data) if g is None else g
+    for p, m, v in zip(params, state["m"], state["v"]):
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
         m *= b1
         m += (1 - b1) * g
         v *= b2
@@ -210,10 +209,12 @@ def adamw_step(params: list[Tensor], grads: list[np.ndarray], state: dict, lr: f
 
 def clip_global_norm(params: list[Tensor], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most `max_norm`, and
-    return the norm before scaling.  `max_norm` must be > 0; inf means no
-    clipping, and NaN, 0 or a negative bound raise `ValueError`."""
-    if not max_norm > 0:
-        raise ValueError(f"max_norm must be > 0 (inf for no clipping), got {max_norm}")
+    return the norm before scaling.  `max_norm` must be a real > 0 that is
+    not a bool, as `TrainConfig.clip_norm`; inf means no clipping, and any
+    other bound raises `ValueError`."""
+    if not (isinstance(max_norm, numbers.Real) and not isinstance(max_norm, bool) and max_norm > 0):
+        raise ValueError(f"max_norm must be > 0 (inf for no clipping) and a real, not a bool; "
+                         f"got {max_norm!r}")
     total = 0.0
     for p in params:
         if p.grad is not None:
@@ -310,8 +311,8 @@ def train(model, dataset: list[TrainExample], tc: TrainConfig,
     if not dataset:
         raise ValueError("empty training set")
     rng = np.random.default_rng(tc.seed)
-    head_params = [t for n, t in model.params.items() if n.startswith(("head.", "classifier."))]
-    back_params = [t for n, t in model.params.items() if not n.startswith(("head.", "classifier."))]
+    head_params = [t for n, t in model.params.items() if n.startswith("head.")]
+    back_params = [t for n, t in model.params.items() if not n.startswith("head.")]
     all_params = head_params + back_params
     head_state: dict = {}
     back_state: dict = {}
@@ -342,10 +343,9 @@ def train(model, dataset: list[TrainExample], tc: TrainConfig,
                         if t.grad is not None and not np.isfinite(t.grad).all()), None)
             raise ValueError(f"step {step}: gradient of {bad} is not finite (global norm {norm}); "
                              f"no parameter was updated")
-        adamw_step(head_params, [p.grad for p in head_params], head_state,
-                   lr=tc.lr_head * lr_scale, weight_decay=tc.weight_decay)
-        adamw_step(back_params, [p.grad for p in back_params], back_state,
-                   lr=tc.lr_backbone * lr_scale, weight_decay=tc.weight_decay)
+        adamw_step(head_params, head_state, lr=tc.lr_head * lr_scale, weight_decay=tc.weight_decay)
+        adamw_step(back_params, back_state, lr=tc.lr_backbone * lr_scale,
+                   weight_decay=tc.weight_decay)
         if (step + 1) % tc.probe_every == 0 or step + 1 == tc.steps:
             probe_val = _probe_iou(model, probe)
         log.rows.append((step, acc[0], acc[1], acc[2], acc[3], tc.lr_head * lr_scale, probe_val))

@@ -29,7 +29,7 @@ def make_weights(rng, cfg):
 
 def as_float64(w):
     """The float32 init `w` cast to float64 parameters."""
-    return {name: eg.parameter(t.data, dtype=np.float64) for name, t in w.items()}
+    return {name: eg.parameter(t.data.astype(np.float64)) for name, t in w.items()}
 
 
 class TestPatchEmbed:
@@ -59,7 +59,7 @@ def projections(monkeypatch, f_q, f_kv, cfg, w):
     way into `bl.attention`."""
     seen = []
     attention = bl.attention
-    monkeypatch.setattr(bl, "attention", lambda q, k, v, d: seen.extend((q, k, v)) or attention(q, k, v, d))
+    monkeypatch.setattr(bl, "attention", lambda q, k, v: seen.extend((q, k, v)) or attention(q, k, v))
     bl.attend(f_q, f_q, f_kv, cfg, w)
     return seen
 
@@ -116,10 +116,10 @@ class TestQkvProject:
         assert np.abs(got - want).max() < 1e-5
 
 
-def one_head(q, k, v, head_dim):
+def one_head(q, k, v):
     """`bl.attention` on [t, d] arrays as a single head (float32)."""
     head = lambda a: eg.tensor(np.asarray(a)[None])
-    return bl.attention(head(q), head(k), head(v), head_dim).data[0]
+    return bl.attention(head(q), head(k), head(v)).data[0]
 
 
 class TestAttention:
@@ -127,7 +127,7 @@ class TestAttention:
         q = rng.standard_normal((5, 4))
         k = rng.standard_normal((1, 4))
         v = rng.standard_normal((1, 4)).astype(np.float32)
-        out = one_head(q, k, v, 4)
+        out = one_head(q, k, v)
         np.testing.assert_allclose(out, np.repeat(v, 5, axis=0), atol=1e-6)
 
     def test_identical_keys_average_values(self, rng):
@@ -135,7 +135,7 @@ class TestAttention:
         key = rng.standard_normal(4)
         k = np.stack([key, key])
         v = rng.standard_normal((2, 4)).astype(np.float32)
-        out = one_head(q, k, v, 4)
+        out = one_head(q, k, v)
         np.testing.assert_allclose(out, np.repeat(v.mean(axis=0, keepdims=True), 3, axis=0),
                                    atol=1e-6)
 
@@ -143,20 +143,24 @@ class TestAttention:
         q = rng.standard_normal((6, 4)).astype(np.float32)
         k = rng.standard_normal((9, 4)).astype(np.float32)
         v = rng.standard_normal((9, 4)).astype(np.float32)
-        got = one_head(q, k, v, 4)
+        got = one_head(q, k, v)
         assert np.abs(got - attention_loops(q, k, v, 4)).max() < 1e-5
 
     def test_head_dim_mismatch(self, rng):
         with pytest.raises(eg.ShapeError):
-            one_head(np.zeros((2, 4)), np.zeros((2, 3)), np.zeros((2, 3)), 4)
+            one_head(np.zeros((2, 4)), np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_values_must_have_the_queries_head_dim(self, rng):
+        with pytest.raises(eg.ShapeError, match="head dim mismatch"):
+            one_head(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((2, 3)))
 
     def test_key_value_permutation_invariance(self, rng):
         q = rng.standard_normal((5, 4))
         k = rng.standard_normal((7, 4)).astype(np.float32)
         v = rng.standard_normal((7, 4)).astype(np.float32)
         perm = rng.permutation(7)
-        a = one_head(q, k, v, 4)
-        b = one_head(q, k[perm], v[perm], 4)
+        a = one_head(q, k, v)
+        b = one_head(q, k[perm], v[perm])
         assert np.abs(a - b).max() < 1e-6
 
     def test_query_permutation_equivariance(self, rng):
@@ -164,8 +168,8 @@ class TestAttention:
         k = rng.standard_normal((7, 4))
         v = rng.standard_normal((7, 4))
         perm = rng.permutation(5)
-        a = one_head(q, k, v, 4)
-        b = one_head(q[perm], k, v, 4)
+        a = one_head(q, k, v)
+        b = one_head(q[perm], k, v)
         np.testing.assert_array_equal(a[perm], b)
 
 

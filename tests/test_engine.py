@@ -282,8 +282,8 @@ class TestDepthwiseXcorr:
         assert np.abs(got - want).max() < 1e-5
 
     def test_grad_into_both_operands(self, rng):
-        z = eg.parameter(rng.standard_normal((2, 2, 2)), dtype=np.float64)
-        x = eg.parameter(rng.standard_normal((2, 5, 5)), dtype=np.float64)
+        z = eg.parameter(rng.standard_normal((2, 2, 2)))
+        x = eg.parameter(rng.standard_normal((2, 5, 5)))
         loss = eg.sum_(eg.mul(eg.depthwise_xcorr(z, x, pad=PadMode.zeros(1)), 0.5))
         loss.backward()
         assert z.grad is not None and np.abs(z.grad).sum() > 0
@@ -332,7 +332,7 @@ class TestActivations:
 
 class TestBackward:
     def test_square_gradient(self):
-        x = eg.parameter([3.0], dtype=np.float64)
+        x = eg.parameter(np.array([3.0]))
         loss = eg.sum_(eg.mul(x, x))
         loss.backward()
         np.testing.assert_allclose(x.grad, [6.0])
@@ -356,7 +356,7 @@ class TestBackward:
             eg.backward(eg.mul(x, 2.0))
 
     def test_grad_accumulates_across_calls(self):
-        x = eg.parameter([1.5], dtype=np.float64)
+        x = eg.parameter(np.array([1.5]))
         eg.sum_(eg.mul(x, x)).backward()
         eg.sum_(eg.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, [6.0])
@@ -368,7 +368,7 @@ class TestBackward:
         assert not y.requires_grad and y._inputs == () and y._partials == ()
 
     def test_second_backward_through_released_graph_raises(self):
-        x = eg.parameter([3.0], dtype=np.float64)
+        x = eg.parameter(np.array([3.0]))
         y = eg.mul(x, x)
         loss = eg.sum_(eg.mul(y, 2.0))
         loss.backward()
@@ -380,8 +380,8 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [12.0])
 
     def test_backward_releases_interior_gradients(self):
-        w = eg.parameter([[1.0, 2.0], [3.0, 4.0]], dtype=np.float64)
-        b = eg.parameter([3.0, 0.5], dtype=np.float64)
+        w = eg.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = eg.parameter(np.array([3.0, 0.5]))
         c = eg.tensor([2.0, 3.0], dtype=np.float64)
         h = eg.relu(eg.linear(eg.tensor([[1.0, -1.0]], dtype=np.float64), w, b))
         interior = [h, eg.mul(h, c)]
@@ -459,7 +459,7 @@ class TestBackward:
             np.testing.assert_array_equal(a, b)
 
     def test_interior_node_keeps_its_first_gradient_without_a_copy(self):
-        x = eg.parameter([1.0, 2.0], dtype=np.float64)
+        x = eg.parameter(np.array([1.0, 2.0]))
         y = eg.mul(x, 3.0)  # an interior node
         for t, keeps in ((y, True), (x, False)):
             g1, g2 = np.ones(2), np.full(2, 2.0)
@@ -471,9 +471,9 @@ class TestBackward:
             assert t.grad is not g1 and t.grad is not g2
 
     def test_composed_chain_matches_finite_differences(self, rng):
-        w1 = eg.parameter(rng.standard_normal((4, 5)) * 0.5, dtype=np.float64)
-        b1 = eg.parameter(rng.standard_normal(5) * 0.1, dtype=np.float64)
-        w2 = eg.parameter(rng.standard_normal((5, 1)) * 0.5, dtype=np.float64)
+        w1 = eg.parameter(rng.standard_normal((4, 5)) * 0.5)
+        b1 = eg.parameter(rng.standard_normal(5) * 0.1)
+        w2 = eg.parameter(rng.standard_normal((5, 1)) * 0.5)
         x = rng.standard_normal((3, 4))
 
         def loss_fn():
@@ -492,22 +492,22 @@ class TestTensorSlice:
     ], ids=["repeated", "mask", "slice"])
     def test_gradient_adds_up_over_the_selected_elements(self, idx, want):
         """An element the index selects twice receives both gradients."""
-        p = eg.parameter(np.arange(4.0), dtype=np.float64)
+        p = eg.parameter(np.arange(4.0))
         eg.sum_(p[idx]).backward()
         np.testing.assert_array_equal(p.grad, want)
 
 
 class TestGradCheck:
     def test_linear_layer_passes(self, rng):
-        w = eg.parameter(rng.standard_normal((3, 2)), dtype=np.float64)
-        b = eg.parameter(rng.standard_normal(2), dtype=np.float64)
+        w = eg.parameter(rng.standard_normal((3, 2)))
+        b = eg.parameter(rng.standard_normal(2))
         x = rng.standard_normal((4, 3))
         fn = lambda: eg.sum_(eg.abs_(eg.linear(eg.tensor(x, dtype=np.float64), w, b)))
         assert grad_check(fn, {"w": w, "b": b}, tol=1e-4).ok
 
     def test_one_element_loss_of_any_rank(self):
         assert eg.tensor([1.5]).item() == 1.5
-        w = eg.parameter([[0.5, -1.0]], dtype=np.float64)
+        w = eg.parameter(np.array([[0.5, -1.0]]))
         fn = lambda: eg.matmul(w, eg.tensor([[2.0], [3.0]], dtype=np.float64))  # [1, 1]
         assert grad_check(fn, {"w": w}).ok
 
@@ -516,14 +516,14 @@ class TestGradCheck:
         def bad_double(t):
             return eg._op(t.data * 2.0, (t,), lambda g: g * 3.0)  # wrong on purpose
 
-        w = eg.parameter(rng.standard_normal(4), dtype=np.float64)
+        w = eg.parameter(rng.standard_normal(4))
         fn = lambda: eg.sum_(bad_double(w))
         assert not grad_check(fn, {"w": w}, tol=1e-4).ok
 
     @pytest.mark.parametrize("op", ["softmax", "layernorm", "conv", "dw", "xcorr",
                                     "minmax", "clip", "div", "slice", "leaky_relu"])
     def test_op_gradients(self, rng, op):
-        x = eg.parameter(rng.standard_normal((2, 6, 6)), dtype=np.float64)
+        x = eg.parameter(rng.standard_normal((2, 6, 6)))
         probe = eg.tensor(rng.standard_normal((2, 6, 6)), dtype=np.float64)
 
         if op == "softmax":
@@ -531,26 +531,26 @@ class TestGradCheck:
         elif op == "layernorm":
             # >=4 channels: with 2 the per-position variance can approach eps
             # and finite differences lose accuracy on the resulting curvature.
-            x4 = eg.parameter(rng.standard_normal((4, 5, 5)), dtype=np.float64)
+            x4 = eg.parameter(rng.standard_normal((4, 5, 5)))
             p4 = eg.tensor(rng.standard_normal((4, 5, 5)), dtype=np.float64)
-            g = eg.parameter(rng.standard_normal(4), dtype=np.float64)
-            b = eg.parameter(rng.standard_normal(4), dtype=np.float64)
+            g = eg.parameter(rng.standard_normal(4))
+            b = eg.parameter(rng.standard_normal(4))
             fn = lambda: eg.sum_(eg.mul(eg.layer_norm(x4, g, b, axis=0), p4))
             assert grad_check(fn, {"x": x4, "g": g, "b": b}, tol=1e-4).ok
             return
         elif op == "conv":
-            w = eg.parameter(rng.standard_normal((3, 2, 3, 3)), dtype=np.float64)
+            w = eg.parameter(rng.standard_normal((3, 2, 3, 3)))
             pr = eg.tensor(rng.standard_normal((3, 3, 3)), dtype=np.float64)
             fn = lambda: eg.sum_(eg.mul(eg.conv2d(x, w, eg.tensor(np.zeros(3)), stride=2, pad=PadMode("circular", 1)), pr))
             assert grad_check(fn, {"x": x, "w": w}, tol=1e-4).ok
             return
         elif op == "dw":
-            w = eg.parameter(rng.standard_normal((2, 3, 3)), dtype=np.float64)
+            w = eg.parameter(rng.standard_normal((2, 3, 3)))
             fn = lambda: eg.sum_(eg.mul(eg.depthwise_conv2d(x, w, eg.tensor(np.zeros(2)), pad=PadMode.zeros(1)), probe))
             assert grad_check(fn, {"x": x, "w": w}, tol=1e-4).ok
             return
         elif op == "xcorr":
-            z = eg.parameter(rng.standard_normal((2, 3, 3)), dtype=np.float64)
+            z = eg.parameter(rng.standard_normal((2, 3, 3)))
             pr = eg.tensor(rng.standard_normal((2, 4, 4)), dtype=np.float64)
             fn = lambda: eg.sum_(eg.mul(eg.depthwise_xcorr(z, x, PadMode.zeros(0)), pr))
             assert grad_check(fn, {"x": x, "z": z}, tol=1e-4).ok
@@ -676,7 +676,7 @@ class TestLayouts:
     def test_grad_check_on_non_contiguous_inputs(self, case):
         fn, makers = LAYOUT_CASES[case]
         r = np.random.default_rng(6)
-        params = {f"in{i}": eg.parameter(_other_layout(m(r)), dtype=np.float64)
+        params = {f"in{i}": eg.parameter(_other_layout(m(r)))
                   for i, m in enumerate(makers)}
         with eg.no_grad():
             out_shape = fn(*params.values()).shape
@@ -693,7 +693,7 @@ class TestLayouts:
         arrays = [m(r) for m in makers]
         if not contiguous:
             arrays = [_other_layout(a) for a in arrays]
-        params = [eg.parameter(a, dtype=np.float64) for a in arrays]
+        params = [eg.parameter(a) for a in arrays]
         before = [p.data.copy() for p in params]
         out = fn(*params)
         eg.backward(eg.sum_(eg.mul(out, eg.tensor(r.standard_normal(out.shape), dtype=np.float64))))
@@ -962,7 +962,7 @@ class TestBlocks:
         monkeypatch.setattr(eg, "_BLOCK_BYTES", self.SMALL)
         counts = self._count_blocks(monkeypatch)
         r = np.random.default_rng(12)
-        params = {f"in{i}": eg.parameter(_other_layout(m(r)), dtype=np.float64)
+        params = {f"in{i}": eg.parameter(_other_layout(m(r)))
                   for i, m in enumerate(makers)}
         with eg.no_grad():
             out_shape = fn(*params.values()).shape
@@ -983,7 +983,7 @@ class TestRecording:
     def test_no_grad_records_nothing(self, case):
         fn, makers = LAYOUT_CASES[case]
         r = np.random.default_rng(8)
-        params = [eg.parameter(m(r), dtype=np.float64) for m in makers]
+        params = [eg.parameter(m(r)) for m in makers]
         with eg.no_grad():
             out = fn(*params)
         assert not out.requires_grad
@@ -1000,7 +1000,7 @@ class TestRecording:
         probe = eg.tensor(r.standard_normal(out_shape), dtype=np.float64)
 
         def grads(arrs):
-            ps = [eg.parameter(a, dtype=np.float64) for a in arrs]
+            ps = [eg.parameter(a) for a in arrs]
             eg.sum_(eg.mul(op(*ps), probe)).backward()
             return [p.grad for p in ps]
 

@@ -20,11 +20,6 @@ def rng():
     return np.random.default_rng(42)
 
 
-def snapshot(trace, si, bi, branch):
-    """A branch's state right after block (si, bi) of a traced pass."""
-    return md.BranchState(eg.tensor(trace[("block", si, bi, branch)]), (si, bi))
-
-
 def tiny_file_with_header(tmp_path, config):
     """A saved tiny weight file whose config header is replaced by `config`:
     a `ModelConfig`, stored as `save_weights` stores one, or raw text."""
@@ -138,6 +133,18 @@ class TestConfigValidation:
     def test_presets_and_their_classifiers_validate(self, name):
         assert not md.PRESETS[name]().is_classifier
         assert md.classifier_config(name, 10).is_classifier
+
+    @pytest.mark.parametrize("image_size,match", [(72, "stage 1 reduction 4 does not divide grid 18"),
+                                                  (66, "stage 1 stride does not divide grid 66")])
+    def test_classifier_image_size_must_fit_the_stages(self, image_size, match):
+        """A classifier's image size is checked against the strides and
+        reductions at construction, as a tracker's sizes are."""
+        with pytest.raises(md.ConfigError, match=match):
+            md.classifier_config("tiny", 3, image_size=image_size)
+        d = dataclasses.asdict(md.classifier_config("tiny", 3))
+        d.update(template_size=image_size, search_size=image_size)
+        with pytest.raises(md.ConfigError, match=match):
+            md.config_from_dict(d)
 
 
 class TestBuild:
@@ -309,19 +316,22 @@ class TestForward:
         tr2: dict = {}
         md.run_backbone(m, z1, x, trace=tr1)
         md.run_backbone(m, z2, x, trace=tr2)
-        np.testing.assert_array_equal(tr1[("block", 1, 1, "x")], tr2[("block", 1, 1, "x")])
-        np.testing.assert_array_equal(tr1[("block", 2, 1, "x")], tr2[("block", 2, 1, "x")])
-        np.testing.assert_array_equal(tr1[("block", 3, 1, "x")], tr2[("block", 3, 1, "x")])
-        assert np.abs(tr1[("block", 3, 2, "x")] - tr2[("block", 3, 2, "x")]).max() > 0
-        assert np.abs(tr1[("block", 3, 4, "x")] - tr2[("block", 3, 4, "x")]).max() > 0
+        np.testing.assert_array_equal(tr1[(1, 1, "x")].tensor.data, tr2[(1, 1, "x")].tensor.data)
+        np.testing.assert_array_equal(tr1[(2, 1, "x")].tensor.data, tr2[(2, 1, "x")].tensor.data)
+        np.testing.assert_array_equal(tr1[(3, 1, "x")].tensor.data, tr2[(3, 1, "x")].tensor.data)
+        assert np.abs(tr1[(3, 2, "x")].tensor.data - tr2[(3, 2, "x")].tensor.data).max() > 0
+        assert np.abs(tr1[(3, 4, "x")].tensor.data - tr2[(3, 4, "x")].tensor.data).max() > 0
 
-    def test_resume_backbone_is_bit_exact(self, rng):
-        """Both branches resumed from their snapshots after (3, 2)."""
+    @pytest.mark.parametrize("step", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
+                                      (3, 3), (3, 4)], ids=lambda s: f"{s[0]}-{s[1]}")
+    def test_resume_backbone_is_bit_exact(self, rng, step):
+        """Both branches resumed from their trace entries at `step`, for
+        every step of tiny's backbone (block 0 is a patch embedding)."""
         m = md.build_model(md.tiny_config(), seed=0)
         z, x = tiny_inputs(rng)
         trace: dict = {}
         fz, fx = md.run_backbone(m, z, x, trace=trace)
-        fz2, fx2 = md.run_backbone(m, snapshot(trace, 3, 2, "z"), snapshot(trace, 3, 2, "x"))
+        fz2, fx2 = md.run_backbone(m, trace[(*step, "z")], trace[(*step, "x")])
         np.testing.assert_array_equal(fz.tensor.data, fz2.tensor.data)
         np.testing.assert_array_equal(fx.tensor.data, fx2.tensor.data)
 
@@ -423,7 +433,7 @@ class TestTemplatePrefix:
         md.run_backbone(m, z, x, trace=trace)
         prefix = md.template_prefix(m, z)
         assert prefix.after == (3, 1)
-        assert np.array_equal(prefix.tensor.data, trace[("block", 3, 1, "z")])
+        assert np.array_equal(prefix.tensor.data, trace[(3, 1, "z")].tensor.data)
         no_ca = md.build_model(PREFIX_CONFIGS["no_ca"], seed=0)
         assert md.template_prefix(no_ca, z).after == (3, 4)  # every step
 
@@ -434,16 +444,16 @@ class TestTemplatePrefix:
         cached: dict = {}
         md.run_backbone(m, z, x, trace=full)
         md.run_backbone(m, md.template_prefix(m, z), x, trace=cached)
-        assert set(cached) == {k for k in full if k[-1] == "x" or k[1:-1] > (3, 1)}
+        assert set(cached) == {k for k in full if k[-1] == "x" or k[:-1] > (3, 1)}
         for k, v in cached.items():
-            assert np.array_equal(v, full[k])
+            assert np.array_equal(v.tensor.data, full[k].tensor.data)
 
     def test_prefix_with_a_search_snapshot_at_the_same_step(self, rng):
         m = md.build_model(md.tiny_config(), seed=0)
         z, x = tiny_inputs(rng)
         trace: dict = {}
         fz, fx = md.run_backbone(m, z, x, trace=trace)
-        gz, gx = md.run_backbone(m, md.template_prefix(m, z), snapshot(trace, 3, 1, "x"))
+        gz, gx = md.run_backbone(m, md.template_prefix(m, z), trace[(3, 1, "x")])
         assert np.array_equal(gz.tensor.data, fz.tensor.data)
         assert np.array_equal(gx.tensor.data, fx.tensor.data)
 
@@ -453,7 +463,7 @@ class TestTemplatePrefix:
         z, x = tiny_inputs(rng)
         trace: dict = {}
         md.run_backbone(m, z, x, trace=trace)
-        z_state, x_state = snapshot(trace, *z_at, "z"), snapshot(trace, *x_at, "x")
+        z_state, x_state = trace[(*z_at, "z")], trace[(*x_at, "x")]
         with pytest.raises(ValueError, match="needs both branches"):
             md.run_backbone(m, z_state, x_state)
 

@@ -196,7 +196,7 @@ class TestSerialHierarchy:
         x = rng.random((3, 128, 128), dtype=np.float32)
         trace: dict = {}
         md.run_backbone(model, z, x, trace=trace)
-        entry = trace[("embed", 3, "x")]
+        entry = trace[(3, 0, "x")].tensor.data
         tr = orc.serial_hierarchy_trace(model, z, x)
         for snap in tr.search:
             np.testing.assert_array_equal(snap, entry)

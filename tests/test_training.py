@@ -65,16 +65,16 @@ class TestGiou:
 class TestAssignTargets:
     def test_full_cover_all_positive(self):
         tm = tr.assign_targets(Box(0, 0, 64, 64), (8, 8), 64.0)
-        assert tm.positives == 64
-        assert tm.positives != 0
+        assert int(tm.labels.sum()) == 64
+        assert int(tm.labels.sum()) != 0
 
     def test_subcell_box_center_rule(self):
         # 4x4 grid over a 64 px crop: centers at 8, 24, 40, 56
         tm = tr.assign_targets(Box(20, 20, 30, 30), (4, 4), 64.0)
-        assert tm.positives == 1
+        assert int(tm.labels.sum()) == 1
         assert tm.labels[1, 1] == 1
         tm0 = tr.assign_targets(Box(10, 10, 20, 20), (4, 4), 64.0)
-        assert tm0.positives == 0
+        assert int(tm0.labels.sum()) == 0
 
     def test_reg_targets_recover_extents(self, rng):
         crop = 128.0
@@ -87,7 +87,7 @@ class TestAssignTargets:
 
     def test_outside_crop_flagged(self):
         tm = tr.assign_targets(Box(200, 200, 230, 230), (8, 8), 64.0)
-        assert tm.positives == 0
+        assert int(tm.labels.sum()) == 0
 
 
 class TestClsLoss:
@@ -157,7 +157,7 @@ class TestRegLoss:
 
     def test_gradients_pass_finite_differences(self, rng):
         tm, pred0 = self._setup(rng)
-        pred = eg.parameter(pred0.data.copy(), dtype=np.float64)
+        pred = eg.parameter(pred0.data.copy())
         fn = lambda: tr.total_loss(0.0, *tr.reg_loss_terms(pred, tm.reg, tm.labels))
         report = grad_check(fn, {"pred": pred}, tol=1e-4, max_entries=40, rng=rng)
         assert report.ok, report.summary()
@@ -168,7 +168,7 @@ class TestRegLoss:
         Cell 1's target meets the prediction in a zero-area overlap whose
         unclamped sides would make its union exactly 0, and 0 / 0 there
         would reach the loss as NaN * 0."""
-        pred = eg.parameter(np.full((4, 1, 2), 0.5), dtype=np.float64)
+        pred = eg.parameter(np.full((4, 1, 2), 0.5))
         target = np.array([[0.5, 2.5], [0.5, 2.5], [0.5, -1.75], [0.5, -1.75]]).reshape(4, 1, 2)
         mask = np.array([[1.0, 0.0]])
         with warnings.catch_warnings():
@@ -192,7 +192,7 @@ class TestRegLoss:
                 start = rng.uniform(0.01, 0.99, size=tm.reg.shape)
                 terms, grads = [], []
                 for fn in (tr.reg_loss_terms, _reg_loss_by_edges):
-                    pred = eg.parameter(start.astype(dtype), dtype=dtype)
+                    pred = eg.parameter(start.astype(dtype))
                     g, l1 = fn(pred, tm.reg, mask)
                     g.backward()
                     terms.append((g.item(), l1.item()))
@@ -284,15 +284,25 @@ def _without_gradient(model) -> list[str]:
 class TestAdamW:
     def test_zero_grad_pure_decay(self):
         p = eg.parameter(np.array([2.0, -3.0]))
+        p.grad = np.zeros(2)
         state: dict = {}
-        tr.adamw_step([p], [np.zeros(2)], state, lr=0.1, weight_decay=0.5)
+        tr.adamw_step([p], state, lr=0.1, weight_decay=0.5)
         np.testing.assert_allclose(p.data, np.array([2.0, -3.0]) * (1 - 0.1 * 0.5), rtol=1e-6)
+
+    def test_missing_grad_steps_as_zero(self):
+        """A parameter whose `grad` is None takes the zero-gradient step."""
+        p, q = eg.parameter(np.array([2.0, -3.0])), eg.parameter(np.array([2.0, -3.0]))
+        q.grad = np.zeros(2)
+        for t in (p, q):
+            tr.adamw_step([t], {}, lr=0.1, weight_decay=0.5)
+        np.testing.assert_array_equal(p.data, q.data)
 
     def test_first_step_matches_hand_formula(self):
         g = np.array([0.3, -0.7])
         p = eg.parameter(np.array([1.0, 1.0]))
+        p.grad = g.copy()
         state: dict = {}
-        tr.adamw_step([p], [g.copy()], state, lr=0.01, weight_decay=0.0)
+        tr.adamw_step([p], state, lr=0.01, weight_decay=0.0)
         # bias-corrected first step: m_hat = g, v_hat = g^2
         want = 1.0 - 0.01 * (g / (np.abs(g) + 1e-8))
         np.testing.assert_allclose(p.data, want, rtol=1e-6)
@@ -304,7 +314,8 @@ class TestAdamW:
             p = eg.parameter(np.ones(4, dtype=np.float32))
             state: dict = {}
             for gi in g:
-                tr.adamw_step([p], [gi], state, lr=0.05, weight_decay=0.01)
+                p.grad = gi
+                tr.adamw_step([p], state, lr=0.05, weight_decay=0.01)
             return p.data.copy()
 
         np.testing.assert_array_equal(run(), run())
@@ -324,6 +335,16 @@ class TestAdamW:
         p = eg.parameter(np.zeros(2))
         p.grad = np.array([30.0, 40.0])
         with pytest.raises(ValueError, match=f"max_norm must be > 0.*got {max_norm}"):
+            tr.clip_global_norm([p], max_norm)
+        np.testing.assert_array_equal(p.grad, [30.0, 40.0])
+
+    @pytest.mark.parametrize("max_norm", [True, "1", None])
+    def test_clip_global_norm_takes_a_real_not_a_bool(self, max_norm):
+        """The bound follows `TrainConfig.clip_norm`'s rule: a bool or a
+        non-number raises `ValueError` and leaves the gradient as it was."""
+        p = eg.parameter(np.zeros(2))
+        p.grad = np.array([30.0, 40.0])
+        with pytest.raises(ValueError, match="max_norm must be > 0 .* not a bool"):
             tr.clip_global_norm([p], max_norm)
         np.testing.assert_array_equal(p.grad, [30.0, 40.0])
 
