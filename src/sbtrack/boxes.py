@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+
+def _real(v) -> bool:
+    """Whether `v` is a real number other than a bool, which `numbers.Real`
+    admits: the rule of the package's real-valued settings."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,34 @@ Ops take Tensors.  The binary arithmetic ops (`add`, `sub`, `mul`, `div`,
 a tensor of the other operand's dtype.
 
 An op is its forward array plus one partial per operand: a function from
-the output gradient to that operand's gradient.  `_op` records both on the
-output when grad is enabled and some operand requires grad.  ``backward``
-on a scalar walks the graph once in reverse topological order, runs the
-partial of each operand that requires grad and sums the result back over
-the axes that operand was broadcast along.  Then it releases the op: its
-gradient, operands and partials are dropped, so after the sweep only leaves
-hold a gradient.  A second ``backward`` through a released op raises
-``ValueError``; build the loss again.  The finite-difference check of
-these partials lives with the tests (`tests/oracle_helpers.py`), not here.
+the output gradient to that operand's gradient.  Graph bookkeeping is kept
+apart from values.  When grad is enabled and some operand requires grad,
+`_op` gives the output Tensor a graph node, which holds the gradient during
+backward and, for each operand that requires grad, an edge: that operand's
+node (a leaf is its own entry) and its partial.  The partial of an operand
+that needs no gradient is not kept.  A node holds no Tensor and no forward
+array, so an op's output array is freed as soon as its caller drops the
+Tensor, unless some partial reads it.  A partial captures only what it
+reads: shapes and dtypes rather than operands, relu's mask rather than its
+input, and `conv2d`'s padded input rather than its im2col matrix, which the
+weight partial rebuilds.  Nothing in the graph points back at a consumer,
+so the graph holds no reference cycle and is freed by reference counting.
+
+Release rule: ``backward`` on a scalar walks the nodes once in reverse
+topological order, runs each edge's partial and sums the result back over
+the axes that operand was broadcast along.  Then it releases the node: its
+gradient and edges are dropped, and with them the arrays that only its
+partials held, so after the sweep only leaves hold a gradient.  A second
+``backward`` through a released node raises ``ValueError``; build the loss
+again.  The finite-difference check of these partials lives with the tests
+(`tests/oracle_helpers.py`), not here.
 
 No-write rule: a partial never writes into its `g`, and an interior node's
-gradient is never written in place.  `backward` relies on it: an interior
-node keeps the first gradient it receives without a copy (`add` hands one
-array to both operands) and adds any later one out of place.  A leaf takes
-a copy of its first gradient and sums later ones into it in place, and
-callers may scale a leaf's gradient in place (`clip_global_norm` does).
+gradient is never written in place.  `backward` relies on it: a node keeps
+the first gradient it receives without a copy (`add` hands one array to
+both operands) and adds any later one out of place.  A leaf takes a copy of
+its first gradient and sums later ones into it in place, and callers may
+scale a leaf's gradient in place (`clip_global_norm` does).
 
 The memory-bound ops (GELU, layer norm, softmax) walk their input in its
 own memory order, one block of rows of about `_BLOCK_BYTES` at a time, and
@@ -157,9 +169,12 @@ def no_grad():
 
 class Tensor:
     """Dense n-d float array with an optional same-shape gradient; `data` of
-    a dtype other than float32 or float64 is cast to float32."""
+    a dtype other than float32 or float64 is cast to float32.
 
-    __slots__ = ("data", "grad", "requires_grad", "_inputs", "_partials")
+    A tensor that requires grad is a leaf, which owns `grad`, or an op's
+    output, whose `_node` holds its place in the graph (None otherwise)."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -168,8 +183,7 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        # a recorded op's operands and partials; () on a leaf, None once released
-        self._inputs = self._partials = ()
+        self._node = None
 
     @property
     def shape(self):
@@ -191,17 +205,11 @@ class Tensor:
         return self.data.item()
 
     def _accumulate(self, g: np.ndarray) -> None:
-        """Add `g` to the gradient under the module's no-write rule."""
-        dtype = self.data.dtype
-        if not self._inputs:  # a leaf owns its gradient buffer
-            if self.grad is None:
-                self.grad = np.array(g, dtype=dtype)
-            else:
-                self.grad += g
-        elif self.grad is None:
-            self.grad = np.asarray(g, dtype=dtype)
+        """Add `g` to a leaf's gradient: a leaf owns its gradient buffer."""
+        if self.grad is None:
+            self.grad = np.array(g, dtype=self.data.dtype)
         else:
-            self.grad = (self.grad + g).astype(dtype, copy=False)
+            self.grad += g
 
     def backward(self) -> None:
         backward(self)
@@ -211,6 +219,28 @@ class Tensor:
 
     def __getitem__(self, idx):
         return tensor_slice(self, idx)
+
+
+class _Node:
+    """An op output's place in the graph: its gradient during backward, its
+    shape and dtype, and one (entry, partial) edge per operand that requires
+    grad, the entry being that operand's node, or the operand itself for a
+    leaf.  `edges` is None once backward has released the node."""
+
+    __slots__ = ("grad", "shape", "dtype", "edges")
+
+    def __init__(self, shape: tuple, dtype, edges: list):
+        self.grad = None
+        self.shape = shape
+        self.dtype = dtype
+        self.edges = edges
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add `g` to the gradient under the module's no-write rule."""
+        if self.grad is None:
+            self.grad = np.asarray(g, dtype=self.dtype)
+        else:
+            self.grad = (self.grad + g).astype(self.dtype, copy=False)
 
 
 def tensor(data, dtype=np.float32) -> Tensor:
@@ -250,26 +280,24 @@ def _op(data: np.ndarray, operands, *partials):
     """The result of an op with forward array `data`.
 
     ``partials[i](g)`` maps the output gradient `g` to the gradient of
-    ``operands[i]`` at the output's shape; `backward` runs it only for an
-    operand that requires grad, and sums its result back to that operand's
-    shape.
+    ``operands[i]`` at the output's shape.  Only the partials of operands
+    that require grad are kept; `backward` sums each one's result back to
+    that operand's shape.
     """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.requires_grad = False
-    out._inputs = out._partials = ()
+    out._node = None
     if not _grad_enabled():
         return out
-    # a loop rather than any() over a generator: this runs once per op
-    for t in operands:
+    edges = []  # a loop rather than a comprehension: this runs once per op
+    for t, partial in zip(operands, partials):
         if t.requires_grad:
-            break
-    else:
-        return out
-    out.requires_grad = True
-    out._inputs = operands
-    out._partials = partials
+            edges.append((t if t._node is None else t._node, partial))
+    if edges:
+        out.requires_grad = True
+        out._node = _Node(data.shape, data.dtype, edges)
     return out
 
 
@@ -394,15 +422,19 @@ def transpose(t: Tensor, axes) -> Tensor:
 
 
 def reshape(t: Tensor, shape) -> Tensor:
-    return _op(t.data.reshape(shape), (t,), lambda g: g.reshape(t.shape))
+    before = t.shape
+    return _op(t.data.reshape(shape), (t,), lambda g: g.reshape(before))
 
 
 def tensor_slice(t: Tensor, idx) -> Tensor:
     """Any numpy index, its result copied.  The gradient is added back into
     place: an element that the index selects more than once receives the
     sum of its gradients."""
-    def scatter(g):
-        full = np.zeros_like(t.data)
+    axes = _memory_order(t.data.strides)
+    shape, dtype = [t.shape[i] for i in axes], t.dtype
+
+    def scatter(g):  # into zeros laid out as t is
+        full = np.zeros(shape, dtype=dtype).transpose(_inverse(axes))
         np.add.at(full, idx, g)
         return full
 
@@ -410,10 +442,12 @@ def tensor_slice(t: Tensor, idx) -> Tensor:
 
 
 def sum_(t: Tensor, axis=None) -> Tensor:
+    shape, dtype = t.shape, t.dtype
+
     def spread(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, t.shape).astype(t.data.dtype)
+        return np.broadcast_to(g, shape).astype(dtype)
 
     return _op(np.asarray(t.data.sum(axis=axis)), (t,), spread)
 
@@ -497,7 +531,8 @@ def _blocks(rows: np.ndarray) -> list:
 
 
 def relu(t: Tensor) -> Tensor:
-    return _op(np.maximum(t.data, 0.0), (t,), lambda g: g * (t.data > 0))
+    positive = t.data > 0
+    return _op(np.maximum(t.data, 0.0), (t,), lambda g: g * positive)
 
 
 def leaky_relu(t: Tensor, slope: float) -> Tensor:
@@ -511,6 +546,7 @@ def gelu(t: Tensor) -> Tensor:
     """GELU, tanh approximation: x * (1 + tanh(u)) / 2 with
     u = c (x + 0.044715 x^3).  The backward keeps tanh(u) alone and derives
     the rest from x."""
+    shape = t.shape
     axes = _memory_order(t.data.strides)
     x = _rows(t.data, axes)
     th = np.empty_like(x)
@@ -547,9 +583,9 @@ def gelu(t: Tensor) -> Tensor:
             d *= tmp
             d *= 0.5
             d *= g[b]
-        return _unrows(dx, t.shape, axes)
+        return _unrows(dx, shape, axes)
 
-    return _op(_unrows(out, t.shape, axes), (t,), grad_x)
+    return _op(_unrows(out, shape, axes), (t,), grad_x)
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -571,6 +607,7 @@ def _row_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 def softmax_last_dim(t: Tensor) -> Tensor:
     """Softmax over the trailing axis, stabilized by max subtraction."""
+    shape = t.shape
     axes = _memory_order(t.data.strides, t.ndim - 1)
     x = _rows(t.data, axes)
     s = np.empty_like(x)
@@ -589,9 +626,9 @@ def softmax_last_dim(t: Tensor) -> Tensor:
             gb, sb, db = g[b], s[b], dt[b]
             np.subtract(gb, _row_sums(gb, sb)[:, None], out=db)
             db *= sb
-        return _unrows(dt, t.shape, axes)
+        return _unrows(dt, shape, axes)
 
-    return _op(_unrows(s, t.shape, axes), (t,), grad_t)
+    return _op(_unrows(s, shape, axes), (t,), grad_t)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tensor:
@@ -608,6 +645,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tensor:
     c = x.shape[ax]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm affine must have shape ({c},)")
+    shape = x.shape
     axes = _memory_order(x.data.strides, ax)
     xr = _rows(x.data, axes)
     xhat = np.empty_like(xr)
@@ -631,7 +669,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tensor:
 
     def grad_x(g):
         g = rows_of(g)
-        dx = np.empty_like(xr)
+        dx = np.empty_like(xhat)
         for b in blocks:
             hb, d = xhat[b], dx[b]
             dxhat = np.multiply(g[b], gamma.data)  # the gradient of xhat
@@ -641,9 +679,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tensor:
             np.multiply(hb, m2[:, None], out=d)
             np.subtract(dxhat, d, out=d)
             d *= inv[b]
-        return _unrows(dx, x.shape, axes)
+        return _unrows(dx, shape, axes)
 
-    return _op(_unrows(out, x.shape, axes), (x, gamma, beta), grad_x,
+    return _op(_unrows(out, shape, axes), (x, gamma, beta), grad_x,
                lambda g: np.einsum("ij,ij->j", rows_of(g), xhat),
                lambda g: rows_of(g).sum(axis=0))
 
@@ -652,12 +690,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map on the trailing feature axis: x[..., din] -> [..., dout]."""
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: {x.shape} with weight {weight.shape}")
-    dout = weight.shape[1]
-    x2 = x.data.reshape(-1, x.shape[-1])
+    shape, dout = x.shape, weight.shape[1]
+    x2 = x.data.reshape(-1, shape[-1])
     out = x2 @ weight.data
     out += bias.data
-    return _op(out.reshape(*x.shape[:-1], dout), (x, weight, bias),
-               lambda g: (g.reshape(-1, dout) @ weight.data.T).reshape(x.shape),
+    return _op(out.reshape(*shape[:-1], dout), (x, weight, bias),
+               lambda g: (g.reshape(-1, dout) @ weight.data.T).reshape(shape),
                lambda g: x2.T @ g.reshape(-1, dout),
                lambda g: g.reshape(-1, dout).sum(axis=0))
 
@@ -717,13 +755,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: PadMode) -
     xl = _channels_last(x.data, pad)
     ho = _conv_out_extent(h, k, stride, p)
     wo = _conv_out_extent(w, k, stride, p)
-    cols = _windows(xl, k, k, ho, wo, stride).transpose(2, 3, 0, 1, 4).reshape(ho * wo, k * k * c_in)
+
+    def im2col():  # [ho*wo, k*k*c_in], k*k/stride^2 times the size of xl
+        return _windows(xl, k, k, ho, wo, stride).transpose(2, 3, 0, 1, 4).reshape(ho * wo, k * k * c_in)
+
     wmat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, k * k * c_in)
-    out = cols @ wmat.T
+    out = im2col() @ wmat.T
     out += bias.data
 
     hp, wp = xl.shape[:2]
-    dtype = xl.dtype  # the partials keep no reference to the padded input
+    dtype = xl.dtype  # so that only the weight partial keeps the padded input
     circular = pad.kind == "circular"
 
     def rows(g):  # [ho*wo, c_out]
@@ -749,9 +790,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: PadMode) -
             return _unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, w)
         return gxl.transpose(2, 0, 1)  # compact, so a reshape of it is a view
 
-    # the output is a channels-last view of the GEMM output
+    # the output is a channels-last view of the GEMM output; the weight
+    # partial rebuilds the im2col matrix from the padded input it keeps
     return _op(out.T.reshape(c_out, ho, wo), (x, weight, bias), grad_x,
-               lambda g: (rows(g).T @ cols).reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2),
+               lambda g: (rows(g).T @ im2col()).reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2),
                lambda g: rows(g).sum(axis=0))
 
 
@@ -817,6 +859,7 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
     if ho <= 0 or wo <= 0:
         raise ShapeError("kernel larger than padded input")
     xl = _channels_last(x.data, pad)
+    dtype = xl.dtype  # so that only the kernel partial keeps the padded input
     taps = np.ascontiguousarray(kernel.data.transpose(1, 2, 0))  # [kh, kw, c]
     out = _tap_sums(_windows(xl, kh, kw, ho, wo), taps)
 
@@ -824,7 +867,7 @@ def _per_channel_xcorr(x: Tensor, kernel: Tensor, pad: PadMode):
         # tap (i, j) carries g[y, x] to xl[y + i, x + j]: pixel (y', x') of
         # xl gathers g[y' - i, x' - j], the windows of g zero-padded by k - 1
         # and read backwards, which keeps the taps in forward order
-        gl = np.zeros((ho + 2 * (kh - 1), wo + 2 * (kw - 1), c), dtype=xl.dtype)
+        gl = np.zeros((ho + 2 * (kh - 1), wo + 2 * (kw - 1), c), dtype=dtype)
         gl[kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = g.transpose(1, 2, 0)
         win = _windows(gl, kh, kw, hp, wp)[::-1, ::-1]
         if pad.kind != "circular":  # no border gradient is kept: gather the inside only
@@ -873,10 +916,12 @@ def depthwise_xcorr(template: Tensor, search: Tensor, pad: PadMode) -> Tensor:
 # -- backward pass ----------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list:
-    order: list[Tensor] = []
+def _topo_order(root: _Node) -> list:
+    """The nodes that `root` reaches, `root` included, each after the nodes
+    of its operands: popped from the end, a node comes before them."""
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -884,14 +929,14 @@ def _topo_order(root: Tensor) -> list:
             continue
         if id(node) in seen:
             continue
-        if node._inputs is None:
+        if node.edges is None:
             raise ValueError("backward reached a tensor whose graph an earlier backward "
                              "released; build the loss again")
         seen.add(id(node))
         stack.append((node, True))
-        for t in node._inputs:
-            if t.requires_grad and id(t) not in seen:
-                stack.append((t, False))
+        for entry, _ in node.edges:
+            if type(entry) is _Node and id(entry) not in seen:
+                stack.append((entry, False))
     return order
 
 
@@ -899,26 +944,26 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar; accumulates into `.grad` fields.
 
     Leaf tensors keep their gradient across calls (so per-example losses in
-    a batch may be backpropagated one after another).  Every other tensor
-    is released right after its partials run: its `.grad`, operands and
-    partials are dropped.  A sweep that reaches a released tensor raises
-    `ValueError` before it touches any gradient: build the loss again.
+    a batch may be backpropagated one after another).  Every node is
+    released right after its partials run: its gradient and edges are
+    dropped.  A sweep that reaches a released node raises `ValueError`
+    before it touches any gradient: build the loss again.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    order = _topo_order(loss)
-    loss._accumulate(np.ones_like(loss.data))
+    if loss._node is None:  # the loss is a leaf
+        loss._accumulate(np.ones_like(loss.data))
+        return
+    order = _topo_order(loss._node)
+    loss._node._accumulate(np.ones_like(loss.data))
     while order:
-        node = order.pop()  # popped, so a released tensor's data can go at once
-        if not node._inputs:
-            continue  # a leaf keeps its gradient
+        node = order.pop()  # popped, so a released node's partials can go at once
         g = node.grad
-        for t, partial in zip(node._inputs, node._partials):
-            if t.requires_grad:
-                t._accumulate(_unbroadcast(partial(g), t.shape))
-        node.grad = node._inputs = node._partials = None
+        for entry, partial in node.edges:
+            entry._accumulate(_unbroadcast(partial(g), entry.shape))
+        node.grad = node.edges = None
 
 
 def zero_grads(params) -> None:

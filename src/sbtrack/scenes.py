@@ -16,13 +16,12 @@ read-only) and the boxes; a frame is painted from them each time it is read.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import abc
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, _real
 from .engine import ShapeError
 
 __all__ = [
@@ -37,10 +36,6 @@ __all__ = [
 _SHAPES = ("rectangle", "ellipse", "triangle")
 _MARGIN = 4  # px between an actor's box and the frame edge
 _GAP = 2.0  # px every distractor keeps clear of the target
-
-
-def _finite_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -72,9 +67,10 @@ class SceneConfig:
             raise ValueError(f"target_size needs 1 <= min <= max, got {self.target_size}")
         if self.frame_size < self.target_size[1] + 2 * _MARGIN:
             raise ValueError(f"frame_size {self.frame_size} < max target side + 2 * {_MARGIN} px margin")
-        if not (all(map(_finite_real, self.speed)) and 0 <= self.speed[0] <= self.speed[1]):
+        if not (all(_real(v) and math.isfinite(v) for v in self.speed)
+                and 0 <= self.speed[0] <= self.speed[1]):
             raise ValueError(f"speed needs finite reals 0 <= min <= max, got {self.speed!r}")
-        if not (_finite_real(self.motion_sigma) and self.motion_sigma >= 0):
+        if not (_real(self.motion_sigma) and math.isfinite(self.motion_sigma) and self.motion_sigma >= 0):
             raise ValueError(f"motion_sigma must be a finite real >= 0, got {self.motion_sigma!r}")
 
 

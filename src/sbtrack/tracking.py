@@ -10,13 +10,12 @@ prediction each frame, with no windowing or penalty on the score map.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as md
-from .boxes import Box, iou
+from .boxes import Box, _real, iou
 from .engine import ShapeError, no_grad
 from .scenes import Sequence
 
@@ -125,8 +124,7 @@ def crop_region(frame: np.ndarray, box: Box, factor: float, out_size: int,
     frame = np.asarray(frame)
     if frame.ndim != 3 or min(frame.shape[1:]) < 1:
         raise ShapeError(f"frame must be [c, h, w] with h, w >= 1, got shape {frame.shape}")
-    if not (isinstance(factor, numbers.Real) and not isinstance(factor, bool)
-            and math.isfinite(factor) and factor > 0):
+    if not (_real(factor) and math.isfinite(factor) and factor > 0):
         raise ValueError(f"factor must be a finite real > 0, not a bool; got {factor!r}")
     if type(out_size) is not int or out_size < 1:
         raise ValueError(f"out_size must be an int >= 1, got {out_size!r}")

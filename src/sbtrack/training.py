@@ -17,14 +17,13 @@ IoU loss of FCOS) with no decoding into absolute edges.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine as eg
 from . import model as md
-from .boxes import Box, iou
+from .boxes import Box, _real, iou
 from .engine import Tensor, no_grad
 from .tracking import CropMeta, crop_region, predict_box
 
@@ -77,15 +76,13 @@ class TrainConfig:
             raise ValueError(f"decay_steps must be >= 0, got {self.decay_steps!r}")
         for name in ("lr_head", "lr_backbone", "weight_decay"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and value >= 0):
+            if not (_real(value) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite real >= 0, got {value!r}")
         if self.lr_backbone > self.lr_head:
             raise ValueError("backbone lr must not exceed head lr")
         if self.batch < 1 or self.steps < 0:
             raise ValueError("batch must be >= 1 and steps >= 0")
-        if not (isinstance(self.clip_norm, numbers.Real) and not isinstance(self.clip_norm, bool)
-                and self.clip_norm > 0):
+        if not (_real(self.clip_norm) and self.clip_norm > 0):
             raise ValueError(f"clip_norm must be > 0 (inf for no clipping) and a real, not a bool; "
                              f"got {self.clip_norm!r}")
         if self.probe_every < 1:
@@ -212,7 +209,7 @@ def clip_global_norm(params: list[Tensor], max_norm: float) -> float:
     return the norm before scaling.  `max_norm` must be a real > 0 that is
     not a bool, as `TrainConfig.clip_norm`; inf means no clipping, and any
     other bound raises `ValueError`."""
-    if not (isinstance(max_norm, numbers.Real) and not isinstance(max_norm, bool) and max_norm > 0):
+    if not (_real(max_norm) and max_norm > 0):
         raise ValueError(f"max_norm must be > 0 (inf for no clipping) and a real, not a bool; "
                          f"got {max_norm!r}")
     total = 0.0

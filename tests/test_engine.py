@@ -1,11 +1,13 @@
 """Tensor engine tests: forward oracles and finite-difference gradients."""
 
 import ctypes
+import gc
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -365,7 +367,7 @@ class TestBackward:
         x = eg.parameter([2.0])
         with eg.no_grad():
             y = eg.mul(x, x)
-        assert not y.requires_grad and y._inputs == () and y._partials == ()
+        assert not y.requires_grad and y._node is None
 
     def test_second_backward_through_released_graph_raises(self):
         x = eg.parameter(np.array([3.0]))
@@ -388,7 +390,7 @@ class TestBackward:
         loss = eg.sum_(interior[-1])
         loss.backward()
         for t in interior + [loss]:
-            assert t.grad is None and t._inputs is None and t._partials is None
+            assert t.grad is None and t._node.grad is None and t._node.edges is None
         np.testing.assert_array_equal(w.grad, [[2.0, 0.0], [-2.0, 0.0]])
         np.testing.assert_array_equal(b.grad, [2.0, 0.0])
         assert c.grad is None
@@ -460,8 +462,8 @@ class TestBackward:
 
     def test_interior_node_keeps_its_first_gradient_without_a_copy(self):
         x = eg.parameter(np.array([1.0, 2.0]))
-        y = eg.mul(x, 3.0)  # an interior node
-        for t, keeps in ((y, True), (x, False)):
+        y = eg.mul(x, 3.0)  # an op output: its node is interior
+        for t, keeps in ((y._node, True), (x, False)):
             g1, g2 = np.ones(2), np.full(2, 2.0)
             t._accumulate(g1)
             assert (t.grad is g1) == keeps
@@ -495,6 +497,18 @@ class TestTensorSlice:
         p = eg.parameter(np.arange(4.0))
         eg.sum_(p[idx]).backward()
         np.testing.assert_array_equal(p.grad, want)
+
+    def test_gradient_is_laid_out_as_the_input(self):
+        """The scatter target is laid out as the sliced array, channels-last
+        here, so downstream sums add in the order they did when the partial
+        kept that array."""
+        a = np.arange(24.0).reshape(4, 3, 2).transpose(2, 0, 1)  # [c, h, w] over [h, w, c]
+        t = eg.mul(eg.parameter(a), 1.0)
+        (_, scatter), = t[:, 1:3, 1:3]._node.edges
+        full = scatter(np.ones((2, 2, 2)))
+        assert full.shape == a.shape and full.transpose(1, 2, 0).flags.c_contiguous
+        np.testing.assert_array_equal(full[:, 1:3, 1:3], 1.0)
+        assert full.sum() == 8.0
 
 
 class TestGradCheck:
@@ -888,10 +902,12 @@ class TestLayouts:
         """Under zero or no padding the input gradient is a channels-first
         view of an unpadded channels-last buffer, so the reshape to tokens
         that `blocks.map_of` records takes it without a copy."""
-        x = rng.standard_normal((16, 32, 32)).astype(np.float32)
-        out = eg.conv2d(eg.parameter(x), eg.tensor(rng.standard_normal((8, 16, k, k))), eg.tensor(np.zeros(8)),
+        x = eg.parameter(rng.standard_normal((16, 32, 32)).astype(np.float32))
+        out = eg.conv2d(x, eg.tensor(rng.standard_normal((8, 16, k, k))), eg.tensor(np.zeros(8)),
                         stride=stride, pad=pad)
-        gx = out._partials[0](rng.standard_normal(out.shape).astype(np.float32))
+        (entry, partial), = out._node.edges  # only x requires grad
+        assert entry is x
+        gx = partial(rng.standard_normal(out.shape).astype(np.float32))
         assert gx.shape == x.shape and gx.transpose(1, 2, 0).flags.c_contiguous
         assert np.shares_memory(gx.reshape(16, 32 * 32), gx)
 
@@ -987,7 +1003,7 @@ class TestRecording:
         with eg.no_grad():
             out = fn(*params)
         assert not out.requires_grad
-        assert out._inputs == () and out._partials == ()
+        assert out._node is None
 
     @pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((3, 1), (1, 4)), ((2, 3, 4), (3, 1)),
                                         ((), (3, 4))])
@@ -1011,6 +1027,109 @@ class TestRecording:
             want = gf.sum(axis=tuple(range(extra)))
             want = want.sum(axis=tuple(i for i, s in enumerate(a.shape) if s == 1), keepdims=True)
             np.testing.assert_allclose(g, want.reshape(a.shape), rtol=1e-12, atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# retention: a graph keeps only the arrays its partials read
+# --------------------------------------------------------------------------
+
+
+def _input_of(op):
+    """A case for `op` whose input is an op output over the first parameter,
+    so that only that output tensor holds the input's data."""
+    def build(p, *rest):
+        t = eg.mul(p, 1.5)
+        return op(t, *rest), weakref.ref(t.data)
+    return build
+
+
+def _reshape_of_strided(p):
+    t = eg.transpose(eg.mul(p, 1.5), (1, 0))  # a strided view, so the reshape copies it
+    return eg.reshape(t, (-1,)), weakref.ref(t.data)
+
+
+def _scaled_scores(q, k):
+    scores = eg.matmul(q, k)
+    return eg.mul(scores, 0.5), weakref.ref(scores.data)
+
+
+# name: (parameter shapes, build(*params) -> (output, weakref to the array it must not keep))
+RETENTION_CASES = {
+    "reshape": ([(4, 6)], _reshape_of_strided),
+    "layer_norm": ([(5, 6), (6,), (6,)], _input_of(lambda t, g, b: eg.layer_norm(t, g, b, axis=-1))),
+    "softmax_last_dim": ([(2, 3, 5)], _input_of(eg.softmax_last_dim)),
+    "relu": ([(4, 5)], _input_of(eg.relu)),
+    "mul:scores": ([(2, 3, 4), (2, 4, 5)], _scaled_scores),
+}
+
+
+class TestRetention:
+    @pytest.mark.parametrize("case", sorted(RETENTION_CASES))
+    def test_input_the_backward_does_not_read_is_freed(self, case):
+        """With grad enabled, the op's input array dies with its tensor, and
+        the op's gradients still match finite differences."""
+        shapes, build = RETENTION_CASES[case]
+        r = np.random.default_rng(13)
+        params = {f"in{i}": eg.parameter(r.standard_normal(s)) for i, s in enumerate(shapes)}
+        out, dropped = build(*params.values())
+        assert out.requires_grad and dropped() is None
+        probe = eg.tensor(r.standard_normal(out.shape), dtype=np.float64)
+        report = grad_check(lambda: eg.sum_(eg.mul(build(*params.values())[0], probe)), params)
+        assert report.ok, report.summary()
+
+    def test_conv2d_keeps_no_im2col_matrix(self, rng, monkeypatch):
+        """The weight partial rebuilds the im2col matrix [ho * wo, k * k * c_in]
+        from the padded input: every such matrix is freed once the op
+        returns, and the weight gradient matches a tap-by-tap reference."""
+        made = []  # (shape, weakref) of every array made from a window view
+
+        class Traced(np.ndarray):
+            def __array_finalize__(self, obj):
+                made.append((self.shape, weakref.ref(self)))
+
+        windows = eg._windows
+        monkeypatch.setattr(eg, "_windows", lambda *args: windows(*args).view(Traced))
+        c_in, c_out, k, stride, p = 3, 4, 3, 2, 1
+        x = eg.parameter(rng.standard_normal((c_in, 9, 9)))
+        w = eg.parameter(rng.standard_normal((c_out, c_in, k, k)))
+        b = eg.parameter(rng.standard_normal(c_out))
+        out = eg.conv2d(x, w, b, stride=stride, pad=PadMode.zeros(p))
+        ho, wo = out.shape[1:]
+        cols = [ref for shape, ref in made if shape == (ho * wo, k * k * c_in)]
+        assert cols and all(ref() is None for ref in cols)
+        probe = rng.standard_normal(out.shape)
+        eg.sum_(eg.mul(out, eg.tensor(probe, dtype=np.float64))).backward()
+        xp = np.pad(x.data, ((0, 0), (p, p), (p, p)))
+        want = np.empty(w.shape)
+        for i in range(k):
+            for j in range(k):
+                taps = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+                want[:, :, i, j] = np.einsum("oyx,cyx->oc", probe, taps)
+        np.testing.assert_allclose(w.grad, want, rtol=1e-12, atol=1e-12)
+
+    def test_training_pair_graph_is_freed_without_the_cycle_collector(self):
+        """The graph of a tiny training pair holds no reference cycle: with
+        cyclic GC off, dropping the loss and the outputs frees it."""
+        model = md.build_model(md.tiny_config(), seed=0)
+        r = np.random.default_rng(0)
+        z = r.random((3, 64, 64), dtype=np.float32)
+        x = r.random((3, 128, 128), dtype=np.float32)
+        tm = tr.assign_targets(Box(40, 40, 90, 90), model.config.search_grid(), 128.0)
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            cls, reg = md.forward(model, z, x)
+            loss = tr.total_loss(tr.cls_loss(cls, tm.labels),
+                                 *tr.reg_loss_terms(reg, tm.reg, tm.labels))
+            graph, _ = tracemalloc.get_traced_memory()
+            del cls, reg, loss
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert graph > 8 << 20 and left < 1 << 20, (graph, left)
 
 
 # --------------------------------------------------------------------------
