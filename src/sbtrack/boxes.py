@@ -13,6 +13,20 @@ def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _check_ints(values, scalars: tuple[str, ...], tuples: tuple[str, ...], error: type) -> None:
+    """Raise `error` unless, in the mapping `values`, each entry named in
+    `scalars` is an int and each named in `tuples` is a tuple of ints: the
+    rule of the package's integer settings.  A bool or an integral float is
+    not an int."""
+    for name in tuples:
+        if type(values[name]) is not tuple:
+            raise error(f"{name} must be a tuple, got {values[name]!r}")
+    for name in scalars + tuples:
+        value = values[name]
+        if any(type(v) is not int for v in (value if name in tuples else (value,))):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Box:
     """Finite corners in pixels, x1 < x2 and y1 < y2 enforced."""

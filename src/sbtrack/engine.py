@@ -9,7 +9,8 @@ allocated itself, never into an input's data.
 
 Ops take Tensors.  The binary arithmetic ops (`add`, `sub`, `mul`, `div`,
 `maximum`, `minimum`) also take a number for either operand, which becomes
-a tensor of the other operand's dtype.
+a 0-d constant of the other operand's dtype.  Otherwise the operands have
+one shape, or the op raises `ShapeError`: nothing is broadcast but a number.
 
 An op is its forward array plus one partial per operand: a function from
 the output gradient to that operand's gradient.  Graph bookkeeping is kept
@@ -26,13 +27,13 @@ weight partial rebuilds.  Nothing in the graph points back at a consumer,
 so the graph holds no reference cycle and is freed by reference counting.
 
 Release rule: ``backward`` on a scalar walks the nodes once in reverse
-topological order, runs each edge's partial and sums the result back over
-the axes that operand was broadcast along.  Then it releases the node: its
-gradient and edges are dropped, and with them the arrays that only its
-partials held, so after the sweep only leaves hold a gradient.  A second
-``backward`` through a released node raises ``ValueError``; build the loss
-again.  The finite-difference check of these partials lives with the tests
-(`tests/oracle_helpers.py`), not here.
+topological order and hands each edge's partial result, which has the
+shape of that edge's operand, to its entry as it is.  Then it releases the
+node: its gradient and edges are dropped, and with them the arrays that
+only its partials held, so after the sweep only leaves hold a gradient.  A
+second ``backward`` through a released node raises ``ValueError``; build
+the loss again.  The finite-difference check of these partials lives with
+the tests (`tests/oracle_helpers.py`), not here.
 
 No-write rule: a partial never writes into its `g`, and an interior node's
 gradient is never written in place.  `backward` relies on it: a node keeps
@@ -223,15 +224,14 @@ class Tensor:
 
 class _Node:
     """An op output's place in the graph: its gradient during backward, its
-    shape and dtype, and one (entry, partial) edge per operand that requires
-    grad, the entry being that operand's node, or the operand itself for a
-    leaf.  `edges` is None once backward has released the node."""
+    dtype, and one (entry, partial) edge per operand that requires grad, the
+    entry being that operand's node, or the operand itself for a leaf.
+    `edges` is None once backward has released the node."""
 
-    __slots__ = ("grad", "shape", "dtype", "edges")
+    __slots__ = ("grad", "dtype", "edges")
 
-    def __init__(self, shape: tuple, dtype, edges: list):
+    def __init__(self, dtype, edges: list):
         self.grad = None
-        self.shape = shape
         self.dtype = dtype
         self.edges = edges
 
@@ -254,35 +254,26 @@ def parameter(data) -> Tensor:
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Both operands of a binary op as tensors: a number takes the other
-    operand's dtype, float32 when both are numbers."""
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.data.dtype if isinstance(b, Tensor) else np.float32))
-    if not isinstance(b, Tensor):
+    """Both operands of a binary op as tensors of one shape, but for a
+    number: a 0-d constant of the other operand's dtype (float32 when both
+    are numbers)."""
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not ta:
+        a = Tensor(np.asarray(a, dtype=b.data.dtype if tb else np.float32))
+    if not tb:
         b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    if a.shape != b.shape and not ((not ta and a.ndim == 0) or (not tb and b.ndim == 0)):
+        raise ShapeError(f"operand shapes differ: {a.shape} and {b.shape}")
     return a, b
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 def _op(data: np.ndarray, operands, *partials):
     """The result of an op with forward array `data`.
 
     ``partials[i](g)`` maps the output gradient `g` to the gradient of
-    ``operands[i]`` at the output's shape.  Only the partials of operands
-    that require grad are kept; `backward` sums each one's result back to
-    that operand's shape.
+    ``operands[i]``, an array of that operand's shape, which `backward`
+    hands to the operand as it is.  Only the partials of operands that
+    require grad are kept.
     """
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -297,7 +288,7 @@ def _op(data: np.ndarray, operands, *partials):
             edges.append((t if t._node is None else t._node, partial))
     if edges:
         out.requires_grad = True
-        out._node = _Node(data.shape, data.dtype, edges)
+        out._node = _Node(data.dtype, edges)
     return out
 
 
@@ -358,12 +349,15 @@ def _channels_last(x: np.ndarray, pad: PadMode) -> np.ndarray:
 
 
 def _unpad_adjoint(gp: np.ndarray, pad: PadMode, h: int, w: int) -> np.ndarray:
-    """Adjoint of the circular padding in `_channels_last`, on a
-    channels-first [..., h + 2p, w + 2p] gradient: fold the padded border
-    back inside."""
+    """Adjoint of `_channels_last`: its input's gradient [c, h, w] from the
+    channels-first view [c, h + 2p, w + 2p] of its buffer's gradient.  Zeros
+    copy the inside to a compact channels-last array, which a reshape to
+    tokens takes as a view; circular folds the border back inside."""
     p = pad.amount
     if p == 0:
         return gp
+    if pad.kind == "zeros":
+        return np.ascontiguousarray(gp[:, p : p + h, p : p + w].transpose(1, 2, 0)).transpose(2, 0, 1)
     g = gp[..., p : p + h, :].copy()
     g[..., h - p :, :] += gp[..., :p, :]
     g[..., :p, :] += gp[..., p + h :, :]
@@ -453,8 +447,9 @@ def sum_(t: Tensor, axis=None) -> Tensor:
 
 
 def mean_(t: Tensor, axis=None) -> Tensor:
-    n = t.size if axis is None else t.shape[axis]
-    return mul(sum_(t, axis=axis), 1.0 / n)
+    s = sum_(t, axis=axis)
+    # the correctly rounded 1 / n for the n elements each output sums
+    return mul(s, s.size / t.size)
 
 
 def abs_(t: Tensor) -> Tensor:
@@ -719,15 +714,6 @@ def _windows(xl: np.ndarray, kh: int, kw: int, ho: int, wo: int, stride: int = 1
         xl, (kh, kw, ho, wo, xl.shape[2]), (sh, sw, sh * stride, sw * stride, sc), writeable=False)
 
 
-def _taps_inside(shift: int, stride: int, n: int, size: int) -> tuple[slice, slice]:
-    """For a tap that output position y reads at pixel y * stride + shift:
-    the slice of positions y < n whose pixel lies in [0, size), and the
-    slice of those pixels."""
-    lo = max(0, -(shift // stride))
-    hi = max(lo, min(n, (size - 1 - shift) // stride + 1))
-    return slice(lo, hi), slice(lo * stride + shift, hi * stride + shift, stride)
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: PadMode) -> Tensor:
     """2-d convolution (cross-correlation) on a CHW map, im2col-backed.
 
@@ -763,32 +749,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, pad: PadMode) -
     out = im2col() @ wmat.T
     out += bias.data
 
-    hp, wp = xl.shape[:2]
-    dtype = xl.dtype  # so that only the weight partial keeps the padded input
-    circular = pad.kind == "circular"
+    shape, dtype = xl.shape, xl.dtype  # so that only the weight partial keeps the padded input
 
     def rows(g):  # [ho*wo, c_out]
         return g.reshape(c_out, ho * wo).T
 
     def grad_x(g):
         gtaps = (rows(g) @ wmat).reshape(ho, wo, k, k, c_in).transpose(2, 3, 0, 1, 4)
-        if circular:  # the border gradient is folded back in below
-            gxl, shift = np.zeros((hp, wp, c_in), dtype=dtype), 0
-        else:  # no border gradient is kept: an unpadded buffer takes the taps that land inside
-            gxl, shift = np.zeros((h, w, c_in), dtype=dtype), -p
-        if stride == k and shift == 0:
+        gxl = np.zeros(shape, dtype=dtype)  # each tap adds into the padded pixel it read
+        if stride == k:
             # the windows tile the input, so each pixel takes at most one
             # tap: one strided assignment
             gxl[: ho * k, : wo * k].reshape(ho, k, wo, k, c_in)[...] = gtaps.transpose(2, 0, 3, 1, 4)
         else:
-            across = [_taps_inside(kj + shift, stride, wo, gxl.shape[1]) for kj in range(k)]
             for ki in range(k):
-                ys, rows_in = _taps_inside(ki + shift, stride, ho, gxl.shape[0])
-                for kj, (xs, cols_in) in enumerate(across):
-                    gxl[rows_in, cols_in] += gtaps[ki, kj, ys, xs]
-        if circular:
-            return _unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, w)
-        return gxl.transpose(2, 0, 1)  # compact, so a reshape of it is a view
+                for kj in range(k):
+                    gxl[ki : ki + ho * stride : stride, kj : kj + wo * stride : stride] += gtaps[ki, kj]
+        return _unpad_adjoint(gxl.transpose(2, 0, 1), pad, h, w)
 
     # the output is a channels-last view of the GEMM output; the weight
     # partial rebuilds the im2col matrix from the padded input it keeps
@@ -962,7 +939,7 @@ def backward(loss: Tensor) -> None:
         node = order.pop()  # popped, so a released node's partials can go at once
         g = node.grad
         for entry, partial in node.edges:
-            entry._accumulate(_unbroadcast(partial(g), entry.shape))
+            entry._accumulate(partial(g))
         node.grad = node.edges = None
 
 

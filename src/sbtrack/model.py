@@ -20,7 +20,7 @@ by those fields; the weight file, building and loading use the full names.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -29,20 +29,12 @@ import numpy as np
 from . import blocks as bl
 from . import engine as eg
 from .blocks import CA, SA, AttnConfig
+from .boxes import _check_ints
 from .engine import ShapeError, Tensor
 
 
 class ConfigError(ValueError):
     """Raised for inconsistent model configurations."""
-
-
-def _check_ints(cfg, names: tuple[str, ...]) -> None:
-    """Raise `ConfigError` unless each field of `cfg` in `names` is an int,
-    or a tuple of ints; a bool or an integral float is not one."""
-    for name in names:
-        value = getattr(cfg, name)
-        if any(type(v) is not int for v in (value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,9 +50,11 @@ class StageConfig:
     ca_positions: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if isinstance(self.ca_positions, Sequence):  # a list read from JSON, say
+            object.__setattr__(self, "ca_positions", tuple(self.ca_positions))
+        _check_ints(vars(self), ("kernel", "channels", "stride", "depth", "heads", "reduction"),
+                    ("ca_positions",), ConfigError)
         object.__setattr__(self, "ca_positions", tuple(sorted(self.ca_positions)))
-        _check_ints(self, ("kernel", "channels", "stride", "depth", "heads", "reduction",
-                           "ca_positions"))
 
     @property
     def attn(self) -> AttnConfig:
@@ -97,7 +91,8 @@ class ModelConfig:
         object.__setattr__(self, "stages", tuple(self.stages))
         if not self.stages:
             raise ConfigError("at least one stage required")
-        _check_ints(self, ("template_size", "search_size", "head_depth", "num_classes"))
+        _check_ints(vars(self), ("template_size", "search_size", "head_depth", "num_classes"), (),
+                    ConfigError)
         if self.pad_mode not in ("zeros", "circular"):
             raise ConfigError(f"pad_mode must be zeros/circular, got {self.pad_mode!r}")
         if self.head_input not in ("search", "dwcorr"):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, _real
+from .boxes import Box, _check_ints, _real
 from .engine import ShapeError
 
 __all__ = [
@@ -53,10 +53,7 @@ class SceneConfig:
             value = getattr(self, name)
             if type(value) is not tuple or len(value) != 2:
                 raise ValueError(f"{name} must be a (min, max) tuple, got {value!r}")
-        for name in ("frame_size", "length", "distractors", "target_size"):
-            value = getattr(self, name)
-            if any(type(v) is not int for v in (value if name == "target_size" else (value,))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_ints(vars(self), ("frame_size", "length", "distractors"), ("target_size",), ValueError)
         if self.distractors < 0:
             raise ValueError("distractor count must be >= 0")
         if self.similarity not in ("easy", "hard"):
@@ -281,6 +278,11 @@ _EVAL_OFFSET = 10_000
 
 def make_suite(cfg: SceneConfig, n_train: int, n_eval: int, seed: int) -> TrackingSuite:
     """Train sequence i has seed `seed + i`, eval sequence i `seed + 10000 + i`."""
+    counts = {"n_train": n_train, "n_eval": n_eval, "seed": seed}
+    _check_ints(counts, tuple(counts), (), ValueError)
+    for name, n in counts.items():
+        if n < 0:
+            raise ValueError(f"{name} must be >= 0, got {n}")
     if n_train > _EVAL_OFFSET:
         raise ValueError(f"n_train {n_train} > {_EVAL_OFFSET} would share seeds with the eval split")
     train = [generate_sequence(cfg, seed + i) for i in range(n_train)]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import engine as eg
 from . import model as md
-from .boxes import Box, _real, iou
+from .boxes import Box, _check_ints, _real, iou
 from .engine import Tensor, no_grad
 from .tracking import CropMeta, crop_region, predict_box
 
@@ -66,12 +66,7 @@ class TrainConfig:
     probe_every: int = 25
 
     def __post_init__(self):
-        if type(self.decay_steps) is not tuple:
-            raise ValueError(f"decay_steps must be a tuple, got {self.decay_steps!r}")
-        for name in ("batch", "steps", "seed", "probe_every", "decay_steps"):
-            value = getattr(self, name)
-            if any(type(v) is not int for v in (value if name == "decay_steps" else (value,))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_ints(vars(self), ("batch", "steps", "seed", "probe_every"), ("decay_steps",), ValueError)
         if any(v < 0 for v in self.decay_steps):
             raise ValueError(f"decay_steps must be >= 0, got {self.decay_steps!r}")
         for name in ("lr_head", "lr_backbone", "weight_decay"):
@@ -244,6 +239,9 @@ def make_training_examples(sequences, count: int, template_size: int, search_siz
     target is not always dead center.  Horizontal flip and brightness
     jitter are applied to the pair as a whole.
     """
+    _check_ints({"count": count}, ("count",), (), ValueError)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if not sequences:
         raise ValueError("make_training_examples needs at least one sequence; the sequence list is empty")
     examples = []

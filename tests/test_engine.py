@@ -332,6 +332,23 @@ class TestActivations:
 # --------------------------------------------------------------------------
 
 
+class TestMean:
+    def test_tuple_axis(self, rng):
+        x = eg.parameter(rng.standard_normal((3, 4, 5)))
+        out = eg.mean_(x, axis=(0, 2))
+        np.testing.assert_allclose(out.data, x.data.mean(axis=(0, 2)), rtol=1e-14)
+        eg.sum_(out).backward()
+        np.testing.assert_array_equal(x.grad, np.full((3, 4, 5), 1.0 / 15))
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, 2, -1])
+    def test_int_axis_scales_by_one_over_n(self, rng, axis):
+        """For one axis, or all, the scale is the correctly rounded 1 / n."""
+        x = eg.tensor(rng.standard_normal((3, 7, 49)), dtype=np.float64)
+        n = x.size if axis is None else x.shape[axis]
+        want = eg.mul(eg.sum_(x, axis=axis), 1.0 / n).data
+        assert eg.mean_(x, axis=axis).data.tobytes() == want.tobytes()
+
+
 class TestBackward:
     def test_square_gradient(self):
         x = eg.parameter(np.array([3.0]))
@@ -384,7 +401,7 @@ class TestBackward:
     def test_backward_releases_interior_gradients(self):
         w = eg.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
         b = eg.parameter(np.array([3.0, 0.5]))
-        c = eg.tensor([2.0, 3.0], dtype=np.float64)
+        c = eg.tensor([[2.0, 3.0]], dtype=np.float64)
         h = eg.relu(eg.linear(eg.tensor([[1.0, -1.0]], dtype=np.float64), w, b))
         interior = [h, eg.mul(h, c)]
         loss = eg.sum_(interior[-1])
@@ -624,7 +641,7 @@ def _normal(shape):
 # engine.__all__ that takes arrays has at least one case.
 LAYOUT_CASES = {
     "add": (eg.add, [_normal((3, 4)), _normal((3, 4))]),
-    "sub": (eg.sub, [_normal((3, 4)), _normal((4,))]),
+    "sub": (eg.sub, [_normal((3, 4)), _normal((3, 4))]),
     "mul": (eg.mul, [_normal((3, 4)), _normal((3, 4))]),
     "div": (eg.div, [_normal((3, 4)), _positive((3, 4))]),
     "matmul": (eg.matmul, [_normal((4, 5)), _normal((5, 3))]),
@@ -994,6 +1011,9 @@ class TestBlocks:
 # --------------------------------------------------------------------------
 
 
+BINARY_OPS = [eg.add, eg.sub, eg.mul, eg.div, eg.maximum, eg.minimum]
+
+
 class TestRecording:
     @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
     def test_no_grad_records_nothing(self, case):
@@ -1006,27 +1026,47 @@ class TestRecording:
         assert out._node is None
 
     @pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((3, 1), (1, 4)), ((2, 3, 4), (3, 1)),
-                                        ((), (3, 4))])
-    @pytest.mark.parametrize("op", [eg.add, eg.sub, eg.mul, eg.div, eg.maximum, eg.minimum],
-                             ids=lambda op: op.__name__)
-    def test_broadcast_operand_gets_the_summed_gradient(self, op, shapes):
+                                        ((), (3, 4)), ((1,), ())])
+    @pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
+    def test_tensor_operands_of_two_shapes_rejected(self, op, shapes):
+        """No tensor is broadcast: the op raises, with grad enabled or not."""
+        a, b = (eg.parameter(np.ones(s)) for s in shapes)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(eg.ShapeError, match="operand shapes differ"):
+                op(x, y)
+            with eg.no_grad(), pytest.raises(eg.ShapeError, match="operand shapes differ"):
+                op(x, y)
+
+    @pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
+    def test_array_operand_is_not_broadcast(self, op):
+        """An array operand that is not a Tensor is a constant of its own
+        shape: only a number is broadcast."""
+        p = eg.parameter(np.ones((3, 4)))
+        for arr in (np.ones(4), np.ones((1, 4)), [1.0, 2.0, 3.0, 4.0]):
+            for args in ((p, arr), (arr, p)):
+                with pytest.raises(eg.ShapeError, match="operand shapes differ"):
+                    op(*args)
+
+    @pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
+    def test_number_operand_is_a_constant(self, op):
+        """A number on either side acts as a constant tensor of the other
+        operand's shape and dtype: the same output, and the same gradient
+        for the tensor."""
         r = np.random.default_rng(10)
-        arrays = [np.abs(r.standard_normal(s)) + 0.5 for s in shapes]
-        out_shape = np.broadcast_shapes(*shapes)
-        probe = eg.tensor(r.standard_normal(out_shape), dtype=np.float64)
-
-        def grads(arrs):
-            ps = [eg.parameter(a) for a in arrs]
-            eg.sum_(eg.mul(op(*ps), probe)).backward()
-            return [p.grad for p in ps]
-
-        full = grads([np.broadcast_to(a, out_shape).copy() for a in arrays])
-        for a, g, gf in zip(arrays, grads(arrays), full):
-            assert g.shape == a.shape and g.dtype == np.float64
-            extra = gf.ndim - a.ndim
-            want = gf.sum(axis=tuple(range(extra)))
-            want = want.sum(axis=tuple(i for i, s in enumerate(a.shape) if s == 1), keepdims=True)
-            np.testing.assert_allclose(g, want.reshape(a.shape), rtol=1e-12, atol=1e-12)
+        a = np.abs(r.standard_normal((3, 4))) + 0.5
+        full = eg.tensor(np.full((3, 4), 1.5), dtype=np.float64)
+        probe = eg.tensor(r.standard_normal((3, 4)), dtype=np.float64)
+        for number_first in (False, True):
+            runs = []
+            for other in (1.5, full):
+                p = eg.parameter(a)
+                out = op(other, p) if number_first else op(p, other)
+                assert out.shape == (3, 4) and out.dtype == np.float64
+                eg.sum_(eg.mul(out, probe)).backward()
+                runs.append((out.data, p.grad))
+            (out_number, grad_number), (out_full, grad_full) = runs
+            np.testing.assert_array_equal(out_number, out_full)
+            np.testing.assert_array_equal(grad_number, grad_full)
 
 
 # --------------------------------------------------------------------------

@@ -109,10 +109,13 @@ class TestConfigValidation:
         (("stages", 0, "channels"), 16.7), (("template_size",), 64.9), (("stages", 0, "stride"), True),
         (("head_depth",), 2.5), (("stages", 2, "ca_positions"), [2.5, 4]),
         (("stages", 0, "channels"), 16.0), (("stages", 0, "kernel"), 7.0), (("template_size",), 64.0),
-        (("num_classes",), False)])
+        (("num_classes",), False), (("template_size",), (64,)), (("head_depth",), (2,)),
+        (("stages", 0, "kernel"), (7,)), (("stages", 1, "channels"), (32,)),
+        (("stages", 2, "ca_positions"), 2)])
     def test_bool_or_fraction_rejected(self, path, value):
         """Stored or passed to the constructors, an integer field takes an int
-        only: a float, integral or not, or a bool raises."""
+        only: a float, integral or not, a bool or a tuple raises, and
+        `ca_positions` takes a sequence of ints only."""
         top = dataclasses.asdict(md.tiny_config())
         *outer, field = path
         holder = top

@@ -259,6 +259,19 @@ class TestSuite:
         with pytest.raises(ValueError, match="n_train"):
             scenes.make_suite(scenes.SceneConfig(), 10_001, 3, seed=0)
 
+    @pytest.mark.parametrize("args,match", [
+        ((-3, 1, 0), "n_train must be >= 0, got -3"), ((1, -1, 0), "n_eval must be >= 0, got -1"),
+        ((1, 1, -2), "seed must be >= 0, got -2"), ((1.5, 1, 0), "n_train must be an integer, got 1.5"),
+        ((1, 2.0, 0), "n_eval must be an integer"), ((True, 1, 0), "n_train must be an integer"),
+        ((1, 1, 0.5), "seed must be an integer")])
+    def test_bad_count_or_seed_rejected(self, monkeypatch, args, match):
+        """A count or seed is an int >= 0, not a bool, checked before any
+        sequence is made."""
+        monkeypatch.setattr(scenes, "generate_sequence", lambda cfg, seed: pytest.fail("made a sequence"))
+        n_train, n_eval, seed = args
+        with pytest.raises(ValueError, match=match):
+            scenes.make_suite(scenes.SceneConfig(), n_train, n_eval, seed=seed)
+
 
 class TestDiskFormats:
     def test_pgm_rescales_finite_pixels_and_zeroes_the_rest(self, tmp_path):

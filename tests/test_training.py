@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sbtrack import engine as eg
 from sbtrack import model as md
+from sbtrack import scenes
 from sbtrack import training as tr
 from sbtrack.boxes import Box, intersection_area, iou
 
@@ -407,6 +408,19 @@ class TestMakeTrainingExamples:
     def test_empty_sequence_list_rejected(self, rng):
         with pytest.raises(ValueError, match="the sequence list is empty"):
             tr.make_training_examples([], 4, 64, 128, rng)
+
+    @pytest.mark.parametrize("count,match", [(-2, "count must be >= 0, got -2"),
+                                             (1.5, "count must be an integer, got 1.5"),
+                                             (3.0, "count must be an integer"),
+                                             (True, "count must be an integer")])
+    def test_bad_count_rejected(self, rng, count, match):
+        seqs = scenes.make_suite(scenes.SceneConfig(length=2), 1, 0, seed=0).train
+        with pytest.raises(ValueError, match=match):
+            tr.make_training_examples(seqs, count, 64, 128, rng)
+
+    def test_zero_count_gives_no_example(self, rng):
+        seqs = scenes.make_suite(scenes.SceneConfig(length=2), 1, 0, seed=0).train
+        assert tr.make_training_examples(seqs, 0, 64, 128, rng) == []
 
 
 def _toy_dataset(rng, n=3, search=128, template=64):

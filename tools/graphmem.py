@@ -3,9 +3,9 @@
     python3 tools/graphmem.py
 
 Imports ``sbtrack`` from ``src/`` of this checkout.  For one training pair
-of the ``tiny`` and of the ``light`` preset (model seed 0, a template and a
-search image drawn from a fixed seed, one target box at the middle of the
-search crop), it prints, as tracemalloc counts them:
+(model seed 0, a template and a search image drawn from a fixed seed, one
+target box at the middle of the search crop) of each of four configs, it
+prints, as tracemalloc counts them:
 
 * ``graph``: the bytes that the forward and the loss leave allocated,
   which is what the graph holds until backward;
@@ -14,9 +14,13 @@ search crop), it prints, as tracemalloc counts them:
 * ``grads_sha256``: the SHA-256 of every parameter gradient, in the
   parameter-table order.
 
-The first two do not depend on the host's speed or load, and the hash
-tells whether a change of the engine moved any gradient bit.  Both pairs
-take about 3 CPU-s together on a 2-vCPU x86 VM.
+The configs are the ``tiny`` and ``light`` presets, and two ``tiny``
+variants whose backward runs what the presets' does not:
+``head_input="dwcorr"`` (`depthwise_xcorr`) and ``pad_mode="circular"``
+(the circular padding's adjoint).  The first two counts do not depend on
+the host's speed or load, and the hash tells whether a change of the
+engine moved any gradient bit.  The four pairs take about 2.5 CPU-s together
+on a 2-vCPU x86 VM.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ from sbtrack import training as tr  # noqa: E402
 from sbtrack.boxes import Box  # noqa: E402
 
 MIB = 1 << 20
+CONFIGS = {
+    "tiny": md.tiny_config,
+    "light": md.PRESETS["light"],
+    'tiny(head_input="dwcorr")': lambda: md.tiny_config(head_input="dwcorr"),
+    'tiny(pad_mode="circular")': lambda: md.tiny_config(pad_mode="circular"),
+}
 
 
 def measure(cfg: md.ModelConfig) -> dict:
@@ -66,9 +76,9 @@ def measure(cfg: md.ModelConfig) -> dict:
 
 
 def main() -> int:
-    for preset in ("tiny", "light"):
-        m = measure(md.PRESETS[preset]())
-        print(f"{preset}: graph {m['graph'] / MIB:.1f} MiB, backward_peak "
+    for label, make in CONFIGS.items():
+        m = measure(make())
+        print(f"{label}: graph {m['graph'] / MIB:.1f} MiB, backward_peak "
               f"{m['backward_peak'] / MIB:.1f} MiB, grads_sha256 {m['grads_sha256']}", flush=True)
     return 0
 
